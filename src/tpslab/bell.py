@@ -1,17 +1,17 @@
 """CHSH values for two-qubit pure states: direct evaluation, maximization, oracle.
 
-Two independent routes to the maximal CHSH value guard each other: a
-numerical maximizer over measurement settings (coarse angular grid, then
-coordinate descent with step halving) and the closed form
-``2 sqrt(t1^2 + t2^2)`` from the two largest singular values of the 3x3 spin
-correlation matrix.  The maximizer's returned value is always re-evaluated
-through the raw definition at the final settings.
+The maximal CHSH value is ``2 sqrt(t1^2 + t2^2)`` from the two largest
+singular values of the 3x3 spin correlation matrix, and the settings that
+reach it follow in closed form from the same SVD.  chsh_max builds those
+settings and re-evaluates the value through the raw definition
+``<psi|(a.sigma) (x) (b.sigma)|psi>``.  The independent check, an iterative
+maximizer (angular grid scan, then coordinate descent) on a correlation
+matrix of its own, lives in the tests as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import cos, sin
 
 import numpy as np
 
@@ -51,10 +51,6 @@ class ChshSettings:
         object.__setattr__(self, "a_prime", _check_direction(self.a_prime, "a_prime"))
         object.__setattr__(self, "b", _check_direction(self.b, "b"))
         object.__setattr__(self, "b_prime", _check_direction(self.b_prime, "b_prime"))
-
-
-def bloch_direction(theta: float, phi: float) -> np.ndarray:
-    return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
 
 
 def pauli_along(n) -> np.ndarray:
@@ -97,8 +93,7 @@ def correlation_matrix(psi) -> np.ndarray:
 
 def chsh_max_closed_form(psi) -> float:
     """Maximal CHSH value 2 sqrt(t1^2 + t2^2) from the correlation matrix's
-    two largest singular values; serves as the independent oracle for the
-    numerical maximizer."""
+    two largest singular values."""
     t = np.linalg.svd(correlation_matrix(psi), compute_uv=False)
     return float(2.0 * np.sqrt(t[0] ** 2 + t[1] ** 2))
 
@@ -107,134 +102,27 @@ def chsh_max_closed_form(psi) -> float:
 class ChshMaxResult:
     value: float
     settings: ChshSettings
-    grid_value: float
 
 
-# 15-degree angular grid over the sphere, shared by every maximization
-_GRID_PARAMS = np.array(
-    [
-        (theta, phi)
-        for theta in np.deg2rad(np.arange(0, 181, 15))
-        for phi in np.deg2rad(np.arange(0, 360, 15))
-    ]
-)
-_GRID_VECTORS = np.array([bloch_direction(t, p) for t, p in _GRID_PARAMS])
-
-# two deterministic starting configurations guard against stalling in an
-# alternating-maximization fixed point
-_STARTS = (
-    ((0.0, 0.0), (np.pi / 2, 0.0), (np.pi / 4, 0.0), (3 * np.pi / 4, 0.0)),
-    ((np.pi / 3, 1.0), (np.pi / 2, 2.2), (1.1, 0.5), (2.0, 4.0)),
-)
-
-
-def _linear_weights(t_mat: np.ndarray, vecs: list[np.ndarray], k: int) -> np.ndarray:
-    """Gradient direction: CHSH is linear in each setting with the others fixed."""
-    a, ap, b, bp = vecs
-    if k == 0:
-        return t_mat @ (b + bp)
-    if k == 1:
-        return t_mat @ (b - bp)
-    if k == 2:
-        return t_mat.T @ (a + ap)
-    return t_mat.T @ (a - ap)
-
-
-def _chsh_bilinear(t_mat: np.ndarray, vecs: list[np.ndarray]) -> float:
-    a, ap, b, bp = vecs
-    return float(a @ t_mat @ b + a @ t_mat @ bp + ap @ t_mat @ b - ap @ t_mat @ bp)
-
-
-def _maximize_from(
-    t_mat: np.ndarray,
-    start,
-    step0: float,
-    min_step: float,
-    iters_per_level: int,
-) -> tuple[float, float, list[np.ndarray]]:
-    params = np.array(start, dtype=float)
-    vecs = [bloch_direction(t, p) for t, p in params]
-    best = _chsh_bilinear(t_mat, vecs)
-
-    # coarse stage: cyclic scan of the full angular grid per setting
-    for _ in range(6):
-        improved = False
-        for k in range(4):
-            w = _linear_weights(t_mat, vecs, k)
-            vals = _GRID_VECTORS @ w
-            m = int(np.argmax(vals))
-            candidate = best - float(w @ vecs[k]) + float(vals[m])
-            if candidate > best + 1e-15:
-                best = candidate
-                params[k] = _GRID_PARAMS[m]
-                vecs[k] = _GRID_VECTORS[m]
-                improved = True
-        if not improved:
-            break
-    grid_best = best
-
-    # refinement: coordinate descent with step halving; each sweep first takes
-    # the exact conditional optimum (the objective is linear in one setting
-    # with the others fixed, so it peaks at the normalized weight vector) and
-    # then probes +-step in each angle to escape ties
-    step = step0
-    while step > min_step:
-        for _ in range(iters_per_level):
-            improved = False
-            for k in range(4):
-                w = _linear_weights(t_mat, vecs, k)
-                wn = float(np.linalg.norm(w))
-                base = best - float(w @ vecs[k])
-                if wn > 0.0:
-                    exact = base + wn
-                    if exact > best + 1e-15:
-                        best = exact
-                        vecs[k] = w / wn
-                        params[k] = (np.arccos(np.clip(vecs[k][2], -1.0, 1.0)),
-                                     np.arctan2(vecs[k][1], vecs[k][0]))
-                        improved = True
-                        continue
-                w0, w1, w2 = float(w[0]), float(w[1]), float(w[2])
-                th, ph = params[k]
-                for tt, pp in ((th + step, ph), (th - step, ph), (th, ph + step), (th, ph - step)):
-                    st, ct, sp, cp = sin(tt), cos(tt), sin(pp), cos(pp)
-                    val = base + w0 * st * cp + w1 * st * sp + w2 * ct
-                    if val > best + 1e-15:
-                        best = val
-                        params[k] = (tt, pp)
-                        vecs[k] = np.array([st * cp, st * sp, ct])
-                        improved = True
-            if not improved:
-                break
-        step *= 0.5
-    return best, grid_best, vecs
-
-
-def chsh_max(
-    psi,
-    step0: float = np.deg2rad(15.0),
-    min_step: float = 1e-6,
-    iters_per_level: int = 50,
-) -> ChshMaxResult:
+def chsh_max(psi) -> ChshMaxResult:
     """Maximize the CHSH value of a two-qubit pure state over all settings.
 
-    A 15-degree grid scan per setting finds the global basin; coordinate
-    descent with step halving down to ``min_step`` radians polishes it.  The
-    search evaluates the objective through the state's correlation matrix
-    (identical to chsh_value by bilinearity), but the returned value is
-    recomputed with chsh_value at the final settings; it matches the search
-    value and dominates the grid-stage value up to rounding.
+    With the SVD ``T = U diag(t) V^T`` of the correlation matrix, the optimal
+    settings are ``a, a' = U[:, 0], U[:, 1]`` and
+    ``b, b' = (t1 f1 +- t2 f2) / hypot(t1, t2)`` with ``f1, f2`` the first two
+    right singular vectors (Horodecki, Phys. Lett. A 200, 340 (1995)).  For a
+    pure state ``t1 = 1``, so the division is safe.  The returned value is
+    evaluated with chsh_value at these settings.
     """
     psi = check_state(psi)
     if psi.size != 4:
         raise ShapeError(f"chsh_max needs a two-qubit state, got dim {psi.size}")
-    t_mat = correlation_matrix(psi)
-    best = None
-    for start in _STARTS:
-        cand = _maximize_from(t_mat, start, step0, min_step, iters_per_level)
-        if best is None or cand[0] > best[0]:
-            best = cand
-    _, grid_value, vecs = best
-    settings = ChshSettings(a=vecs[0], a_prime=vecs[1], b=vecs[2], b_prime=vecs[3])
-    value = chsh_value(psi, settings)
-    return ChshMaxResult(value=value, settings=settings, grid_value=grid_value)
+    u, t, vt = np.linalg.svd(correlation_matrix(psi))
+    h = float(np.hypot(t[0], t[1]))
+    settings = ChshSettings(
+        a=u[:, 0],
+        a_prime=u[:, 1],
+        b=(t[0] * vt[0] + t[1] * vt[1]) / h,
+        b_prime=(t[0] * vt[0] - t[1] * vt[1]) / h,
+    )
+    return ChshMaxResult(value=chsh_value(psi, settings), settings=settings)

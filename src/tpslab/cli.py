@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -41,6 +42,8 @@ from .statefile import (
     StateFile,
     dump_json,
     load_state_file,
+    pairs_to_complex,
+    positive_dim,
     render_csv,
     save_state_file,
     tps_from_dict,
@@ -114,11 +117,11 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{spec}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
-        n = int(data["dim"])
+        n = positive_dim(data["dim"], f"{spec}: dim")
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise StateFileError(f"{spec}: matrix file needs 'dim' and 'entries'") from exc
-    flat = np.array([complex(re, im) for re, im in entries], dtype=complex)
+    flat = pairs_to_complex(entries, f"{spec}: matrix entries")
     if flat.size != n * n:
         raise ShapeError(f"{spec}: {flat.size} entries for a {n}x{n} matrix")
     if n != dim:
@@ -398,7 +401,6 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     report = {
         "manifest": _manifest(args, {"state": args.state}),
         "value": result.value,
-        "grid_value": result.grid_value,
         "closed_form": chsh_max_closed_form(sf.amplitudes),
         "settings": {
             "a": [float(x) for x in result.settings.a],
@@ -418,6 +420,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpslab",
@@ -431,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="write the report to this path instead of stdout")
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="csv emits per-point sweep rows (demo only)")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
         p.add_argument("--seed", type=int, default=seed_default, help="random seed")
         p.add_argument("--timestamp", default=None,
                        help="optional manifest timestamp (omitted by default so reports are reproducible)")

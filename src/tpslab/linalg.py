@@ -118,11 +118,6 @@ def svd(m) -> SvdResult:
     return SvdResult(left=u, singular_values=s, right=v)
 
 
-def is_hermitian(m, tol: float = HERMITIAN_TOL) -> bool:
-    m = as_matrix(m)
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
 def eigh(h, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition of a Hermitian matrix.
 

@@ -63,6 +63,15 @@ def pairs_to_complex(pairs, what: str) -> np.ndarray:
         raise StateFileError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
 
 
+def positive_dim(value, what: str) -> int:
+    """A dimension read from JSON: a positive integer, not a bool or a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise StateFileError(f"{what} must be an integer, got {value!r}")
+    if value < 1:
+        raise StateFileError(f"{what} must be positive, got {value!r}")
+    return int(value)
+
+
 def tps_to_dict(tps: TensorProductStructure) -> dict:
     out = {
         "d1": tps.d1,
@@ -78,8 +87,8 @@ def tps_to_dict(tps: TensorProductStructure) -> dict:
 
 def tps_from_dict(data: dict) -> TensorProductStructure:
     try:
-        d1 = int(data["d1"])
-        d2 = int(data["d2"])
+        d1 = positive_dim(data["d1"], "tps d1")
+        d2 = positive_dim(data["d2"], "tps d2")
         flat = pairs_to_complex(data["unitary"], "tps unitary")
     except KeyError as exc:
         raise StateFileError(f"tps block is missing key {exc}") from exc
@@ -142,9 +151,8 @@ def load_state_file(path: str) -> StateFile:
         raise StateFileError(f"{path}: missing required key {exc}") from exc
     if not (isinstance(dims, list) and len(dims) == 2):
         raise StateFileError(f"{path}: dims must be a [d1, d2] pair")
-    d1, d2 = int(dims[0]), int(dims[1])
-    if d1 < 1 or d2 < 1:
-        raise StateFileError(f"{path}: dims must be positive, got {dims}")
+    d1 = positive_dim(dims[0], f"{path}: dims[0]")
+    d2 = positive_dim(dims[1], f"{path}: dims[1]")
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     if amplitudes.size != d1 * d2:
         raise ShapeError(

@@ -142,15 +142,6 @@ class IndexBijection:
         object.__setattr__(self, "inverse_i", inv_i.reshape(self.d1, self.d2))
         object.__setattr__(self, "inverse_j", inv_j.reshape(self.d1, self.d2))
 
-    @classmethod
-    def from_callable(cls, d1: int, d2: int, fn) -> "IndexBijection":
-        fa = np.empty((d1, d2), dtype=int)
-        fb = np.empty((d1, d2), dtype=int)
-        for i in range(d1):
-            for j in range(d2):
-                fa[i, j], fb[i, j] = fn(i, j)
-        return cls(d1, d2, fa, fb)
-
     def forward(self, i: int, j: int) -> tuple[int, int]:
         return int(self.forward_a[i, j]), int(self.forward_b[i, j])
 

@@ -8,8 +8,9 @@ import math
 
 import numpy as np
 import pytest
+from chsh_oracle import chsh_search
 
-from tpslab.bell import chsh_max, chsh_max_closed_form
+from tpslab.bell import chsh_max
 from tpslab.cli import main
 from tpslab.grid import (
     Grid,
@@ -329,18 +330,19 @@ def test_c10_bell_violation_for_entangled_states():
     for _ in range(1000):
         psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
         res = chsh_max(psi)
-        gap = abs(res.value - chsh_max_closed_form(psi))
+        searched = chsh_search(psi)
+        gap = abs(res.value - searched)
         worst_gap = max(worst_gap, gap)
         min_value = min(min_value, res.value)
-        failures += (res.value <= 2.0 + 1e-3) or (gap > 1e-4)
+        failures += (res.value <= 2.0 + 1e-3) or (gap > 1e-4) or (searched > res.value + 1e-9)
     ok = failures == 0 and abs(bell_value - 2 * SQ2) <= 1e-6
     criterion(
         10,
-        "CHSH violation and optimizer-oracle agreement",
+        "CHSH violation and closed-form/search agreement",
         ok,
         f"1000 states, min value = {min_value:.6f} (need > 2.001), worst "
-        f"|opt-oracle| = {worst_gap:.3e} (tol 1e-4), Bell value = {bell_value:.9f} "
-        f"(want 2*sqrt(2) within 1e-6)",
+        f"|closed-form - search| = {worst_gap:.3e} (tol 1e-4, search never above), "
+        f"Bell value = {bell_value:.9f} (want 2*sqrt(2) within 1e-6)",
     )
 
 
