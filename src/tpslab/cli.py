@@ -41,9 +41,9 @@ from .spins import (
 from .statefile import (
     StateFile,
     dump_json,
+    json_int,
     load_state_file,
     pairs_to_complex,
-    positive_dim,
     render_csv,
     save_state_file,
     tps_from_dict,
@@ -61,9 +61,6 @@ from .tps import (
 
 OBSERVABLE_NAMES = ("pauli-x", "pauli-y", "pauli-z", "position")
 _PAULI_BY_NAME = {"pauli-x": PAULI_X, "pauli-y": PAULI_Y, "pauli-z": PAULI_Z}
-
-# dense TPS blocks beyond this size are refused rather than written
-MAX_SERIALIZED_DIM = 4096
 
 EXIT_CODES = (
     (StateFileError, 2),
@@ -117,7 +114,7 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{spec}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     try:
-        n = positive_dim(data["dim"], f"{spec}: dim")
+        n = json_int(data["dim"], f"{spec}: dim")
         entries = data["entries"]
     except (KeyError, TypeError) as exc:
         raise StateFileError(f"{spec}: matrix file needs 'dim' and 'entries'") from exc
@@ -340,18 +337,16 @@ def _load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        entries = data["map"]
-    except (KeyError, TypeError) as exc:
-        raise StateFileError(f"{path}: bijection file needs a 'map' list") from exc
+    entries = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise StateFileError(f"{path}: bijection file needs a 'map' list")
     fa = -np.ones((d1, d2), dtype=int)
     fb = -np.ones((d1, d2), dtype=int)
     for entry in entries:
-        try:
-            i, j, a, b = (int(x) for x in entry)
-        except (TypeError, ValueError) as exc:
-            raise StateFileError(f"{path}: map entries must be [i, j, a, b]") from exc
-        if not (0 <= i < d1 and 0 <= j < d2):
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise StateFileError(f"{path}: map entries must be [i, j, a, b]")
+        i, j, a, b = (json_int(x, f"{path}: map entry", 0) for x in entry)
+        if not (i < d1 and j < d2):
             raise BijectionError(f"{path}: source ({i}, {j}) outside the {d1}x{d2} grid")
         if fa[i, j] != -1:
             raise BijectionError(f"{path}: source ({i}, {j}) mapped twice")
@@ -368,11 +363,6 @@ def _load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
 def cmd_refactor(args: argparse.Namespace) -> int:
     sf = load_state_file(args.state)
     d1, d2 = sf.d1, sf.d2
-    if d1 * d2 > MAX_SERIALIZED_DIM:
-        raise SizeLimitError(
-            f"refusing to serialize a dense {d1 * d2}-dimensional TPS "
-            f"(limit {MAX_SERIALIZED_DIM})"
-        )
     if args.bijection == "sumdiff":
         if d1 != d2:
             raise BijectionError(f"sumdiff needs a square grid, got {d1}x{d2}")
@@ -386,8 +376,14 @@ def cmd_refactor(args: argparse.Namespace) -> int:
     else:
         bij = _load_bijection_file(args.bijection, d1, d2)
     base = sf.tps if sf.tps is not None else trivial_tps(d1, d2)
-    relabeled = relabel_tps(bij)
-    new_tps = TensorProductStructure(d1, d2, base.unitary @ relabeled.unitary)
+    # base followed by the permutation P[g, t_g] = 1, without a D x D product
+    t = bij.flat_targets()
+    if base.unitary is None:  # g goes to its base label b_g, then to t[b_g]
+        new_tps = relabel_tps(IndexBijection.from_targets(d1, d2, t[base.relabeling.flat_targets()]))
+    else:  # U P is U with column g moved to column t_g
+        u = np.empty_like(base.unitary)
+        u[:, t] = base.unitary
+        new_tps = TensorProductStructure(d1, d2, u)
     out = StateFile(d1=d1, d2=d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
     save_state_file(args.out, out)
     return 0

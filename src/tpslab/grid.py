@@ -29,8 +29,8 @@ import numpy as np
 
 from .errors import GridSpecError, NumericalError, ShapeError
 from .linalg import normalize
-from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
-from .tps import IndexBijection, sum_diff_bijection
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt_values
+from .tps import IndexBijection, relabel_tps, sum_diff_bijection
 
 EDGE_DENSITY_TOL = 1e-12
 
@@ -162,19 +162,6 @@ class CoordinateDemoReport:
     warnings: tuple[str, ...]
 
 
-def relabeled_coefficients(c: np.ndarray, bij: IndexBijection) -> np.ndarray:
-    """Coefficient matrix re-read through the relabeled TPS.
-
-    Equivalent to ``coefficient_matrix(psi, relabel_tps(bij))`` for the state
-    with trivial-TPS coefficients ``c``, without forming the dense permutation.
-    """
-    if c.shape != (bij.d1, bij.d2):
-        raise ShapeError(f"coefficients {c.shape} vs bijection grid ({bij.d1}, {bij.d2})")
-    out = np.empty_like(c)
-    out[bij.forward_a, bij.forward_b] = c
-    return out
-
-
 def _diag_qcf(a_diag: np.ndarray, b_diag: np.ndarray, prob: np.ndarray) -> float:
     """Covariance of two commuting diagonal observables under a probability vector."""
     ea = float(np.sum(a_diag * prob))
@@ -194,7 +181,7 @@ def _demo_report(
         raise ShapeError("profiles live on different grids")
     c = np.outer(f.samples, g.samples)
     vals_xy = np.linalg.svd(c, compute_uv=False)
-    vals_ab = np.linalg.svd(relabeled_coefficients(c, bij), compute_uv=False)
+    vals_ab = schmidt_values(c.ravel(), relabel_tps(bij))
 
     x = f.grid.points
     prob = np.abs(c.ravel()) ** 2

@@ -21,7 +21,7 @@ from .linalg import (
     expectation,
     tensor_op,
 )
-from .tps import TensorProductStructure
+from .tps import TensorProductStructure, coefficient_matrix
 
 ENTANGLED_WITNESSED = "entangled-witnessed"
 INCONCLUSIVE = "inconclusive"
@@ -80,12 +80,13 @@ def qcf_local(
             f"factor observables {a1.shape[0]}x{b2.shape[0]} vs TPS factors "
             f"({tps.d1}, {tps.d2})"
         )
-    u = tps.unitary
-    eye1 = np.eye(tps.d1, dtype=complex)
-    eye2 = np.eye(tps.d2, dtype=complex)
-    a_global = u @ tensor_op(a1, eye2) @ u.conj().T
-    b_global = u @ tensor_op(eye1, b2) @ u.conj().T
-    value = qcf(a_global, b_global, psi, herm_tol)
+    # traces on the coefficient matrix C: <A(x)1> = tr(C^dag A C),
+    # <1(x)B> = tr(C^dag C B^T), <A(x)B> = tr(C^dag A C B^T)
+    c = coefficient_matrix(psi, tps)
+    ac = a1 @ c
+    e_a = np.vdot(c, ac).real
+    e_b = np.vdot(c, c @ b2.T).real
+    value = complex(np.vdot(c, ac @ b2.T)) - e_a * e_b
     threshold = default_witness_threshold(tps.dim) if witness_threshold is None else witness_threshold
     verdict = ENTANGLED_WITNESSED if abs(value) > threshold else INCONCLUSIVE
     return QcfReport(value=value, witness_threshold=threshold, verdict=verdict)

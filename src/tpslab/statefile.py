@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ShapeError, StateFileError
-from .tps import TensorProductStructure
+from .errors import ContractError, ShapeError, StateFileError
+from .tps import IndexBijection, TensorProductStructure
 
 
 def format_float(x: float) -> str:
@@ -58,26 +58,29 @@ def complex_pairs(values: np.ndarray) -> list[list[float]]:
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
     try:
-        return np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
+        values = np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
     except (TypeError, ValueError) as exc:
         raise StateFileError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
+    if not np.all(np.isfinite(values)):
+        raise StateFileError(f"{what} contains non-finite entries")
+    return values
 
 
-def positive_dim(value, what: str) -> int:
-    """A dimension read from JSON: a positive integer, not a bool or a float."""
+def json_int(value, what: str, low: int = 1) -> int:
+    """An integer read from JSON, at least ``low``; bools, floats and strings are refused."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise StateFileError(f"{what} must be an integer, got {value!r}")
-    if value < 1:
-        raise StateFileError(f"{what} must be positive, got {value!r}")
+    if value < low:
+        raise StateFileError(f"{what} must be at least {low}, got {value!r}")
     return int(value)
 
 
 def tps_to_dict(tps: TensorProductStructure) -> dict:
-    out = {
-        "d1": tps.d1,
-        "d2": tps.d2,
-        "unitary": complex_pairs(tps.unitary.ravel()),
-    }
+    out = {"d1": tps.d1, "d2": tps.d2}
+    if tps.unitary is None:
+        out["map"] = tps.relabeling.flat_targets().tolist()
+    else:
+        out["unitary"] = complex_pairs(tps.unitary.ravel())
     if tps.label_left is not None:
         out["label_left"] = list(tps.label_left)
     if tps.label_right is not None:
@@ -85,22 +88,39 @@ def tps_to_dict(tps: TensorProductStructure) -> dict:
     return out
 
 
-def tps_from_dict(data: dict) -> TensorProductStructure:
+def tps_from_dict(data) -> TensorProductStructure:
+    """A TPS block: d1, d2 and exactly one of a dense ``unitary`` and a label ``map``."""
+    if not isinstance(data, dict):
+        raise StateFileError("tps block must be an object")
     try:
-        d1 = positive_dim(data["d1"], "tps d1")
-        d2 = positive_dim(data["d2"], "tps d2")
-        flat = pairs_to_complex(data["unitary"], "tps unitary")
+        d1 = json_int(data["d1"], "tps d1")
+        d2 = json_int(data["d2"], "tps d2")
     except KeyError as exc:
         raise StateFileError(f"tps block is missing key {exc}") from exc
-    if flat.size != (d1 * d2) ** 2:
-        raise ShapeError(
-            f"tps unitary has {flat.size} entries, expected {(d1 * d2) ** 2}"
-        )
-    labels_l = tuple(data["label_left"]) if "label_left" in data else None
-    labels_r = tuple(data["label_right"]) if "label_right" in data else None
-    return TensorProductStructure(
-        d1, d2, flat.reshape(d1 * d2, d1 * d2), label_left=labels_l, label_right=labels_r
-    )
+    if ("map" in data) == ("unitary" in data):
+        raise StateFileError("tps block needs exactly one of 'map' and 'unitary'")
+    labels = {}
+    for key in ("label_left", "label_right"):
+        if key in data:
+            if not (isinstance(data[key], list) and all(isinstance(x, str) for x in data[key])):
+                raise StateFileError(f"tps {key} must be a list of strings")
+            labels[key] = tuple(data[key])
+    dim = d1 * d2
+    if "map" in data:
+        if not isinstance(data["map"], list):
+            raise StateFileError("tps map must be a list of product labels")
+        targets = [json_int(t, "tps map entry", 0) for t in data["map"]]
+        if len(targets) != dim:
+            raise ShapeError(f"tps map has {len(targets)} entries, expected {dim}")
+        bij = IndexBijection.from_targets(d1, d2, targets)
+        return TensorProductStructure(d1, d2, None, relabeling=bij, **labels)
+    flat = pairs_to_complex(data["unitary"], "tps unitary")
+    if flat.size != dim**2:
+        raise ShapeError(f"tps unitary has {flat.size} entries, expected {dim**2}")
+    try:
+        return TensorProductStructure(d1, d2, flat.reshape(dim, dim), **labels)
+    except ContractError as exc:
+        raise StateFileError(f"tps unitary: {exc}") from exc
 
 
 @dataclass
@@ -151,8 +171,8 @@ def load_state_file(path: str) -> StateFile:
         raise StateFileError(f"{path}: missing required key {exc}") from exc
     if not (isinstance(dims, list) and len(dims) == 2):
         raise StateFileError(f"{path}: dims must be a [d1, d2] pair")
-    d1 = positive_dim(dims[0], f"{path}: dims[0]")
-    d2 = positive_dim(dims[1], f"{path}: dims[1]")
+    d1 = json_int(dims[0], f"{path}: dims[0]")
+    d2 = json_int(dims[1], f"{path}: dims[1]")
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     if amplitudes.size != d1 * d2:
         raise ShapeError(

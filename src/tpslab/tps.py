@@ -1,10 +1,13 @@
 """Tensor product structures over a global Hilbert space, and their refactorizations.
 
-A tensor product structure (TPS) is encoded by a factorization unitary U on
-the global space: column ``k*d2 + r`` of U is the product basis vector
-|k, r> of the TPS expressed in the global computational basis.  The trivial
-TPS is U = identity.  Coefficients of a state in a TPS are the entries of
-``U^dagger psi`` reshaped to d1 x d2 (left factor slow).
+A tensor product structure (TPS) is held in one of two forms.  A dense
+factorization unitary U has as column ``k*d2 + r`` the product basis vector
+|k, r> in the global computational basis; coefficients are ``U^dagger psi``.
+An index relabeling (an ``IndexBijection`` alone) gives global index
+``g = i*d2 + j`` the product label ``t_g = map(i, j)``; coefficients are the
+scatter ``c[t_g] = psi[g]``, i.e. U[g, t_g] = 1 without the D x D matrix.  The
+trivial TPS is the identity relabeling.  Coefficients are reshaped to d1 x d2
+(left factor slow).
 """
 
 from __future__ import annotations
@@ -38,19 +41,7 @@ def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"unitary must be square, got {u.shape}")
-    d = u.shape[0]
-    # Permutation-structured matrices are common here; check them in O(D^2)
-    # instead of forming U^dagger U.
-    nz = np.count_nonzero(u)
-    if nz == d:
-        rows, cols = np.nonzero(u)
-        if (
-            np.array_equal(np.sort(rows), np.arange(d))
-            and np.array_equal(np.sort(cols), np.arange(d))
-            and np.max(np.abs(np.abs(u[rows, cols]) - 1.0)) <= tol
-        ):
-            return u
-    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(d))))
+    defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
     if defect > tol:
         raise ContractError(f"factorization matrix is not unitary: max defect {defect:.3e}")
     return u
@@ -58,17 +49,24 @@ def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorProductStructure:
-    """Factor dimensions plus the unitary identifying global and product bases."""
+    """Factor dimensions plus exactly one of a dense unitary and an index relabeling."""
 
     d1: int
     d2: int
-    unitary: np.ndarray
+    unitary: np.ndarray | None
     label_left: tuple[str, ...] | None = None
     label_right: tuple[str, ...] | None = None
+    relabeling: IndexBijection | None = None
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ShapeError(f"factor dimensions must be positive, got ({self.d1}, {self.d2})")
+        if (self.unitary is None) == (self.relabeling is None):
+            raise ContractError("a TPS needs exactly one of a unitary and a relabeling")
+        if self.relabeling is not None:
+            if (self.relabeling.d1, self.relabeling.d2) != (self.d1, self.d2):
+                raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
+            return
         u = _check_unitary(self.unitary)
         if u.shape[0] != self.d1 * self.d2:
             raise ShapeError(
@@ -80,21 +78,22 @@ class TensorProductStructure:
     def dim(self) -> int:
         return self.d1 * self.d2
 
-    def product_coordinates(self, psi: np.ndarray) -> np.ndarray:
-        """Components of psi over this TPS's product basis (U^dagger psi)."""
-        psi = check_state(psi)
-        if psi.size != self.dim:
-            raise ShapeError(f"state dim {psi.size} vs TPS dim {self.dim}")
-        return self.unitary.conj().T @ psi
-
 
 def trivial_tps(d1: int, d2: int) -> TensorProductStructure:
-    return TensorProductStructure(d1, d2, np.eye(d1 * d2, dtype=complex))
+    return relabel_tps(identity_bijection(d1, d2))
 
 
 def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
     """d1 x d2 coefficient matrix of psi in the given TPS (unit Frobenius norm)."""
-    c = tps.product_coordinates(psi).reshape(tps.d1, tps.d2)
+    psi = check_state(psi)
+    if psi.size != tps.dim:
+        raise ShapeError(f"state dim {psi.size} vs TPS dim {tps.dim}")
+    if tps.unitary is None:
+        c = np.empty_like(psi)
+        c[tps.relabeling.flat_targets()] = psi
+    else:
+        c = tps.unitary.conj().T @ psi
+    c = c.reshape(tps.d1, tps.d2)
     fro = float(np.linalg.norm(c))
     if abs(fro - 1.0) > 1e-10:
         raise ContractError(f"coefficient matrix norm {fro!r} deviates from 1")
@@ -142,6 +141,12 @@ class IndexBijection:
         object.__setattr__(self, "inverse_i", inv_i.reshape(self.d1, self.d2))
         object.__setattr__(self, "inverse_j", inv_j.reshape(self.d1, self.d2))
 
+    @classmethod
+    def from_targets(cls, d1: int, d2: int, targets) -> "IndexBijection":
+        """The bijection whose ``flat_targets()`` is ``targets`` (length d1*d2)."""
+        a, b = np.divmod(np.asarray(targets, dtype=int), d2)
+        return cls(d1, d2, a.reshape(d1, d2), b.reshape(d1, d2))
+
     def forward(self, i: int, j: int) -> tuple[int, int]:
         return int(self.forward_a[i, j]), int(self.forward_b[i, j])
 
@@ -174,9 +179,7 @@ def factor_local_bijection(perm1, perm2) -> IndexBijection:
 
 def random_bijection(d1: int, d2: int, rng: np.random.Generator) -> IndexBijection:
     """Uniformly random relabeling of the whole grid (generically factor-mixing)."""
-    perm = rng.permutation(d1 * d2)
-    a, b = np.divmod(perm, d2)
-    return IndexBijection(d1, d2, a.reshape(d1, d2), b.reshape(d1, d2))
+    return IndexBijection.from_targets(d1, d2, rng.permutation(d1 * d2))
 
 
 def sum_diff_bijection(d: int) -> IndexBijection:
@@ -200,10 +203,7 @@ def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
     The coefficient of a state at new label map(i, j) equals its coefficient
     at (i, j) in the trivial TPS.
     """
-    dim = bij.d1 * bij.d2
-    u = np.zeros((dim, dim), dtype=complex)
-    u[np.arange(dim), bij.flat_targets()] = 1.0
-    return TensorProductStructure(bij.d1, bij.d2, u)
+    return TensorProductStructure(bij.d1, bij.d2, None, relabeling=bij)
 
 
 def local_unitary_tps(
@@ -216,7 +216,10 @@ def local_unitary_tps(
         raise ShapeError(
             f"local unitaries {u_a.shape[0]}x{u_b.shape[0]} vs factors ({tps.d1}, {tps.d2})"
         )
-    return TensorProductStructure(tps.d1, tps.d2, tps.unitary @ tensor_op(u_a, u_b))
+    local = tensor_op(u_a, u_b)
+    if tps.unitary is None:  # (P L)[g] = L[t_g] for the permutation P[g, t_g] = 1
+        return TensorProductStructure(tps.d1, tps.d2, local[tps.relabeling.flat_targets()])
+    return TensorProductStructure(tps.d1, tps.d2, tps.unitary @ local)
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[tuple[float, slice]]:

@@ -18,7 +18,6 @@ from tpslab.grid import (
     fourier_profile,
     gaussian_profile,
     odd_profile,
-    relabeled_coefficients,
 )
 from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf_local
@@ -32,6 +31,7 @@ from tpslab.sampling import (
 from tpslab.schmidt import schmidt, schmidt_values
 from tpslab.spins import chi_basis, demo_spins, total_spin_squares
 from tpslab.tps import (
+    coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
     local_unitary_tps,
@@ -166,7 +166,8 @@ def _parity_sectors(f, g):
     """
     d = f.grid.d
     c = (d - 1) // 2
-    m = relabeled_coefficients(np.outer(f.samples, g.samples), sum_diff_bijection(d))
+    psi = np.outer(f.samples, g.samples).ravel()
+    m = coefficient_matrix(psi, relabel_tps(sum_diff_bijection(d)))
     labels = np.arange(d)
     parity_a = ((labels - (d - 1) + c) % d - c) % 2
     parity_b = ((labels + c) % d - c) % 2
@@ -253,7 +254,7 @@ def test_c06_plane_waves_relabel_exactly():
     for m1 in range(d):
         for m2 in range(d):
             c = np.outer(fourier_profile(grid, m1).samples, fourier_profile(grid, m2).samples)
-            vals = np.linalg.svd(relabeled_coefficients(c, bij), compute_uv=False)
+            vals = schmidt_values(c.ravel(), relabel_tps(bij))
             worst = max(worst, float(vals[1]))
     criterion(
         6,

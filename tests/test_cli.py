@@ -211,9 +211,8 @@ def test_refactor_swap_twice_restores_tps(product_file, tmp_path):
     assert main(["refactor", product_file, "--bijection", "swap", "--out", str(once)]) == 0
     assert main(["refactor", str(once), "--bijection", "swap", "--out", str(twice)]) == 0
     tps = json.loads(twice.read_text())["tps"]
-    identity = np.eye(9)
-    stored = np.array([complex(re, im) for re, im in tps["unitary"]]).reshape(9, 9)
-    np.testing.assert_array_equal(stored.real, identity)
+    assert "unitary" not in tps
+    assert tps["map"] == list(range(9))
 
 
 def test_refactor_identity_tps_block_stable(product_file, tmp_path):
@@ -363,3 +362,156 @@ def test_refactor_swap_non_square_exits_6(tmp_path):
 def test_refactor_requires_out(bell_file, capsys):
     with pytest.raises(SystemExit):
         main(["refactor", bell_file, "--bijection", "swap"])
+
+
+NOT_UNITARY_16 = [[1.0, 0.0]] * 16
+
+
+@pytest.mark.parametrize(
+    "tps",
+    [
+        [1, 2],
+        "tps",
+        {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_left": 5},
+        {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_right": [0, 1]},
+        {"d1": 2, "d2": 2},
+        {"d1": 2, "d2": 2, "map": [0, 1, 2, 3], "unitary": IDENTITY_16},
+        {"d1": 2, "d2": 2, "map": 5},
+        {"d1": 2, "d2": 2, "map": [0, 1, 2.0, 3]},
+        {"d1": 2, "d2": 2, "map": [0, 1, True, 3]},
+        {"d1": 2, "d2": 2, "map": [0, 1, "2", 3]},
+        {"d1": 2, "d2": 2, "map": [0, 1, -2, 3]},
+        {"d1": 2, "d2": 2, "unitary": NOT_UNITARY_16},
+        {"d1": 2, "d2": 2, "unitary": [[float("nan"), 0.0]] + IDENTITY_16[1:]},
+    ],
+    ids=[
+        "list-block",
+        "string-block",
+        "int-label",
+        "non-string-labels",
+        "no-map-no-unitary",
+        "map-and-unitary",
+        "int-map",
+        "float-map-entry",
+        "bool-map-entry",
+        "string-map-entry",
+        "negative-map-entry",
+        "non-unitary",
+        "nan-unitary-entry",
+    ],
+)
+def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": HALF, "tps": tps}))
+    assert main(["schmidt", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "tps,code",
+    [
+        ({"d1": 2, "d2": 2, "map": [0, 1, 1, 3]}, 6),
+        ({"d1": 2, "d2": 2, "map": [0, 1, 2, 4]}, 6),
+        ({"d1": 2, "d2": 2, "map": [0, 1, 2]}, 3),
+    ],
+    ids=["repeated-label", "label-off-grid", "short-map"],
+)
+def test_tps_map_that_is_not_a_bijection_exits_with_its_code(tps, code, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": HALF, "tps": tps}))
+    assert main(["schmidt", str(state)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "amplitude", [float("nan"), float("inf")], ids=["nan-amplitude", "inf-amplitude"]
+)
+def test_non_finite_amplitude_exits_2(amplitude, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[amplitude, 0.0]] + HALF[1:]}))
+    assert main(["schmidt", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+VALID_MAP_2x2 = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"map": 5},
+        {"map": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0.9, 1.2]]},
+        {"map": [["0", 0, 1, 1]] + VALID_MAP_2x2[1:]},
+        {"map": [[0, 0, True, 1]] + VALID_MAP_2x2[1:]},
+        {"map": [[0, 0, 1]] + VALID_MAP_2x2[1:]},
+        {"map": [5] + VALID_MAP_2x2[1:]},
+        [VALID_MAP_2x2],
+    ],
+    ids=["int-map", "float-entry", "string-entry", "bool-entry", "short-entry",
+         "int-entry", "list-file"],
+)
+def test_malformed_bijection_file_exits_2(doc, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    save_state_file(str(state), StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
+    bij = tmp_path / "bij.json"
+    bij.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert main(["refactor", str(state), "--bijection", str(bij), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_old_dense_permutation_block_reports_like_the_map(tmp_path, monkeypatch, capsys):
+    # a dense permutation block, written entry by entry as the dense refactor
+    # wrote it, and the map that refactor writes now give the same report
+    from tps_oracle import permutation_matrix
+
+    from tpslab.statefile import complex_pairs
+    from tpslab.tps import sum_diff_bijection
+
+    psi = random_product_state(5, 5, np.random.default_rng(3))
+    dense_doc = StateFile(5, 5, psi).to_dict()
+    dense_doc["tps"] = {
+        "d1": 5, "d2": 5, "unitary": complex_pairs(permutation_matrix(sum_diff_bijection(5)).ravel())
+    }
+    reports = []
+    for name in ("dense", "map"):
+        (tmp_path / name).mkdir()
+        monkeypatch.chdir(tmp_path / name)
+        if name == "dense":
+            (tmp_path / name / "state.json").write_text(dump_json(dense_doc))
+        else:
+            save_state_file("plain.json", StateFile(5, 5, psi))
+            assert main(["refactor", "plain.json", "--bijection", "sumdiff",
+                         "--out", "state.json"]) == 0
+            tps = json.loads((tmp_path / name / "state.json").read_text())["tps"]
+            assert sorted(tps) == ["d1", "d2", "map"]
+        assert main(["schmidt", "state.json"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["rank"] >= 2
+
+
+def test_refactor_beyond_the_old_dense_limit(tmp_path):
+    # D = 65 * 65 = 4225 was refused when refactor wrote dense blocks
+    d = 65
+    psi = random_product_state(d, d, np.random.default_rng(65))
+    state = tmp_path / "big.json"
+    save_state_file(str(state), StateFile(d, d, psi))
+    refactored = tmp_path / "big-sumdiff.json"
+    assert main(["refactor", str(state), "--bijection", "sumdiff", "--out", str(refactored)]) == 0
+    tps = json.loads(refactored.read_text())["tps"]
+    assert len(tps["map"]) == d * d and all(type(t) is int for t in tps["map"])
+    i, j = np.divmod(np.arange(d * d), d)
+    scattered = np.zeros((d, d), dtype=complex)
+    scattered[(i + j) % d, (i - j) % d] = psi
+    code, out = run(["schmidt", str(refactored)], tmp_path)
+    assert code == 0
+    coefficients = np.array(json.loads(out.read_text())["coefficients"])
+    np.testing.assert_allclose(
+        coefficients, np.linalg.svd(scattered, compute_uv=False), rtol=0, atol=1e-12
+    )

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tps_oracle import permutation_matrix, qcf_local_global
 
 from tpslab.errors import GridSpecError, ShapeError
 from tpslab.grid import (
@@ -13,16 +14,20 @@ from tpslab.grid import (
     gaussian_profile,
     odd_profile,
     position_operator,
-    relabeled_coefficients,
 )
 from tpslab.linalg import tensor_vec
-from tpslab.qcf import qcf
+from tpslab.qcf import qcf, qcf_local
+from tpslab.sampling import random_hermitian
+from tpslab.schmidt import schmidt_values
 from tpslab.tps import (
+    TensorProductStructure,
+    coefficient_matrix,
     factor_local_bijection,
     identity_bijection,
     random_bijection,
     relabel_tps,
     sum_diff_bijection,
+    swap_bijection,
 )
 
 
@@ -93,20 +98,32 @@ def test_fourier_mode_out_of_range():
         fourier_profile(std_grid(9), 9)
 
 
-def test_relabeled_coefficients_match_dense_tps_route():
-    # the fast index-permutation path equals coefficient extraction through
-    # the dense relabeled TPS
-    d = 5
-    rng = np.random.default_rng(0)
-    psi = rng.normal(size=d * d) + 1j * rng.normal(size=d * d)
+@pytest.mark.parametrize(
+    "bij",
+    [
+        sum_diff_bijection(5),
+        swap_bijection(3),
+        random_bijection(3, 4, np.random.default_rng(3)),
+    ],
+    ids=["sumdiff5", "swap3", "random3x4"],
+)
+def test_relabeling_tps_matches_dense_permutation_tps(bij):
+    # the relabeling kind (a scatter of amplitudes to their labels) against a
+    # dense TPS holding the explicit permutation matrix
+    rng = np.random.default_rng(bij.d1 * bij.d2)
+    psi = rng.normal(size=bij.d1 * bij.d2) + 1j * rng.normal(size=bij.d1 * bij.d2)
     psi /= np.linalg.norm(psi)
-    bij = sum_diff_bijection(d)
-    from tpslab.tps import coefficient_matrix, trivial_tps
-
-    c = coefficient_matrix(psi, trivial_tps(d, d))
-    fast = relabeled_coefficients(c, bij)
-    dense = coefficient_matrix(psi, relabel_tps(bij))
-    np.testing.assert_allclose(fast, dense, atol=1e-14)
+    relabeled = relabel_tps(bij)
+    dense = TensorProductStructure(bij.d1, bij.d2, permutation_matrix(bij))
+    assert relabeled.unitary is None
+    np.testing.assert_array_equal(
+        coefficient_matrix(psi, relabeled), coefficient_matrix(psi, dense)
+    )
+    np.testing.assert_array_equal(schmidt_values(psi, relabeled), schmidt_values(psi, dense))
+    a1, b2 = random_hermitian(bij.d1, rng), random_hermitian(bij.d2, rng)
+    value = qcf_local(a1, b2, psi, relabeled).value
+    assert abs(value - qcf_local(a1, b2, psi, dense).value) <= 1e-12
+    assert abs(value - qcf_local_global(a1, b2, psi, dense.unitary)) <= 1e-12
 
 
 def test_demo_qcf_matches_dense_operator_route():
@@ -184,7 +201,7 @@ def test_fourier_products_relabel_exactly(d):
             f = fourier_profile(g, m1)
             h = fourier_profile(g, m2)
             c = np.outer(f.samples, h.samples)
-            relabeled = relabeled_coefficients(c, bij)
+            relabeled = coefficient_matrix(c.ravel(), relabel_tps(bij))
             vals = np.linalg.svd(relabeled, compute_uv=False)
             assert vals[1] <= 1e-12
             mu, mv = (inv2 * (m1 + m2)) % d, (inv2 * (m1 - m2)) % d
@@ -212,7 +229,7 @@ def test_demo_general_bijection_factor_local_preserves_coefficients():
     bij = factor_local_bijection(rng.permutation(d), rng.permutation(d))
     c = np.outer(f.samples, h.samples)
     base = np.linalg.svd(c, compute_uv=False)
-    moved = np.linalg.svd(relabeled_coefficients(c, bij), compute_uv=False)
+    moved = schmidt_values(c.ravel(), relabel_tps(bij))
     np.testing.assert_allclose(moved, base, atol=1e-10)
     assert demo_general_bijection(f, h, bij).rank_ab == 1
 

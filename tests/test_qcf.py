@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tps_oracle import qcf_local_global
 
 from tpslab.errors import ContractError, ShapeError
 from tpslab.linalg import tensor_op, tensor_vec
@@ -14,9 +15,9 @@ from tpslab.qcf import (
     sum_diff_qcf_identity,
     variance,
 )
-from tpslab.sampling import haar_state, random_hermitian, random_product_pair
+from tpslab.sampling import haar_state, random_hermitian, random_product_pair, random_unitary
 from tpslab.schmidt import schmidt_values
-from tpslab.tps import trivial_tps
+from tpslab.tps import TensorProductStructure, trivial_tps
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -179,11 +180,18 @@ def test_qcf_local_embeds_through_nontrivial_tps():
     b2 = random_hermitian(2, rng)
     psi = haar_state(4, rng)
     rep = qcf_local(a1, b2, psi, tps)
-    u = tps.unitary
-    a_global = u @ tensor_op(a1, np.eye(2)) @ u.conj().T
-    b_global = u @ tensor_op(np.eye(2), b2) @ u.conj().T
-    direct = qcf(a_global, b_global, psi)
-    assert rep.value == pytest.approx(direct, abs=1e-14)
+    assert abs(rep.value - qcf_local_global(a1, b2, psi, tps.unitary)) <= 1e-12
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 3), (3, 3), (4, 2)])
+def test_qcf_local_matches_global_operator_oracle_on_random_dense_tps(d1, d2):
+    rng = np.random.default_rng(20 + d1 * d2)
+    tps = TensorProductStructure(d1, d2, random_unitary(d1 * d2, rng))
+    for _ in range(10):
+        a1, b2 = random_hermitian(d1, rng), random_hermitian(d2, rng)
+        psi = haar_state(d1 * d2, rng)
+        value = qcf_local(a1, b2, psi, tps).value
+        assert abs(value - qcf_local_global(a1, b2, psi, tps.unitary)) <= 1e-12
 
 
 def test_qcf_local_product_in_chi_tps_vanishes():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tps_oracle import permutation_matrix
 
 from tpslab.errors import NotFactorizableError
 from tpslab.linalg import tensor_vec
@@ -48,7 +49,7 @@ def test_reconstruction_matches_mapped_state():
         psi = haar_state(d1 * d2, rng)
         tps = trivial_tps(d1, d2)
         sd = schmidt(psi, tps)
-        mapped = tps.unitary.conj().T @ psi
+        mapped = permutation_matrix(tps.relabeling).conj().T @ psi
         assert np.linalg.norm(sd.reconstruct() - mapped) <= 1e-9
 
 

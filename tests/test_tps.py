@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from tps_oracle import permutation_matrix
 
 from tpslab.errors import BijectionError, ContractError, GridSpecError, SpectrumError
 from tpslab.linalg import tensor_op
@@ -74,20 +75,21 @@ def test_index_bijection_inverse_tables():
 
 def test_relabel_identity_is_identity_matrix():
     tps = relabel_tps(identity_bijection(2, 2))
-    np.testing.assert_array_equal(tps.unitary, np.eye(4))
+    assert tps.unitary is None
+    np.testing.assert_array_equal(permutation_matrix(tps.relabeling), np.eye(4))
 
 
 def test_relabel_swap_is_swap_matrix():
     tps = relabel_tps(swap_bijection(2))
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
-    np.testing.assert_array_equal(tps.unitary.real, swap)
+    np.testing.assert_array_equal(permutation_matrix(tps.relabeling).real, swap)
 
 
 def test_relabel_permutation_structure():
     # exactly one unit entry per row and column
     for bij in (sum_diff_bijection(3), random_bijection(3, 4, np.random.default_rng(0))):
-        u = relabel_tps(bij).unitary
+        u = permutation_matrix(relabel_tps(bij).relabeling)
         assert np.count_nonzero(u) == u.shape[0]
         np.testing.assert_array_equal(np.sort(np.nonzero(u)[0]), np.arange(u.shape[0]))
         np.testing.assert_array_equal(np.sort(np.nonzero(u)[1]), np.arange(u.shape[0]))
@@ -182,7 +184,16 @@ def test_joint_eigenbasis_reproduces_construction(d1, d2):
 def test_local_unitary_identity_preserves_tps():
     tps = trivial_tps(2, 2)
     out = local_unitary_tps(tps, np.eye(2), np.eye(2))
-    np.testing.assert_array_equal(out.unitary, tps.unitary)
+    np.testing.assert_array_equal(out.unitary, permutation_matrix(tps.relabeling))
+
+
+def test_local_unitary_on_relabeling_matches_dense_base():
+    rng = np.random.default_rng(11)
+    bij = sum_diff_bijection(3)
+    u_a, u_b = random_unitary(3, rng), random_unitary(3, rng)
+    out = local_unitary_tps(relabel_tps(bij), u_a, u_b)
+    dense = local_unitary_tps(TensorProductStructure(3, 3, permutation_matrix(bij)), u_a, u_b)
+    np.testing.assert_array_equal(out.unitary, dense.unitary)
 
 
 def test_local_unitary_rejects_non_unitary():

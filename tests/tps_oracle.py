@@ -1,0 +1,30 @@
+"""Dense-matrix routes for TPS reads: the test-side oracles for relabelings and qcf_local.
+
+A relabeling TPS never forms its permutation matrix, and ``qcf_local`` reads
+its covariance from traces on the d1 x d2 coefficient matrix.  The routes here
+do both with D x D matrices instead: the permutation unitary is built from the
+bijection's forward tables, and the local observables are lifted to global
+operators before the plain covariance is taken.
+"""
+
+import numpy as np
+
+from tpslab.qcf import qcf
+
+
+def permutation_matrix(bij) -> np.ndarray:
+    """Dense unitary of ``relabel_tps(bij)``: P[i*d2 + j, map(i, j)] = 1."""
+    dim = bij.d1 * bij.d2
+    targets = (bij.forward_a * bij.d2 + bij.forward_b).ravel()
+    p = np.zeros((dim, dim), dtype=complex)
+    p[np.arange(dim), targets] = 1.0
+    return p
+
+
+def qcf_local_global(a1, b2, psi, u) -> complex:
+    """Covariance of u (A (x) 1) u^dagger and u (1 (x) B) u^dagger in psi."""
+    a1 = np.asarray(a1, dtype=complex)
+    b2 = np.asarray(b2, dtype=complex)
+    a_global = u @ np.kron(a1, np.eye(b2.shape[0])) @ u.conj().T
+    b_global = u @ np.kron(np.eye(a1.shape[0]), b2) @ u.conj().T
+    return qcf(a_global, b_global, psi)
