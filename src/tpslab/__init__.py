@@ -7,7 +7,7 @@ same global state is read through different tensor product structures.
 
 __version__ = "0.1.0"
 
-from .bell import ChshMaxResult, ChshSettings, chsh_max, chsh_max_closed_form, chsh_value
+from .bell import ChshMaxResult, ChshSettings, chsh_max, chsh_max_closed_form, chsh_value, demo_bell
 from .errors import ToolkitError
 from .grid import (
     CoordinateDemoReport,

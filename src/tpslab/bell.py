@@ -1,4 +1,4 @@
-"""CHSH values for two-qubit pure states: direct evaluation, maximization, oracle.
+"""CHSH values for two-qubit pure states: direct evaluation, maximization, the demo.
 
 The maximal CHSH value is ``2 sqrt(t1^2 + t2^2)`` from the two largest
 singular values of the 3x3 spin correlation matrix, and the settings that
@@ -7,21 +7,25 @@ settings and re-evaluates the value through the raw definition
 ``<psi|(a.sigma) (x) (b.sigma)|psi>``.  The independent check, an iterative
 maximizer (angular grid scan, then coordinate descent) on a correlation
 matrix of its own, lives in the tests as the oracle.
+
+Every formula works on the last axes of the 2x2 coefficient matrices
+``C = psi.reshape(2, 2)``, so one state and a stack of states run the same
+code: ``<psi|A (x) B|psi> = tr(C^dagger A C B^T)``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ContractError, ShapeError
 from .linalg import check_state
+from .sampling import check_samples, random_entangled_state
 from .spins import PAULI_X, PAULI_Y, PAULI_Z
 
-_PAULIS = (PAULI_X, PAULI_Y, PAULI_Z)
-# sigma_i (x) sigma_j, indexed [i][j]
-_PAULI_PAIRS = tuple(tuple(np.kron(a, b) for b in _PAULIS) for a in _PAULIS)
+_PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
+_AXES = np.eye(3)
 
 SETTING_NORM_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -36,6 +40,14 @@ def _check_direction(n, name: str) -> np.ndarray:
     return arr
 
 
+def _two_qubit(psi, what: str) -> np.ndarray:
+    """The coefficient matrix of a checked two-qubit state."""
+    psi = check_state(psi)
+    if psi.size != 4:
+        raise ShapeError(f"{what} needs a two-qubit state, got dim {psi.size}")
+    return psi.reshape(2, 2)
+
+
 @dataclass(frozen=True)
 class ChshSettings:
     """Four measurement directions on the Bloch sphere: a, a' for the first
@@ -47,55 +59,68 @@ class ChshSettings:
     b_prime: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "a", _check_direction(self.a, "a"))
-        object.__setattr__(self, "a_prime", _check_direction(self.a_prime, "a_prime"))
-        object.__setattr__(self, "b", _check_direction(self.b, "b"))
-        object.__setattr__(self, "b_prime", _check_direction(self.b_prime, "b_prime"))
+        for name in ("a", "a_prime", "b", "b_prime"):
+            object.__setattr__(self, name, _check_direction(getattr(self, name), name))
 
 
-def pauli_along(n) -> np.ndarray:
-    """The spin observable n . sigma for a unit direction n."""
-    n = _check_direction(n, "direction")
-    return n[0] * PAULI_X + n[1] * PAULI_Y + n[2] * PAULI_Z
+def _correlation(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """E(u, v) = tr(C^dagger (u.sigma) C (v.sigma)^T), directions on the last axis."""
+    a = np.einsum("...i,ijk->...jk", u, _PAULIS)
+    b = np.einsum("...i,ijk->...jk", v, _PAULIS)
+    return np.einsum("...ab,...ac,...cd,...bd->...", c.conj(), a, c, b).real
+
+
+def _correlation_matrix(c: np.ndarray) -> np.ndarray:
+    """T_ij = E(e_i, e_j), shaped (..., 3, 3)."""
+    return _correlation(c[..., None, None, :, :], _AXES[:, None], _AXES[None])
+
+
+def _chsh_value(c: np.ndarray, a, a_prime, b, b_prime) -> np.ndarray:
+    return (
+        _correlation(c, a, b)
+        + _correlation(c, a, b_prime)
+        + _correlation(c, a_prime, b)
+        - _correlation(c, a_prime, b_prime)
+    )
+
+
+def _chsh_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """The raw CHSH value at the closed-form settings, the closed form
+    ``2 hypot(t1, t2)``, and the settings (a, a', b, b'), from one SVD of T.
+
+    With ``T = U diag(t) V^T``: ``a, a' = U[:, 0], U[:, 1]`` and
+    ``b, b' = (t1 f1 +- t2 f2) / hypot(t1, t2)`` with ``f1, f2`` the first two
+    right singular vectors (Horodecki, Phys. Lett. A 200, 340 (1995)).  For a
+    pure state ``t1 = 1``, so the division is safe.
+    """
+    u, t, vt = np.linalg.svd(_correlation_matrix(c))
+    h = np.hypot(t[..., 0], t[..., 1])[..., None]
+    t1f1, t2f2 = t[..., :1] * vt[..., 0, :], t[..., 1:2] * vt[..., 1, :]
+    settings = (u[..., :, 0], u[..., :, 1], (t1f1 + t2f2) / h, (t1f1 - t2f2) / h)
+    return _chsh_value(c, *settings), 2.0 * h[..., 0], settings
 
 
 def correlation(psi, u, v) -> float:
     """E(u, v) = <psi, (u.sigma) (x) (v.sigma) psi> for a two-qubit state."""
-    psi = check_state(psi)
-    if psi.size != 4:
-        raise ShapeError(f"correlation needs a two-qubit state, got dim {psi.size}")
-    op = np.kron(pauli_along(u), pauli_along(v))
-    return float(np.vdot(psi, op @ psi).real)
+    c = _two_qubit(psi, "correlation")
+    return float(_correlation(c, _check_direction(u, "direction"), _check_direction(v, "direction")))
 
 
 def chsh_value(psi, settings: ChshSettings) -> float:
     """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    return (
-        correlation(psi, settings.a, settings.b)
-        + correlation(psi, settings.a, settings.b_prime)
-        + correlation(psi, settings.a_prime, settings.b)
-        - correlation(psi, settings.a_prime, settings.b_prime)
-    )
+    c = _two_qubit(psi, "correlation")
+    return float(_chsh_value(c, settings.a, settings.a_prime, settings.b, settings.b_prime))
 
 
 def correlation_matrix(psi) -> np.ndarray:
     """The 3x3 matrix T_ij = <sigma_i (x) sigma_j>."""
-    psi = check_state(psi)
-    if psi.size != 4:
-        raise ShapeError(f"correlation matrix needs a two-qubit state, got dim {psi.size}")
-    return np.array(
-        [
-            [float(np.vdot(psi, _PAULI_PAIRS[i][j] @ psi).real) for j in range(3)]
-            for i in range(3)
-        ]
-    )
+    return _correlation_matrix(_two_qubit(psi, "correlation matrix"))
 
 
 def chsh_max_closed_form(psi) -> float:
     """Maximal CHSH value 2 sqrt(t1^2 + t2^2) from the correlation matrix's
     two largest singular values."""
-    t = np.linalg.svd(correlation_matrix(psi), compute_uv=False)
-    return float(2.0 * np.sqrt(t[0] ** 2 + t[1] ** 2))
+    return float(_chsh_max(_two_qubit(psi, "correlation matrix"))[1])
 
 
 @dataclass(frozen=True)
@@ -107,22 +132,54 @@ class ChshMaxResult:
 def chsh_max(psi) -> ChshMaxResult:
     """Maximize the CHSH value of a two-qubit pure state over all settings.
 
-    With the SVD ``T = U diag(t) V^T`` of the correlation matrix, the optimal
-    settings are ``a, a' = U[:, 0], U[:, 1]`` and
-    ``b, b' = (t1 f1 +- t2 f2) / hypot(t1, t2)`` with ``f1, f2`` the first two
-    right singular vectors (Horodecki, Phys. Lett. A 200, 340 (1995)).  For a
-    pure state ``t1 = 1``, so the division is safe.  The returned value is
-    evaluated with chsh_value at these settings.
+    The settings are the closed-form (Horodecki) ones from the SVD of the
+    correlation matrix; the returned value is the raw CHSH value at them.
     """
-    psi = check_state(psi)
-    if psi.size != 4:
-        raise ShapeError(f"chsh_max needs a two-qubit state, got dim {psi.size}")
-    u, t, vt = np.linalg.svd(correlation_matrix(psi))
-    h = float(np.hypot(t[0], t[1]))
-    settings = ChshSettings(
-        a=u[:, 0],
-        a_prime=u[:, 1],
-        b=(t[0] * vt[0] + t[1] * vt[1]) / h,
-        b_prime=(t[0] * vt[0] - t[1] * vt[1]) / h,
+    value, _, settings = _chsh_max(_two_qubit(psi, "chsh_max"))
+    return ChshMaxResult(value=float(value), settings=ChshSettings(*settings))
+
+
+@dataclass(frozen=True)
+class BellDemoReport:
+    """Maximal CHSH values of seeded entangled states against the closed form.
+
+    ``values`` and ``closed_forms`` hold the per-sample raw CHSH value at the
+    closed-form settings and the closed-form maximum; they are left out of
+    equality.
+    """
+
+    samples: int
+    seed: int
+    bell_state_value: float
+    max_oracle_residual: float
+    min_value: float
+    fraction_violating: float
+    violation_margin: float
+    values: np.ndarray = field(compare=False, repr=False)
+    closed_forms: np.ndarray = field(compare=False, repr=False)
+
+
+def demo_bell(samples: int = 1000, seed: int = 42) -> BellDemoReport:
+    """Maximize CHSH over seeded entangled two-qubit states, plus the Bell state.
+
+    The states are Haar draws whose smaller Schmidt coefficient is at least
+    0.05 of the larger, which keeps the guaranteed violation above the 1e-3
+    margin; the Bell state, last in the same stack, should reach 2 sqrt(2).
+    """
+    check_samples(samples)
+    psi = random_entangled_state(2, 2, np.random.default_rng(seed), 0.05, (samples,))
+    bell = np.array([[1, 0, 0, 1]], dtype=complex) / np.sqrt(2.0)
+    values, closed, _ = _chsh_max(np.concatenate([psi, bell]).reshape(-1, 2, 2))
+    margin = 1e-3
+    values, bell_value, closed = values[:-1], float(values[-1]), closed[:-1]
+    return BellDemoReport(
+        samples=samples,
+        seed=seed,
+        bell_state_value=bell_value,
+        max_oracle_residual=float(np.max(np.abs(values - closed))),
+        min_value=float(values.min()),
+        fraction_violating=int(np.count_nonzero(values > 2.0 + margin)) / samples,
+        violation_margin=margin,
+        values=values,
+        closed_forms=closed,
     )
-    return ChshMaxResult(value=chsh_value(psi, settings), settings=settings)

@@ -12,13 +12,15 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import __version__
-from .bell import chsh_max, chsh_max_closed_form
+from .bell import chsh_max, chsh_max_closed_form, demo_bell
 from .errors import (
     BijectionError,
+    ContractError,
     GridSpecError,
     ShapeError,
     SizeLimitError,
@@ -26,18 +28,11 @@ from .errors import (
     ToolkitError,
     UnknownObservableError,
 )
-from .grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
+from .grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile, position_operator
+from .linalg import check_hermitian
 from .qcf import default_witness_threshold, qcf, qcf_local
-from .sampling import haar_state, random_entangled_state
 from .schmidt import schmidt
-from .spins import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
-    demo_spins,
-    spin_qcf_closed_form,
-    total_spin_squares,
-)
+from .spins import PAULI_X, PAULI_Y, PAULI_Z, demo_spins
 from .statefile import (
     StateFile,
     dump_json,
@@ -47,7 +42,6 @@ from .statefile import (
     render_csv,
     save_state_file,
     tps_from_dict,
-    write_csv,
 )
 from .tps import (
     IndexBijection,
@@ -91,10 +85,6 @@ def _emit(args: argparse.Namespace, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _position_observable(dim: int) -> np.ndarray:
-    return np.diag(np.arange(dim) - (dim - 1) / 2.0).astype(complex)
-
-
 def resolve_observable(spec: str, dim: int) -> np.ndarray:
     """An observable by name (pauli-x|y|z, position) or a JSON matrix file path."""
     if spec in _PAULI_BY_NAME:
@@ -102,7 +92,7 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
             raise ShapeError(f"observable {spec} is 2-dimensional, needed dim {dim}")
         return _PAULI_BY_NAME[spec]
     if spec == "position":
-        return _position_observable(dim)
+        return position_operator(np.arange(dim) - (dim - 1) / 2.0)
     try:
         with open(spec, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -123,7 +113,10 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
         raise ShapeError(f"{spec}: {flat.size} entries for a {n}x{n} matrix")
     if n != dim:
         raise ShapeError(f"{spec}: matrix dim {n} vs required dim {dim}")
-    return flat.reshape(n, n)
+    try:
+        return check_hermitian(flat.reshape(n, n))
+    except ContractError as exc:
+        raise StateFileError(f"{spec}: {exc}") from exc
 
 
 def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
@@ -247,62 +240,9 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[
     return body, []
 
 
-def _demo_spins(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[list]]:
-    if want_rows:
-        # per-sample rows regenerate the same stream demo_spins consumes
-        squares = total_spin_squares()
-        rng = np.random.default_rng(args.seed)
-        rows = []
-        for k in range(args.samples):
-            psi1 = haar_state(2, rng)
-            psi2 = haar_state(2, rng)
-            direct = qcf(squares.z2, squares.x2, np.kron(psi1, psi2))
-            closed = spin_qcf_closed_form(psi1, psi2)
-            rows.append([k, abs(direct - closed), direct.real])
-        return {}, rows
-    report = demo_spins(samples=args.samples, seed=args.seed)
-    body = {
-        "samples": report.samples,
-        "closed_form_residual_max": report.closed_form_residual_max,
-        "fraction_nonzero": report.fraction_nonzero,
-        "nonzero_threshold": report.nonzero_threshold,
-        "chi_tps_rank_examples": list(report.chi_tps_rank_examples),
-        "sampled_rank2_fraction": report.sampled_rank2_fraction,
-    }
-    return body, []
-
-
-def _demo_bell(args: argparse.Namespace) -> tuple[dict, list[list]]:
-    rng = np.random.default_rng(args.seed)
-    rows = []
-    max_residual = 0.0
-    min_value = float("inf")
-    violations = 0
-    for k in range(args.samples):
-        psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
-        result = chsh_max(psi)
-        oracle = chsh_max_closed_form(psi)
-        max_residual = max(max_residual, abs(result.value - oracle))
-        min_value = min(min_value, result.value)
-        violations += result.value > 2.0 + 1e-3
-        rows.append([k, result.value, oracle])
-    bell_state = np.zeros(4, dtype=complex)
-    bell_state[0] = bell_state[3] = 1.0 / np.sqrt(2.0)
-    body = {
-        "samples": args.samples,
-        "bell_state_value": chsh_max(bell_state).value,
-        "max_oracle_residual": max_residual,
-        "min_value": min_value,
-        "fraction_violating": violations / args.samples,
-        "violation_margin": 1e-3,
-    }
-    return body, rows
-
-
 def cmd_demo(args: argparse.Namespace) -> int:
-    want_rows = args.format == "csv"
     if args.which == "coords":
-        body, rows = _demo_coords(args, want_rows)
+        body, rows = _demo_coords(args, args.format == "csv")
         header = ["param", "rank_ab", "qcf_ab", "variance_diff"]
         params = {
             "d": args.d,
@@ -310,19 +250,23 @@ def cmd_demo(args: argparse.Namespace) -> int:
             "sigma2": args.sigma2,
             "sep": args.sep,
         }
-    elif args.which == "spins":
-        body, rows = _demo_spins(args, want_rows)
-        header = ["sample", "residual", "qcf_value"]
-        params = {"samples": args.samples}
     else:
-        body, rows = _demo_bell(args)
-        header = ["sample", "chsh_value", "oracle_value"]
+        if args.which == "spins":
+            report = demo_spins(samples=args.samples, seed=args.seed)
+            header = ["sample", "residual", "qcf_value"]
+            columns = (report.residuals, report.qcf_values)
+        else:
+            report = demo_bell(samples=args.samples, seed=args.seed)
+            header = ["sample", "chsh_value", "oracle_value"]
+            columns = (report.values, report.closed_forms)
+        # a sampling demo's compared report fields are its JSON body (the seed
+        # is in the manifest); its per-sample arrays are the CSV rows
+        body = {f.name: getattr(report, f.name) for f in fields(report)
+                if f.compare and f.name != "seed"}
+        rows = zip(range(args.samples), *columns)
         params = {"samples": args.samples}
     if args.format == "csv":
-        if args.out:
-            write_csv(args.out, header, rows)
-        else:
-            sys.stdout.write(render_csv(header, rows))
+        _emit(args, render_csv(header, rows))
         return 0
     report = {"manifest": _manifest(args, {"which": args.which, **params}), **body}
     _emit(args, dump_json(report))
@@ -348,6 +292,8 @@ def _load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
         i, j, a, b = (json_int(x, f"{path}: map entry", 0) for x in entry)
         if not (i < d1 and j < d2):
             raise BijectionError(f"{path}: source ({i}, {j}) outside the {d1}x{d2} grid")
+        if not (a < d1 and b < d2):
+            raise BijectionError(f"{path}: image ({a}, {b}) outside the {d1}x{d2} grid")
         if fa[i, j] != -1:
             raise BijectionError(f"{path}: source ({i}, {j}) mapped twice")
         fa[i, j], fb[i, j] = a, b

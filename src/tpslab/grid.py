@@ -48,6 +48,10 @@ class Grid:
             raise GridSpecError(f"grid size must be odd and positive, got d={self.d}")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise GridSpecError(f"grid spacing must be finite and positive, got {self.spacing}")
+        # covariances square the sum and difference of two points
+        extent = 2.0 * (abs(self.origin_offset) + self.spacing * (self.d - 1) / 2.0)
+        if not math.isfinite(extent * extent):
+            raise GridSpecError(f"grid extent {extent / 2.0!r} is too wide: its square overflows")
 
     @classmethod
     def spanning(cls, d: int, halfwidth: float, origin_offset: float = 0.0) -> "Grid":
@@ -103,24 +107,33 @@ def _edge_warning(samples: np.ndarray, what: str) -> str | None:
     return None
 
 
+def _four_sigma_squared(sigma: float) -> float:
+    """The Gaussian denominator 4 sigma^2; it must be a positive finite double."""
+    try:
+        den = 4.0 * sigma**2
+    except OverflowError:
+        den = math.inf
+    if not (sigma > 0 and 0.0 < den < math.inf):
+        raise GridSpecError(f"sigma must be positive with a finite nonzero square, got {sigma}")
+    return den
+
+
 def gaussian_profile(grid: Grid, center: float, sigma: float) -> SampledProfile:
     """Gaussian amplitude exp(-(x-center)^2 / (4 sigma^2)); density variance sigma^2."""
-    if not (sigma > 0):
-        raise GridSpecError(f"sigma must be positive, got {sigma}")
+    den = _four_sigma_squared(sigma)
     x = grid.points
-    amp = np.exp(-((x - center) ** 2) / (4.0 * sigma**2)).astype(complex)
+    amp = np.exp(-((x - center) ** 2) / den).astype(complex)
     warning = _edge_warning(amp, f"gaussian(center={center}, sigma={sigma})")
     return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
 
 
 def double_gaussian_profile(grid: Grid, separation: float, sigma: float) -> SampledProfile:
     """Symmetric pair of Gaussian lobes at +-separation with common width sigma."""
-    if not (sigma > 0):
-        raise GridSpecError(f"sigma must be positive, got {sigma}")
+    den = _four_sigma_squared(sigma)
     x = grid.points
     amp = (
-        np.exp(-((x - separation) ** 2) / (4.0 * sigma**2))
-        + np.exp(-((x + separation) ** 2) / (4.0 * sigma**2))
+        np.exp(-((x - separation) ** 2) / den)
+        + np.exp(-((x + separation) ** 2) / den)
     ).astype(complex)
     warning = _edge_warning(amp, f"double_gaussian(separation={separation}, sigma={sigma})")
     return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
@@ -137,17 +150,16 @@ def fourier_profile(grid: Grid, mode: int) -> SampledProfile:
 
 def odd_profile(grid: Grid, sigma: float) -> SampledProfile:
     """Antisymmetric profile x exp(-x^2 / (4 sigma^2)); vanishes at the origin."""
-    if not (sigma > 0):
-        raise GridSpecError(f"sigma must be positive, got {sigma}")
+    den = _four_sigma_squared(sigma)
     x = grid.points
-    amp = (x * np.exp(-(x**2) / (4.0 * sigma**2))).astype(complex)
+    amp = (x * np.exp(-(x**2) / den)).astype(complex)
     warning = _edge_warning(amp, f"odd(sigma={sigma})")
     return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
 
 
-def position_operator(grid: Grid) -> np.ndarray:
-    """The diagonal position observable diag(x_i)."""
-    return np.diag(grid.points).astype(complex)
+def position_operator(points) -> np.ndarray:
+    """The diagonal position observable diag(x_i) of sample points x_i."""
+    return np.diag(points).astype(complex)
 
 
 @dataclass(frozen=True)

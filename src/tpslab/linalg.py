@@ -97,9 +97,6 @@ class SvdResult:
     singular_values: np.ndarray
     right: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.left * self.singular_values) @ self.right.conj().T
-
 
 def svd(m) -> SvdResult:
     """Thin SVD with deterministic phases and descending singular values."""
@@ -182,18 +179,27 @@ def check_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
     return a
 
 
+def _expectation(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<psi, a psi> on the last axis of psi (one state or a stack), real part.
+
+    Unchecked inputs; the imaginary parts must vanish to EXPECTATION_IMAG_TOL.
+    """
+    val = np.vecdot(psi, psi @ a.T)
+    imag = float(np.max(np.abs(val.imag)))
+    if imag > EXPECTATION_IMAG_TOL:
+        raise NumericalError(
+            f"expectation has imaginary part {imag:.3e} beyond {EXPECTATION_IMAG_TOL}"
+        )
+    return val.real
+
+
 def expectation(a, psi, herm_tol: float = HERMITIAN_TOL, norm_tol: float = STATE_NORM_TOL) -> float:
     """Real expectation value <psi, a psi> of a Hermitian observable."""
     a = check_hermitian(a, herm_tol)
     psi = check_state(psi, norm_tol)
     if a.shape[0] != psi.size:
         raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
-    val = complex(np.vdot(psi, a @ psi))
-    if abs(val.imag) > EXPECTATION_IMAG_TOL:
-        raise NumericalError(
-            f"expectation has imaginary part {val.imag:.3e} beyond {EXPECTATION_IMAG_TOL}"
-        )
-    return val.real
+    return float(_expectation(a, psi))
 
 
 def commutator_maxnorm(a, b) -> float:

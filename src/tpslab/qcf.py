@@ -16,9 +16,9 @@ import numpy as np
 from .errors import NumericalError, ShapeError
 from .linalg import (
     HERMITIAN_TOL,
+    _expectation,
     check_hermitian,
     check_state,
-    expectation,
     tensor_op,
 )
 from .tps import TensorProductStructure, coefficient_matrix
@@ -42,6 +42,12 @@ class QcfReport:
         return self.verdict == ENTANGLED_WITNESSED
 
 
+def _covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """<A B> - <A><B> on the last axis of psi (one state or a stack); unchecked inputs."""
+    cross = np.vecdot(psi, psi @ b.T @ a.T)
+    return cross - _expectation(a, psi) * _expectation(b, psi)
+
+
 def qcf(a, b, psi, herm_tol: float = HERMITIAN_TOL) -> complex:
     """Covariance <A B> - <A><B> in the state psi; complex for non-commuting pairs."""
     a = check_hermitian(a, herm_tol)
@@ -51,8 +57,7 @@ def qcf(a, b, psi, herm_tol: float = HERMITIAN_TOL) -> complex:
         raise ShapeError(
             f"observable dims {a.shape[0]}, {b.shape[0]} vs state dim {psi.size}"
         )
-    cross = complex(np.vdot(psi, a @ (b @ psi)))
-    return cross - expectation(a, psi, herm_tol) * expectation(b, psi, herm_tol)
+    return complex(_covariance(a, b, psi))
 
 
 def default_witness_threshold(dim: int) -> float:
@@ -98,8 +103,7 @@ def variance(a, psi, herm_tol: float = HERMITIAN_TOL) -> float:
     psi = check_state(psi)
     if a.shape[0] != psi.size:
         raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
-    apsi = a @ psi
-    val = float(np.vdot(apsi, apsi).real) - expectation(a, psi, herm_tol) ** 2
+    val = float(_covariance(a, a, psi).real)
     if val < VARIANCE_FLOOR:
         raise NumericalError(f"variance {val!r} below the tolerated rounding floor")
     return max(val, 0.0)

@@ -2,15 +2,37 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .linalg import tensor_vec
+from .errors import ContractError, SizeLimitError
+from .linalg import MAX_GLOBAL_DIM, tensor_vec
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Unit vector with Haar-uniform direction (normalized complex normals)."""
-    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-    return v / np.linalg.norm(v)
+def check_samples(samples: int) -> None:
+    """A demo's sample count: positive, and at most MAX_GLOBAL_DIM.
+
+    The demos hold every sample in one stack, so their memory grows with the
+    count; the cap is checked before anything is drawn.
+    """
+    if samples < 1:
+        raise ContractError(f"samples must be positive, got {samples}")
+    if samples > MAX_GLOBAL_DIM:
+        raise SizeLimitError(f"samples {samples} exceed the configured maximum {MAX_GLOBAL_DIM}")
+
+
+def haar_state(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Unit vectors with Haar-uniform direction (normalized complex normals), shaped (*shape, dim).
+
+    Each draw takes its real parts, then its imaginary parts, from the stream,
+    so a stack holds exactly the states that repeated single calls return.
+    """
+    z = rng.normal(size=(*shape, 2, dim))
+    v = z[..., 0, :] + 1j * z[..., 1, :]
+    # np.linalg.norm's formula for one vector, so stacked and single draws agree bit for bit
+    n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+    return v / n[..., None]
 
 
 def random_product_pair(d1: int, d2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -40,14 +62,22 @@ def random_entangled_state(
     d2: int,
     rng: np.random.Generator,
     min_alpha_ratio: float = 1e-3,
+    shape: tuple[int, ...] = (),
 ) -> np.ndarray:
-    """Haar state rejected until the second Schmidt coefficient clears a floor.
+    """Haar states, shaped (*shape, d1*d2), each redrawn until its second
+    Schmidt coefficient clears a floor.
 
     The floor keeps downstream entanglement margins bounded away from zero;
-    Haar states are almost surely full rank, so rejections are rare.
+    Haar states are almost surely full rank, so rejections are rare.  Each
+    block draws only as many candidates as are still missing, so the stream
+    is consumed exactly as one draw at a time would consume it.
     """
-    while True:
-        psi = haar_state(d1 * d2, rng)
-        s = np.linalg.svd(psi.reshape(d1, d2), compute_uv=False)
-        if s[1] >= min_alpha_ratio * s[0]:
-            return psi
+    missing = math.prod(shape)
+    accepted = []
+    while missing:
+        psi = haar_state(d1 * d2, rng, (missing,))
+        s = np.linalg.svd(psi.reshape(missing, d1, d2), compute_uv=False)
+        psi = psi[s[:, 1] >= min_alpha_ratio * s[:, 0]]
+        accepted.append(psi)
+        missing -= len(psi)
+    return np.concatenate(accepted).reshape(*shape, d1 * d2)

@@ -19,11 +19,14 @@ from .tps import TensorProductStructure, coefficient_matrix
 DEFAULT_TRUNCATION_TOL = 1e-10
 
 
-def rank_from_singular_values(vals: np.ndarray, truncation_tol: float) -> int:
-    """Count coefficients above ``truncation_tol`` relative to the largest."""
-    if vals.size == 0 or vals[0] == 0.0:
-        return 0
-    return int(np.sum(vals > truncation_tol * vals[0]))
+def rank_from_singular_values(vals: np.ndarray, truncation_tol: float):
+    """Count coefficients above ``truncation_tol`` relative to the largest.
+
+    Works on the last axis of descending values: one int for one spectrum,
+    an integer array for a stack.  An all-zero spectrum has rank 0.
+    """
+    ranks = np.sum(vals > truncation_tol * vals[..., :1], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 @dataclass(frozen=True)
@@ -40,13 +43,6 @@ class SchmidtDecomposition:
     right_basis: np.ndarray
     rank: int
     truncation_tol: float
-
-    def reconstruct(self) -> np.ndarray:
-        terms = self.left_basis * self.coefficients
-        out = np.zeros(self.left_basis.shape[0] * self.right_basis.shape[0], dtype=complex)
-        for k in range(self.coefficients.size):
-            out += np.kron(terms[:, k], self.right_basis[:, k])
-        return out
 
 
 def schmidt(

@@ -10,17 +10,17 @@ and in closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ContractError
-from .linalg import check_state, tensor_op
-from .qcf import qcf
-from .sampling import haar_state
-from .schmidt import schmidt_values
-from .tps import TensorProductStructure, tps_from_joint_eigenbasis
+from .linalg import _expectation, check_state, tensor_op
+from .qcf import _covariance
+from .sampling import check_samples, haar_state
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
+from .tps import TensorProductStructure, _coefficients, tps_from_joint_eigenbasis
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -79,6 +79,14 @@ def chi_basis(cfg: SpinConfig = SpinConfig()) -> tuple[TensorProductStructure, n
     return tps, tps.unitary.T.copy()
 
 
+def _closed_form(psi1: np.ndarray, psi2: np.ndarray, cfg: SpinConfig) -> np.ndarray:
+    """The covariance closed form on the last axis of psi1 and psi2; unchecked inputs."""
+    ops = spin_operators(cfg)
+    x1, y1, z1 = (_expectation(op, psi1) for op in ops)
+    x2, y2, z2 = (_expectation(op, psi2) for op in ops)
+    return -(cfg.hbar**2) * y1 * y2 - 4.0 * x1 * x2 * z1 * z2
+
+
 def spin_qcf_closed_form(psi1, psi2, cfg: SpinConfig = SpinConfig()) -> float:
     """Closed form for the covariance of the two total-spin squares on a product state.
 
@@ -89,20 +97,27 @@ def spin_qcf_closed_form(psi1, psi2, cfg: SpinConfig = SpinConfig()) -> float:
     psi2 = check_state(psi2)
     if psi1.size != 2 or psi2.size != 2:
         raise ContractError("closed form is defined for two single-spin states")
-    ops = spin_operators(cfg)
+    return float(_closed_form(psi1, psi2, cfg))
 
-    def ev(op: np.ndarray, psi: np.ndarray) -> float:
-        return float(np.vdot(psi, op @ psi).real)
 
-    return (
-        -(cfg.hbar**2) * ev(ops.y, psi1) * ev(ops.y, psi2)
-        - 4.0 * ev(ops.x, psi1) * ev(ops.x, psi2) * ev(ops.z, psi1) * ev(ops.z, psi2)
-    )
+def _spin_samples(samples: int, seed: int, cfg: SpinConfig) -> tuple[np.ndarray, ...]:
+    """Seeded Haar pairs psi1, psi2 (psi1 drawn first, sample by sample), their
+    products psi1 (x) psi2, the direct covariance of the two total-spin
+    squares on them, and its closed form; all stacked over the samples."""
+    pairs = haar_state(2, np.random.default_rng(seed), (samples, 2))
+    psi1, psi2 = pairs[:, 0], pairs[:, 1]
+    psi = (psi1[:, :, None] * psi2[:, None, :]).reshape(samples, 4)
+    squares = total_spin_squares(cfg)
+    return psi1, psi2, psi, _covariance(squares.z2, squares.x2, psi), _closed_form(psi1, psi2, cfg)
 
 
 @dataclass(frozen=True)
 class SpinDemoReport:
-    """Closed-form residuals and chi-TPS entanglement statistics."""
+    """Closed-form residuals and chi-TPS entanglement statistics.
+
+    ``residuals`` and ``qcf_values`` hold the per-sample |direct - closed|
+    and direct covariance (real part); they are left out of equality.
+    """
 
     samples: int
     seed: int
@@ -111,6 +126,8 @@ class SpinDemoReport:
     nonzero_threshold: float
     chi_tps_rank_examples: tuple[int, int, int, int]
     sampled_rank2_fraction: float
+    residuals: np.ndarray = field(compare=False, repr=False)
+    qcf_values: np.ndarray = field(compare=False, repr=False)
 
 
 def demo_spins(
@@ -131,38 +148,21 @@ def demo_spins(
     factorizable (all their transverse spin expectations vanish), so their
     ranks come out 1; generic product states come out entangled.
     """
-    if samples < 1:
-        raise ContractError(f"samples must be positive, got {samples}")
-    squares = total_spin_squares(cfg)
+    check_samples(samples)
+    _, _, psi, direct, closed = _spin_samples(samples, seed, cfg)
     tps, _ = chi_basis(cfg)
-    rng = np.random.default_rng(seed)
-    residual_max = 0.0
-    nonzero = 0
-    rank2 = 0
-    for _ in range(samples):
-        psi1 = haar_state(2, rng)
-        psi2 = haar_state(2, rng)
-        psi = np.kron(psi1, psi2)
-        direct = qcf(squares.z2, squares.x2, psi)
-        closed = spin_qcf_closed_form(psi1, psi2, cfg)
-        residual_max = max(residual_max, abs(direct - closed))
-        if abs(direct) > nonzero_threshold:
-            nonzero += 1
-        vals = schmidt_values(psi, tps)
-        if vals[1] > 1e-10 * vals[0]:
-            rank2 += 1
-    basis_ranks = []
-    for g in range(4):
-        e = np.zeros(4, dtype=complex)
-        e[g] = 1.0
-        vals = schmidt_values(e, tps)
-        basis_ranks.append(1 + int(vals[1] > 1e-10 * vals[0]))
+    # the samples and the four z-product basis states, in one stacked SVD
+    vals = np.linalg.svd(_coefficients(np.concatenate([psi, np.eye(4)]), tps), compute_uv=False)
+    ranks = rank_from_singular_values(vals, DEFAULT_TRUNCATION_TOL)
+    residuals = np.abs(direct - closed)
     return SpinDemoReport(
         samples=samples,
         seed=seed,
-        closed_form_residual_max=residual_max,
-        fraction_nonzero=nonzero / samples,
+        closed_form_residual_max=float(residuals.max()),
+        fraction_nonzero=int(np.count_nonzero(np.abs(direct) > nonzero_threshold)) / samples,
         nonzero_threshold=nonzero_threshold,
-        chi_tps_rank_examples=tuple(basis_ranks),
-        sampled_rank2_fraction=rank2 / samples,
+        chi_tps_rank_examples=tuple(ranks[samples:].tolist()),
+        sampled_rank2_fraction=int(np.count_nonzero(ranks[:samples] == 2)) / samples,
+        residuals=residuals,
+        qcf_values=direct.real,
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, StateFileError
+from .errors import BijectionError, ContractError, ShapeError, StateFileError
 from .tps import IndexBijection, TensorProductStructure
 
 
@@ -57,9 +57,10 @@ def complex_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
+    # complex(re, im) refuses strings, so numeric text is not read as a number
     try:
-        values = np.array([complex(float(re), float(im)) for re, im in pairs], dtype=complex)
-    except (TypeError, ValueError) as exc:
+        values = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
     if not np.all(np.isfinite(values)):
         raise StateFileError(f"{what} contains non-finite entries")
@@ -112,6 +113,8 @@ def tps_from_dict(data) -> TensorProductStructure:
         targets = [json_int(t, "tps map entry", 0) for t in data["map"]]
         if len(targets) != dim:
             raise ShapeError(f"tps map has {len(targets)} entries, expected {dim}")
+        if max(targets) >= dim:  # checked here, as numpy cannot hold every JSON integer
+            raise BijectionError(f"tps map label {max(targets)} outside the {d1}x{d2} grid")
         bij = IndexBijection.from_targets(d1, d2, targets)
         return TensorProductStructure(d1, d2, None, relabeling=bij, **labels)
     flat = pairs_to_complex(data["unitary"], "tps unitary")
@@ -204,8 +207,8 @@ def save_state_file(path: str, sf: StateFile) -> None:
         fh.write(dump_json(sf.to_dict()))
 
 
-def render_csv(header: list[str], rows: list[list]) -> str:
-    """Plain CSV text with deterministic float formatting."""
+def render_csv(header: list[str], rows) -> str:
+    """Plain CSV text with deterministic float formatting; rows is any iterable of rows."""
     def cell(v) -> str:
         if isinstance(v, (float, np.floating)):
             return format_float(float(v))
@@ -214,8 +217,3 @@ def render_csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(cell(v) for v in row) for row in rows)
     return "\n".join(lines) + "\n"
-
-
-def write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_csv(header, rows))

@@ -20,7 +20,6 @@ from .errors import (
     BijectionError,
     ContractError,
     GridSpecError,
-    NumericalError,
     ShapeError,
     SpectrumError,
 )
@@ -63,6 +62,10 @@ class TensorProductStructure:
             raise ShapeError(f"factor dimensions must be positive, got ({self.d1}, {self.d2})")
         if (self.unitary is None) == (self.relabeling is None):
             raise ContractError("a TPS needs exactly one of a unitary and a relabeling")
+        for name, labels, d in (("label_left", self.label_left, self.d1),
+                                ("label_right", self.label_right, self.d2)):
+            if labels is not None and len(labels) != d:
+                raise ShapeError(f"{name} has {len(labels)} labels for a factor of dimension {d}")
         if self.relabeling is not None:
             if (self.relabeling.d1, self.relabeling.d2) != (self.d1, self.d2):
                 raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
@@ -83,17 +86,22 @@ def trivial_tps(d1: int, d2: int) -> TensorProductStructure:
     return relabel_tps(identity_bijection(d1, d2))
 
 
+def _coefficients(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
+    """d1 x d2 coefficient matrices of psi (one state or a stack on the last axis); unchecked."""
+    if tps.unitary is None:
+        c = np.empty_like(psi)
+        c[..., tps.relabeling.flat_targets()] = psi
+    else:  # U^dagger psi for each state
+        c = psi @ tps.unitary.conj()
+    return c.reshape(*psi.shape[:-1], tps.d1, tps.d2)
+
+
 def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
     """d1 x d2 coefficient matrix of psi in the given TPS (unit Frobenius norm)."""
     psi = check_state(psi)
     if psi.size != tps.dim:
         raise ShapeError(f"state dim {psi.size} vs TPS dim {tps.dim}")
-    if tps.unitary is None:
-        c = np.empty_like(psi)
-        c[tps.relabeling.flat_targets()] = psi
-    else:
-        c = tps.unitary.conj().T @ psi
-    c = c.reshape(tps.d1, tps.d2)
+    c = _coefficients(psi, tps)
     fro = float(np.linalg.norm(c))
     if abs(fro - 1.0) > 1e-10:
         raise ContractError(f"coefficient matrix norm {fro!r} deviates from 1")
@@ -311,28 +319,17 @@ def tps_from_joint_eigenbasis(
 def disentangling_tps(psi, tps: TensorProductStructure) -> TensorProductStructure:
     """A TPS with the same factor dimensions in which psi is a product state.
 
-    psi becomes the product basis state (0, 0): the factorization unitary's
-    first column is psi itself, completed to an orthonormal basis by
-    Gram-Schmidt over the computational basis.  One canonical choice among
-    many; deterministic.
+    The factorization unitary is the Householder reflector
+    ``H = I - 2 w w^dagger / |w|^2`` with ``w = psi + e^{i arg psi_0} e_0``,
+    which swaps psi with the product basis state (0, 0) up to a phase
+    (|w|^2 = 2 + 2|psi_0| >= 2, so w never vanishes).  One canonical choice
+    among many; deterministic.
     """
     psi = check_state(psi)
     dim = tps.dim
     if psi.size != dim:
         raise ShapeError(f"state dim {psi.size} vs TPS dim {dim}")
-    cols = [psi / np.linalg.norm(psi)]
-    for k in range(dim):
-        if len(cols) == dim:
-            break
-        v = np.zeros(dim, dtype=complex)
-        v[k] = 1.0
-        # two orthogonalization passes keep the basis orthonormal to ~1e-15
-        for _ in range(2):
-            for c in cols:
-                v = v - c * np.vdot(c, v)
-        n = float(np.linalg.norm(v))
-        if n > 1e-6:
-            cols.append(v / n)
-    if len(cols) != dim:  # pragma: no cover - impossible by rank counting
-        raise NumericalError("basis completion lost rank")
-    return TensorProductStructure(tps.d1, tps.d2, np.column_stack(cols))
+    w = psi.copy()
+    w[0] += np.exp(1j * np.angle(psi[0]))
+    u = np.eye(dim, dtype=complex) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
+    return TensorProductStructure(tps.d1, tps.d2, u)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from chsh_oracle import bloch_direction, chsh_search
+from demo_oracle import bell_loop
 
 from tpslab.bell import (
     TSIRELSON_BOUND,
@@ -12,8 +13,10 @@ from tpslab.bell import (
     chsh_value,
     correlation,
     correlation_matrix,
+    demo_bell,
 )
-from tpslab.errors import ContractError, ShapeError
+from tpslab.errors import ContractError, ShapeError, SizeLimitError
+from tpslab.linalg import MAX_GLOBAL_DIM
 from tpslab.sampling import haar_state, random_entangled_state, random_product_state
 from tpslab.schmidt import schmidt_values
 from tpslab.tps import trivial_tps
@@ -150,3 +153,30 @@ def test_brute_force_settings_bracket_both_routes():
             assert val <= bound + 1e-9
             best_sampled = max(best_sampled, val)
         assert chsh_max(psi).value >= best_sampled - 1e-9
+
+
+@pytest.mark.parametrize(
+    "seed,samples,rejected",
+    [(42, 1000, 11), (9, 16, 2), (1721069095, 16, None), (1366289310, 16, None)],
+)
+def test_demo_bell_matches_per_sample_loop(seed, samples, rejected):
+    oracle = bell_loop(samples, seed)
+    if rejected is not None:
+        assert oracle["rejected"] == rejected
+    rng = np.random.default_rng(seed)
+    stacked = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05, shape=(samples,))
+    assert np.max(np.abs(stacked - oracle["states"])) <= 1e-14
+    # the stacked draws stop at the last accepted state, as the loop does
+    assert rng.normal() == oracle["next_draw"]
+    report = demo_bell(samples=samples, seed=seed)
+    closed = oracle["closed"]
+    assert np.max(np.abs(report.closed_forms - closed)) <= 1e-14
+    assert np.max(np.abs(report.values - closed)) <= 1e-14
+    assert abs(report.min_value - closed.min()) <= 1e-14
+    assert report.fraction_violating == np.count_nonzero(closed > 2.0 + 1e-3) / samples
+    assert abs(report.bell_state_value - TSIRELSON_BOUND) <= 1e-14
+
+
+def test_demo_bell_rejects_more_samples_than_the_cap():
+    with pytest.raises(SizeLimitError):
+        demo_bell(samples=MAX_GLOBAL_DIM + 1)

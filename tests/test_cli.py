@@ -99,8 +99,10 @@ def test_qcf_global_custom_matrix(bell_file, tmp_path):
     [
         {"dim": 4, "entries": [["a", 0]] + [[0.0, 0.0]] * 15},
         {"dim": "4", "entries": [[0.0, 0.0]] * 16},
+        {"dim": 4, "entries": [["1", 0]] + [[0.0, 0.0]] * 15},
+        {"dim": 4, "entries": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 14},
     ],
-    ids=["string-entry", "string-dim"],
+    ids=["string-entry", "string-dim", "numeric-string-entry", "not-hermitian"],
 )
 def test_qcf_malformed_matrix_file_exits_2(doc, bell_file, tmp_path, capsys):
     mat = tmp_path / "bad.json"
@@ -129,6 +131,29 @@ def test_demo_coords_defaults(tmp_path):
 
 def test_demo_coords_even_grid_exits_5(tmp_path):
     assert main(["demo", "coords", "--d", "128"]) == 5
+
+
+@pytest.mark.parametrize(
+    "widths",
+    [["--sigma2", "1e300"], ["--sigma1", "1e-300", "--sigma2", "1e-300"]],
+    ids=["square-overflows", "square-underflows"],
+)
+def test_demo_coords_extreme_widths_exit_5(widths, capsys):
+    assert main(["demo", "coords", *widths]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("which", ["spins", "bell"])
+def test_demo_samples_above_the_cap_exit_3_before_any_draw(which, monkeypatch, capsys):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("drew states for a refused sample count")
+
+    monkeypatch.setattr("tpslab.spins.haar_state", no_draw)
+    monkeypatch.setattr("tpslab.bell.random_entangled_state", no_draw)
+    assert main(["demo", which, "--samples", "1048577"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_demo_spins_report(tmp_path):
@@ -383,6 +408,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         {"d1": 2, "d2": 2, "map": [0, 1, -2, 3]},
         {"d1": 2, "d2": 2, "unitary": NOT_UNITARY_16},
         {"d1": 2, "d2": 2, "unitary": [[float("nan"), 0.0]] + IDENTITY_16[1:]},
+        {"d1": 2, "d2": 2, "unitary": [["1", 0.0]] + IDENTITY_16[1:]},
     ],
     ids=[
         "list-block",
@@ -398,6 +424,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         "negative-map-entry",
         "non-unitary",
         "nan-unitary-entry",
+        "numeric-string-unitary-entry",
     ],
 )
 def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
@@ -414,8 +441,9 @@ def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
         ({"d1": 2, "d2": 2, "map": [0, 1, 1, 3]}, 6),
         ({"d1": 2, "d2": 2, "map": [0, 1, 2, 4]}, 6),
         ({"d1": 2, "d2": 2, "map": [0, 1, 2]}, 3),
+        ({"d1": 2, "d2": 2, "map": [0, 1, 2, 10**29]}, 6),
     ],
-    ids=["repeated-label", "label-off-grid", "short-map"],
+    ids=["repeated-label", "label-off-grid", "short-map", "huge-label"],
 )
 def test_tps_map_that_is_not_a_bijection_exits_with_its_code(tps, code, tmp_path, capsys):
     state = tmp_path / "state.json"
@@ -425,8 +453,20 @@ def test_tps_map_that_is_not_a_bijection_exits_with_its_code(tps, code, tmp_path
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("key", ["label_left", "label_right"])
+def test_tps_label_list_of_the_wrong_length_exits_3(key, tmp_path, capsys):
+    tps = {"d1": 2, "d2": 2, "map": [0, 1, 2, 3], key: ["a"]}
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": HALF, "tps": tps}))
+    assert main(["schmidt", str(state)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
-    "amplitude", [float("nan"), float("inf")], ids=["nan-amplitude", "inf-amplitude"]
+    "amplitude",
+    [float("nan"), float("inf"), "0.5"],
+    ids=["nan-amplitude", "inf-amplitude", "numeric-string-amplitude"],
 )
 def test_non_finite_amplitude_exits_2(amplitude, tmp_path, capsys):
     state = tmp_path / "state.json"
@@ -460,6 +500,21 @@ def test_malformed_bijection_file_exits_2(doc, tmp_path, capsys):
     bij.write_text(json.dumps(doc))
     out = tmp_path / "o.json"
     assert main(["refactor", str(state), "--bijection", str(bij), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "image", [[2, 0], [0, 10**29], [10**29, 1]], ids=["off-grid", "huge-b", "huge-a"]
+)
+def test_bijection_file_image_off_the_grid_exits_6(image, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    save_state_file(str(state), StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
+    bij = tmp_path / "bij.json"
+    bij.write_text(json.dumps({"map": [[0, 0, *image]] + VALID_MAP_2x2[1:]}))
+    out = tmp_path / "o.json"
+    assert main(["refactor", str(state), "--bijection", str(bij), "--out", str(out)]) == 6
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()

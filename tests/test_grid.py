@@ -132,7 +132,7 @@ def test_demo_qcf_matches_dense_operator_route():
     f = gaussian_profile(g, 0.3, 1.0)
     h = gaussian_profile(g, -0.2, 1.4)
     report = demo_sum_diff(f, h)
-    x = position_operator(g)
+    x = position_operator(g.points)
     eye = np.eye(d, dtype=complex)
     a = np.kron(x, eye) + np.kron(eye, x)
     b = np.kron(x, eye) - np.kron(eye, x)

@@ -2,14 +2,16 @@
 
 import numpy as np
 import pytest
+from demo_oracle import spins_loop
 
-from tpslab.errors import ContractError
-from tpslab.linalg import commutator_maxnorm, tensor_op
+from tpslab.errors import ContractError, SizeLimitError
+from tpslab.linalg import MAX_GLOBAL_DIM, commutator_maxnorm, tensor_op
 from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt_values
 from tpslab.spins import (
     SpinConfig,
+    _spin_samples,
     chi_basis,
     demo_spins,
     spin_operators,
@@ -165,3 +167,36 @@ def test_chi_tps_from_scaled_hbar_matches_default_up_to_phase():
 def test_demo_spins_rejects_zero_samples():
     with pytest.raises(ContractError):
         demo_spins(samples=0)
+
+
+@pytest.mark.parametrize("seed,samples", [(42, 1000), (9, 300), (303, 10000)])
+def test_stacked_spins_match_per_sample_loop(seed, samples):
+    oracle = spins_loop(samples, seed)
+    psi1, psi2, psi, direct, closed = _spin_samples(samples, seed, SpinConfig())
+    for got, key in ((psi1, "psi1"), (psi2, "psi2"), (direct, "direct"), (closed, "closed")):
+        assert np.max(np.abs(got - oracle[key])) <= 1e-14, key
+    products = np.array([np.kron(a, b) for a, b in zip(oracle["psi1"], oracle["psi2"])])
+    assert np.max(np.abs(psi - products)) <= 1e-14
+    report = demo_spins(samples=samples, seed=seed)
+    assert report.fraction_nonzero == np.count_nonzero(np.abs(oracle["direct"]) > 1e-8) / samples
+    assert report.sampled_rank2_fraction == np.count_nonzero(oracle["rank"] == 2) / samples
+    assert report.chi_tps_rank_examples == tuple(oracle["basis_ranks"])
+    residuals = np.abs(oracle["direct"] - oracle["closed"])
+    assert abs(report.closed_form_residual_max - residuals.max()) <= 1e-14
+    assert np.max(np.abs(report.residuals - residuals)) <= 1e-14
+    assert np.max(np.abs(report.qcf_values - oracle["direct"].real)) <= 1e-14
+
+
+def test_stacked_haar_draws_consume_the_stream_like_single_draws():
+    rng = np.random.default_rng(17)
+    stacked = haar_state(3, rng, (5, 2))
+    single = np.random.default_rng(17)
+    np.testing.assert_array_equal(
+        stacked, [[haar_state(3, single) for _ in range(2)] for _ in range(5)]
+    )
+    assert rng.normal() == single.normal()
+
+
+def test_demo_spins_rejects_more_samples_than_the_cap():
+    with pytest.raises(SizeLimitError):
+        demo_spins(samples=MAX_GLOBAL_DIM + 1)

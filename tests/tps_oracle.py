@@ -4,7 +4,8 @@ A relabeling TPS never forms its permutation matrix, and ``qcf_local`` reads
 its covariance from traces on the d1 x d2 coefficient matrix.  The routes here
 do both with D x D matrices instead: the permutation unitary is built from the
 bijection's forward tables, and the local observables are lifted to global
-operators before the plain covariance is taken.
+operators before the plain covariance is taken.  The reconstructions of an
+SVD and of a Schmidt decomposition from their factors live here as well.
 """
 
 import numpy as np
@@ -28,3 +29,17 @@ def qcf_local_global(a1, b2, psi, u) -> complex:
     a_global = u @ np.kron(a1, np.eye(b2.shape[0])) @ u.conj().T
     b_global = u @ np.kron(np.eye(a1.shape[0]), b2) @ u.conj().T
     return qcf(a_global, b_global, psi)
+
+
+def svd_reconstruct(res) -> np.ndarray:
+    """left @ diag(singular_values) @ right^dagger of a linalg.SvdResult."""
+    return (res.left * res.singular_values) @ res.right.conj().T
+
+
+def schmidt_reconstruct(sd) -> np.ndarray:
+    """sum_k alpha_k left[:, k] (x) right[:, k], in the TPS product coordinates."""
+    terms = sd.left_basis * sd.coefficients
+    out = np.zeros(sd.left_basis.shape[0] * sd.right_basis.shape[0], dtype=complex)
+    for k in range(sd.coefficients.size):
+        out += np.kron(terms[:, k], sd.right_basis[:, k])
+    return out
