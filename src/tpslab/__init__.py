@@ -11,6 +11,7 @@ from .bell import ChshMaxResult, ChshSettings, chsh_max, chsh_max_closed_form, c
 from .errors import ToolkitError
 from .grid import (
     CoordinateDemoReport,
+    CoordinateSpectra,
     Grid,
     SampledProfile,
     demo_general_bijection,
@@ -20,6 +21,7 @@ from .grid import (
     gaussian_profile,
     odd_profile,
     position_operator,
+    sum_diff_spectra,
 )
 from .linalg import eigh, expectation, inner, norm, normalize, svd, tensor_op, tensor_vec
 from .qcf import QcfReport, qcf, qcf_local, sum_diff_qcf_identity, variance

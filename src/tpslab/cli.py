@@ -12,7 +12,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -28,10 +28,17 @@ from .errors import (
     ToolkitError,
     UnknownObservableError,
 )
-from .grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile, position_operator
+from .grid import (
+    Grid,
+    demo_sum_diff,
+    double_gaussian_profile,
+    gaussian_profile,
+    position_operator,
+    sum_diff_spectra,
+)
 from .linalg import check_hermitian
 from .qcf import default_witness_threshold, qcf, qcf_local
-from .schmidt import schmidt
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
 from .spins import PAULI_X, PAULI_Y, PAULI_Z, demo_spins
 from .statefile import (
     StateFile,
@@ -191,18 +198,6 @@ def cmd_qcf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _coords_section(f, g) -> dict:
-    report = demo_sum_diff(f, g)
-    return {
-        "rank_xy": report.rank_xy,
-        "rank_ab": report.rank_ab,
-        "qcf_ab": report.qcf_ab,
-        "variance_diff": report.variance_diff,
-        "alpha_ratio_ab": report.alpha_ratio_ab,
-        "warnings": list(report.warnings),
-    }
-
-
 def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[list]]:
     if args.d % 2 == 0:
         raise GridSpecError(
@@ -211,31 +206,26 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[
         )
     smax = max(args.sigma1, args.sigma2)
     grid = Grid.spanning(args.d, 8.0 * smax)
+    f = gaussian_profile(grid, 0.0, args.sigma1)
     if want_rows:
-        rows = []
-        for s2 in np.linspace(args.sigma1, args.sigma2, 11):
-            rep = demo_sum_diff(
-                gaussian_profile(grid, 0.0, args.sigma1), gaussian_profile(grid, 0.0, float(s2))
-            )
-            rows.append([float(s2), rep.rank_ab, rep.qcf_ab, rep.variance_diff])
-        return {}, rows
-    pair = _coords_section(
-        gaussian_profile(grid, 0.0, args.sigma1), gaussian_profile(grid, 0.0, args.sigma2)
-    )
+        widths = np.linspace(args.sigma1, args.sigma2, 11)
+        spectra = sum_diff_spectra(
+            [f] * widths.size, [gaussian_profile(grid, 0.0, float(s2)) for s2 in widths]
+        )
+        ranks = rank_from_singular_values(spectra.values_ab, DEFAULT_TRUNCATION_TOL)
+        columns = (widths, ranks, spectra.qcf_ab, spectra.variance_diff)
+        return {}, list(zip(*(c.tolist() for c in columns)))
+    pairs = [(f, gaussian_profile(grid, 0.0, args.sigma2))]
     grid_eq = Grid.spanning(args.d, 8.0 * args.sigma1)
-    equal = _coords_section(
-        gaussian_profile(grid_eq, 0.0, args.sigma1), gaussian_profile(grid_eq, 0.0, args.sigma1)
-    )
+    pairs.append((gaussian_profile(grid_eq, 0.0, args.sigma1),) * 2)
     grid_dg = Grid.spanning(args.d, args.sep + 8.0 * args.sigma1)
-    double = _coords_section(
-        double_gaussian_profile(grid_dg, args.sep, args.sigma1),
-        gaussian_profile(grid_dg, 0.0, args.sigma1),
-    )
+    pairs.append((double_gaussian_profile(grid_dg, args.sep, args.sigma1),
+                  gaussian_profile(grid_dg, 0.0, args.sigma1)))
+    reports = demo_sum_diff(*zip(*pairs))
     body = {
         "grid": {"d": args.d, "halfwidth": 8.0 * smax},
-        "gaussian_pair": pair,
-        "equal_sigma": equal,
-        "double_gaussian": double,
+        **{name: asdict(rep) for name, rep in
+           zip(("gaussian_pair", "equal_sigma", "double_gaussian"), reports)},
     }
     return body, []
 

@@ -18,19 +18,34 @@ Localized profiles (Gaussians) therefore split into the (even, even) and
 is 2 even for equal widths, where the continuum analogy suggests a product:
 the state is a product inside each sector, and the shared parity bit adds one
 ebit.  Grid-periodic profiles (discrete Fourier modes) relabel exactly.
+
+Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
+so their coefficients and Schmidt spectra are computed in real arithmetic;
+Fourier modes stay complex.  A demo request is one stacked pass: n profile
+pairs on grids of one size d give (n, d, d) coefficients, relabeled once and
+decomposed by one batched SVD.  A grid's d x d pair grid is capped at
+``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
+sampled.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridSpecError, NumericalError, ShapeError
-from .linalg import normalize
-from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt_values
-from .tps import IndexBijection, relabel_tps, sum_diff_bijection
+from .errors import (
+    DegenerateInputError,
+    GridSpecError,
+    NumericalError,
+    ShapeError,
+    SizeLimitError,
+)
+from .linalg import MAX_GLOBAL_DIM
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
+from .tps import IndexBijection, _coefficients, relabel_tps, sum_diff_bijection
 
 EDGE_DENSITY_TOL = 1e-12
 
@@ -46,6 +61,10 @@ class Grid:
     def __post_init__(self):
         if self.d < 1 or self.d % 2 == 0:
             raise GridSpecError(f"grid size must be odd and positive, got d={self.d}")
+        if self.d * self.d > MAX_GLOBAL_DIM:
+            raise SizeLimitError(
+                f"a {self.d}x{self.d} pair grid exceeds the configured maximum {MAX_GLOBAL_DIM}"
+            )
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise GridSpecError(f"grid spacing must be finite and positive, got {self.spacing}")
         # covariances square the sum and difference of two points
@@ -67,18 +86,19 @@ class Grid:
 
 @dataclass(frozen=True)
 class SampledProfile:
-    """Unit-norm complex samples of a one-coordinate wavefunction on a grid."""
+    """Unit-norm samples of a one-coordinate wavefunction on a grid; real stays real."""
 
     grid: Grid
     samples: np.ndarray
     truncation_warning: str | None = None
 
     def __post_init__(self):
-        s = np.asarray(self.samples, dtype=complex)
+        s = np.asarray(self.samples)
+        s = s.astype(np.result_type(s, float), copy=False)
         if s.shape != (self.grid.d,):
             raise ShapeError(f"expected {self.grid.d} samples, got shape {s.shape}")
         n = float(np.linalg.norm(s))
-        if abs(n - 1.0) > 1e-10:
+        if not abs(n - 1.0) <= 1e-10:
             raise GridSpecError(f"profile norm {n!r} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "samples", s)
 
@@ -118,25 +138,33 @@ def _four_sigma_squared(sigma: float) -> float:
     return den
 
 
+def _gaussian(x: np.ndarray, center: float, den: float) -> np.ndarray:
+    """exp(-(x - center)^2 / den); an exponent that overflows gives its exact limit 0."""
+    with np.errstate(over="ignore"):
+        return np.exp(-((x - center) ** 2) / den)
+
+
+def _real_profile(grid: Grid, amp: np.ndarray, what: str) -> SampledProfile:
+    """Normalize real amplitudes into a profile carrying their edge warning."""
+    n = float(np.linalg.norm(amp))
+    if n == 0.0:
+        raise DegenerateInputError(f"{what}: every sample vanishes on the grid")
+    return SampledProfile(grid=grid, samples=amp / n, truncation_warning=_edge_warning(amp, what))
+
+
 def gaussian_profile(grid: Grid, center: float, sigma: float) -> SampledProfile:
     """Gaussian amplitude exp(-(x-center)^2 / (4 sigma^2)); density variance sigma^2."""
     den = _four_sigma_squared(sigma)
-    x = grid.points
-    amp = np.exp(-((x - center) ** 2) / den).astype(complex)
-    warning = _edge_warning(amp, f"gaussian(center={center}, sigma={sigma})")
-    return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
+    amp = _gaussian(grid.points, center, den)
+    return _real_profile(grid, amp, f"gaussian(center={center}, sigma={sigma})")
 
 
 def double_gaussian_profile(grid: Grid, separation: float, sigma: float) -> SampledProfile:
     """Symmetric pair of Gaussian lobes at +-separation with common width sigma."""
     den = _four_sigma_squared(sigma)
     x = grid.points
-    amp = (
-        np.exp(-((x - separation) ** 2) / den)
-        + np.exp(-((x + separation) ** 2) / den)
-    ).astype(complex)
-    warning = _edge_warning(amp, f"double_gaussian(separation={separation}, sigma={sigma})")
-    return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
+    amp = _gaussian(x, separation, den) + _gaussian(x, -separation, den)
+    return _real_profile(grid, amp, f"double_gaussian(separation={separation}, sigma={sigma})")
 
 
 def fourier_profile(grid: Grid, mode: int) -> SampledProfile:
@@ -152,14 +180,29 @@ def odd_profile(grid: Grid, sigma: float) -> SampledProfile:
     """Antisymmetric profile x exp(-x^2 / (4 sigma^2)); vanishes at the origin."""
     den = _four_sigma_squared(sigma)
     x = grid.points
-    amp = (x * np.exp(-(x**2) / den)).astype(complex)
-    warning = _edge_warning(amp, f"odd(sigma={sigma})")
-    return SampledProfile(grid=grid, samples=normalize(amp), truncation_warning=warning)
+    return _real_profile(grid, x * _gaussian(x, 0.0, den), f"odd(sigma={sigma})")
 
 
 def position_operator(points) -> np.ndarray:
     """The diagonal position observable diag(x_i) of sample points x_i."""
     return np.diag(points).astype(complex)
+
+
+@dataclass(frozen=True)
+class CoordinateSpectra:
+    """Relabeled Schmidt spectra of a stack of n product pairs f_k (x) g_k.
+
+    ``coefficients`` holds the (n, d, d) product coefficients f_k[i] g_k[j]
+    in the original labels, ``values_ab`` the (n, d) descending Schmidt
+    coefficients after the relabeling, ``qcf_ab`` the covariance of
+    X1 + X2 against X1 - X2 and ``variance_diff`` Var(X1) - Var(X2), one per
+    pair.
+    """
+
+    coefficients: np.ndarray
+    values_ab: np.ndarray
+    qcf_ab: np.ndarray
+    variance_diff: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,6 +217,20 @@ class CoordinateDemoReport:
     warnings: tuple[str, ...]
 
 
+def _pairs(f, g) -> tuple[tuple[SampledProfile, ...], tuple[SampledProfile, ...], int]:
+    """Two equal-length tuples of profiles, pairwise on one grid, and the common grid size."""
+    fs = (f,) if isinstance(f, SampledProfile) else tuple(f)
+    gs = (g,) if isinstance(g, SampledProfile) else tuple(g)
+    if not fs or len(fs) != len(gs):
+        raise ShapeError(f"{len(fs)} first profiles for {len(gs)} second profiles")
+    if any(fk.grid != gk.grid for fk, gk in zip(fs, gs)):
+        raise ShapeError("profiles live on different grids")
+    sizes = {fk.grid.d for fk in fs}
+    if len(sizes) != 1:
+        raise ShapeError(f"a stack of pairs needs one grid size, got {sorted(sizes)}")
+    return fs, gs, sizes.pop()
+
+
 def _diag_qcf(a_diag: np.ndarray, b_diag: np.ndarray, prob: np.ndarray) -> float:
     """Covariance of two commuting diagonal observables under a probability vector."""
     ea = float(np.sum(a_diag * prob))
@@ -182,57 +239,93 @@ def _diag_qcf(a_diag: np.ndarray, b_diag: np.ndarray, prob: np.ndarray) -> float
     return eab - ea * eb
 
 
-def _demo_report(
-    f: SampledProfile,
-    g: SampledProfile,
-    bij: IndexBijection,
-    check_identity: bool,
-    truncation_tol: float,
-) -> CoordinateDemoReport:
-    if f.grid != g.grid:
-        raise ShapeError("profiles live on different grids")
-    c = np.outer(f.samples, g.samples)
-    vals_xy = np.linalg.svd(c, compute_uv=False)
-    vals_ab = schmidt_values(c.ravel(), relabel_tps(bij))
-
-    x = f.grid.points
-    prob = np.abs(c.ravel()) ** 2
+def _sum_diff_covariance(x: np.ndarray, c: np.ndarray) -> float:
+    """Covariance of X1 + X2 against X1 - X2 under the joint distribution |c_ij|^2."""
     a_diag = np.add.outer(x, x).ravel()       # X (x) I + I (x) X
     b_diag = np.subtract.outer(x, x).ravel()  # X (x) I - I (x) X
-    qcf_ab = _diag_qcf(a_diag, b_diag, prob)
-    variance_diff = f.position_variance() - g.position_variance()
-    if check_identity and abs(qcf_ab - variance_diff) > 1e-9:
-        raise NumericalError(
-            f"sum/difference covariance {qcf_ab!r} deviates from the variance "
-            f"difference {variance_diff!r} beyond 1e-9"
-        )
-    warnings = tuple(
-        w for w in (f.truncation_warning, g.truncation_warning) if w is not None
+    return _diag_qcf(a_diag, b_diag, np.abs(c.ravel()) ** 2)
+
+
+def _spectra(fs, gs, bij: IndexBijection) -> CoordinateSpectra:
+    """One relabeling and one batched SVD for the validated pairs.
+
+    The covariances run pair by pair, so their d^2-sized temporaries are
+    held for one pair at a time.
+    """
+    n, d = len(fs), bij.d1
+    f_stack, g_stack = np.stack([fk.samples for fk in fs]), np.stack([gk.samples for gk in gs])
+    c = f_stack[:, :, None] * g_stack[:, None, :]
+    relabeled = _coefficients(c.reshape(n, d * d), relabel_tps(bij))
+    return CoordinateSpectra(
+        coefficients=c,
+        values_ab=np.linalg.svd(relabeled, compute_uv=False),
+        qcf_ab=np.array([_sum_diff_covariance(fk.grid.points, ck) for fk, ck in zip(fs, c)]),
+        variance_diff=np.array(
+            [fk.position_variance() - gk.position_variance() for fk, gk in zip(fs, gs)]
+        ),
     )
-    ratio = float(vals_ab[1] / vals_ab[0]) if vals_ab.size > 1 and vals_ab[0] > 0 else 0.0
-    return CoordinateDemoReport(
-        rank_xy=rank_from_singular_values(vals_xy, truncation_tol),
-        rank_ab=rank_from_singular_values(vals_ab, truncation_tol),
-        qcf_ab=qcf_ab,
-        variance_diff=variance_diff,
-        alpha_ratio_ab=ratio,
-        warnings=warnings,
+
+
+def sum_diff_spectra(
+    f: SampledProfile | Sequence[SampledProfile],
+    g: SampledProfile | Sequence[SampledProfile],
+) -> CoordinateSpectra:
+    """Spectra of profile pairs under the modular sum/difference relabeling.
+
+    f and g are profiles or equal-length sequences of them on grids of one
+    size.  The covariance qcf_ab must equal the variance difference to 1e-9
+    for every pair.
+    """
+    fs, gs, d = _pairs(f, g)
+    spectra = _spectra(fs, gs, sum_diff_bijection(d))
+    bad = ~(np.abs(spectra.qcf_ab - spectra.variance_diff) <= 1e-9)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise NumericalError(
+            f"sum/difference covariance {float(spectra.qcf_ab[k])!r} deviates from the "
+            f"variance difference {float(spectra.variance_diff[k])!r} beyond 1e-9"
+        )
+    return spectra
+
+
+def _reports(fs, gs, spectra: CoordinateSpectra, truncation_tol: float):
+    """The reports of the stacked pairs: the spectra plus the x-y ranks and warnings."""
+    rank_xy = rank_from_singular_values(
+        np.linalg.svd(spectra.coefficients, compute_uv=False), truncation_tol
+    )
+    rank_ab = rank_from_singular_values(spectra.values_ab, truncation_tol)
+    return tuple(
+        CoordinateDemoReport(
+            rank_xy=int(rank_xy[k]),
+            rank_ab=int(rank_ab[k]),
+            qcf_ab=float(spectra.qcf_ab[k]),
+            variance_diff=float(spectra.variance_diff[k]),
+            alpha_ratio_ab=float(v[1] / v[0]) if v.size > 1 and v[0] > 0 else 0.0,
+            warnings=tuple(
+                w for w in (fk.truncation_warning, gk.truncation_warning) if w is not None
+            ),
+        )
+        for k, (fk, gk, v) in enumerate(zip(fs, gs, spectra.values_ab))
     )
 
 
 def demo_sum_diff(
-    f: SampledProfile,
-    g: SampledProfile,
+    f: SampledProfile | Sequence[SampledProfile],
+    g: SampledProfile | Sequence[SampledProfile],
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-) -> CoordinateDemoReport:
+) -> CoordinateDemoReport | tuple[CoordinateDemoReport, ...]:
     """Relabel the product state f (x) g by modular sum/difference and report.
 
     rank_xy is the Schmidt rank in the original labels (1 for any product
     input); rank_ab the rank after relabeling; qcf_ab the covariance of
     X1 + X2 against X1 - X2, which always equals the difference of the two
-    position variances (enforced to 1e-9).
+    position variances (enforced to 1e-9).  Given equal-length sequences of
+    profiles on grids of one size, it returns a tuple of reports from one
+    stacked pass.
     """
-    return _demo_report(f, g, sum_diff_bijection(f.grid.d), True, truncation_tol)
+    fs, gs, _ = _pairs(f, g)
+    reports = _reports(fs, gs, sum_diff_spectra(fs, gs), truncation_tol)
+    return reports[0] if isinstance(f, SampledProfile) else reports
 
 
 def demo_general_bijection(
@@ -246,9 +339,10 @@ def demo_general_bijection(
     The variance identity holds only for the sum/difference pair, so it is
     reported but not enforced here.
     """
+    fs, gs, _ = _pairs(f, g)
     if bij.d1 != f.grid.d or bij.d2 != g.grid.d:
         raise ShapeError(
             f"bijection grid ({bij.d1}, {bij.d2}) vs profile grids "
             f"({f.grid.d}, {g.grid.d})"
         )
-    return _demo_report(f, g, bij, False, truncation_tol)
+    return _reports(fs, gs, _spectra(fs, gs, bij), truncation_tol)[0]

@@ -57,9 +57,13 @@ def complex_pairs(values: np.ndarray) -> list[list[float]]:
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
-    # complex(re, im) refuses strings, so numeric text is not read as a number
+    # complex(re, im) refuses strings, so numeric text is not read as a number;
+    # it reads booleans as 0 and 1, so pairs holding one are dropped and refused
     try:
-        values = np.array([complex(re, im) for re, im in pairs], dtype=complex)
+        values = np.array([complex(re, im) for re, im in pairs
+                           if type(re) is not bool and type(im) is not bool], dtype=complex)
+        if values.size != len(pairs):
+            raise TypeError("booleans are not numbers")
     except (TypeError, ValueError, OverflowError) as exc:
         raise StateFileError(f"{what} must be a list of [re, im] pairs: {exc}") from exc
     if not np.all(np.isfinite(values)):

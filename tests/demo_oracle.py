@@ -1,7 +1,10 @@
-"""Per-sample loops for the sampling demos: the oracles for their stacked cores.
+"""Per-sample loops for the demos: the oracles for their stacked cores.
 
-`demo spins` and `demo bell` compute every sample in one array pass.  The
-loops here take one sample at a time instead, as the demos once did: each
+`demo spins`, `demo bell` and `demo coords` compute every sample in one
+array pass.  The loops here take one sample at a time instead, as the demos
+once did.  For `coords`, one product pair at a time in complex arithmetic:
+dense SVDs before and after the relabeling, and the covariance of the
+diagonal observables on the joint distribution.  For the sampling demos, each
 state is drawn with its own ``rng.normal`` calls (real parts, then imaginary
 parts; psi1 before psi2; a Bell-demo candidate is redrawn until its Schmidt
 ratio clears 0.05), and every value comes from ``np.kron``-built operators on
@@ -75,4 +78,33 @@ def bell_loop(samples: int, seed: int) -> dict:
         "closed": np.array([chsh_closed_form(p) for p in states]),
         "rejected": rejected,
         "next_draw": rng.normal(),
+    }
+
+
+def coords_pair(f, g, x, targets, tol: float = 1e-10) -> dict:
+    """One product pair f (x) g on grid points x under the relabeling that sends
+    global index i*d + j to ``targets[i*d + j]``, as `demo coords` once
+    computed it: complex coefficients, one dense SVD per labeling, and the
+    covariance of X1 + X2 against X1 - X2 from the joint distribution."""
+    f, g, x = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), np.asarray(x)
+    c = np.outer(f, g)
+    relabeled = np.empty(c.size, dtype=complex)
+    relabeled[np.asarray(targets)] = c.ravel()
+    vals_xy = np.linalg.svd(c, compute_uv=False)
+    vals_ab = np.linalg.svd(relabeled.reshape(c.shape), compute_uv=False)
+    prob = np.abs(c.ravel()) ** 2
+    a = np.add.outer(x, x).ravel()
+    b = np.subtract.outer(x, x).ravel()
+    qcf = np.sum(a * b * prob) - np.sum(a * prob) * np.sum(b * prob)
+
+    def variance(p):
+        mean = np.sum(x * p)
+        return np.sum((x - mean) ** 2 * p)
+
+    return {
+        "rank_xy": int(np.sum(vals_xy > tol * vals_xy[0])),
+        "rank_ab": int(np.sum(vals_ab > tol * vals_ab[0])),
+        "qcf_ab": float(qcf),
+        "variance_diff": float(variance(np.abs(f) ** 2) - variance(np.abs(g) ** 2)),
+        "alpha_ratio_ab": float(vals_ab[1] / vals_ab[0]) if vals_ab.size > 1 else 0.0,
     }

@@ -1,13 +1,15 @@
 """CLI subcommands, exit codes, and report determinism."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from tpslab.cli import main
+from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
 from tpslab.sampling import random_product_state
-from tpslab.statefile import StateFile, dump_json, save_state_file
+from tpslab.statefile import StateFile, dump_json, format_float, save_state_file
 
 SQ2 = np.sqrt(2.0)
 
@@ -101,8 +103,9 @@ def test_qcf_global_custom_matrix(bell_file, tmp_path):
         {"dim": "4", "entries": [[0.0, 0.0]] * 16},
         {"dim": 4, "entries": [["1", 0]] + [[0.0, 0.0]] * 15},
         {"dim": 4, "entries": [[0.0, 0.0], [1.0, 0.0]] + [[0.0, 0.0]] * 14},
+        {"dim": 4, "entries": [[True, 0]] + [[0.0, 0.0]] * 15},
     ],
-    ids=["string-entry", "string-dim", "numeric-string-entry", "not-hermitian"],
+    ids=["string-entry", "string-dim", "numeric-string-entry", "not-hermitian", "bool-entry"],
 )
 def test_qcf_malformed_matrix_file_exits_2(doc, bell_file, tmp_path, capsys):
     mat = tmp_path / "bad.json"
@@ -185,6 +188,59 @@ def test_demo_coords_csv_sweep(tmp_path):
     last = lines[-1].split(",")
     assert float(last[0]) == pytest.approx(2.0)
     assert float(last[2]) == pytest.approx(-3.0, abs=3e-3)
+
+
+def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
+    out = tmp_path / "sweep.csv"
+    argv = ["demo", "coords", "--d", "33", "--sigma1", "0.7", "--sigma2", "2.3", "--format", "csv"]
+    assert main(argv + ["--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    grid = Grid.spanning(33, 8.0 * 2.3)
+    widths = np.linspace(0.7, 2.3, 11)
+    assert len(rows) == widths.size
+    for row, s2 in zip(rows, widths):
+        rep = demo_sum_diff(gaussian_profile(grid, 0.0, 0.7), gaussian_profile(grid, 0.0, float(s2)))
+        assert row == [format_float(s2), str(rep.rank_ab), format_float(rep.qcf_ab),
+                       format_float(rep.variance_diff)]
+
+
+def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
+    argv = ["demo", "coords", "--d", "33", "--sigma1", "0.7", "--sigma2", "2.3", "--sep", "3"]
+    code, out = run(argv, tmp_path)
+    assert code == 0
+    report = json.loads(out.read_text())
+    wide, tight, lobes = (Grid.spanning(33, hw) for hw in (8.0 * 2.3, 8.0 * 0.7, 3.0 + 8.0 * 0.7))
+    pairs = {
+        "gaussian_pair": (gaussian_profile(wide, 0.0, 0.7), gaussian_profile(wide, 0.0, 2.3)),
+        "equal_sigma": (gaussian_profile(tight, 0.0, 0.7), gaussian_profile(tight, 0.0, 0.7)),
+        "double_gaussian": (double_gaussian_profile(lobes, 3.0, 0.7),
+                            gaussian_profile(lobes, 0.0, 0.7)),
+    }
+    for name, (f, g) in pairs.items():
+        rep = demo_sum_diff(f, g)
+        assert report[name] == {**vars(rep), "warnings": list(rep.warnings)}
+
+
+@pytest.mark.parametrize("sigma", ["1e-160", "1e-154"])
+def test_demo_coords_tiny_widths_run_silently(sigma, tmp_path, capsys):
+    # the Gaussian exponents overflow to -inf off the center; exp gives the exact 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _ = run(["demo", "coords", "--sigma1", sigma, "--sigma2", sigma], tmp_path)
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_demo_coords_pair_grid_above_the_cap_exits_3_before_any_profile(monkeypatch, capsys):
+    def no_profile(*args, **kwargs):
+        raise AssertionError("sampled a profile for a refused grid size")
+
+    monkeypatch.setattr("tpslab.cli.gaussian_profile", no_profile)
+    monkeypatch.setattr("tpslab.cli.double_gaussian_profile", no_profile)
+    for fmt in ("json", "csv"):
+        assert main(["demo", "coords", "--d", "1025", "--format", fmt]) == 3  # 1025^2 > 2^20
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_demo_bell_small_sample(tmp_path):
@@ -409,6 +465,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         {"d1": 2, "d2": 2, "unitary": NOT_UNITARY_16},
         {"d1": 2, "d2": 2, "unitary": [[float("nan"), 0.0]] + IDENTITY_16[1:]},
         {"d1": 2, "d2": 2, "unitary": [["1", 0.0]] + IDENTITY_16[1:]},
+        {"d1": 2, "d2": 2, "unitary": [[True, 0.0]] + IDENTITY_16[1:]},
     ],
     ids=[
         "list-block",
@@ -425,6 +482,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         "non-unitary",
         "nan-unitary-entry",
         "numeric-string-unitary-entry",
+        "bool-unitary-entry",
     ],
 )
 def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
@@ -471,6 +529,16 @@ def test_tps_label_list_of_the_wrong_length_exits_3(key, tmp_path, capsys):
 def test_non_finite_amplitude_exits_2(amplitude, tmp_path, capsys):
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[amplitude, 0.0]] + HALF[1:]}))
+    assert main(["schmidt", str(state)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("pair", [[True, 0], [1.0, False]], ids=["bool-real", "bool-imag"])
+def test_boolean_amplitude_exits_2(pair, tmp_path, capsys):
+    # a unit-norm state once booleans are read as 0 and 1
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": [pair] + [[0.0, 0.0]] * 3}))
     assert main(["schmidt", str(state)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1

@@ -1,10 +1,13 @@
 """Grid profiles, sum/difference relabeling demo, and the covariance identity."""
 
+import warnings
+
 import numpy as np
 import pytest
+from demo_oracle import coords_pair
 from tps_oracle import permutation_matrix, qcf_local_global
 
-from tpslab.errors import GridSpecError, ShapeError
+from tpslab.errors import DegenerateInputError, GridSpecError, ShapeError, SizeLimitError
 from tpslab.grid import (
     Grid,
     demo_general_bijection,
@@ -14,6 +17,7 @@ from tpslab.grid import (
     gaussian_profile,
     odd_profile,
     position_operator,
+    sum_diff_spectra,
 )
 from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf, qcf_local
@@ -257,3 +261,101 @@ def test_demo_propagates_truncation_warnings():
     g = std_grid(33, 3.0)
     rep = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.0, 1.0))
     assert len(rep.warnings) == 2
+
+
+def test_grid_caps_the_pair_grid_at_the_global_dimension():
+    assert Grid(1023, 0.1).d == 1023  # 1023^2 = 1 046 529 <= 2^20
+    with pytest.raises(SizeLimitError):
+        Grid(1025, 0.1)  # 1025^2 = 1 050 625 > 2^20
+
+
+def test_real_profiles_keep_a_real_dtype():
+    g = std_grid(9)
+    for p in (gaussian_profile(g, 0.0, 1.0), double_gaussian_profile(g, 2.0, 1.0),
+              odd_profile(g, 1.0)):
+        assert p.samples.dtype == np.float64
+    assert fourier_profile(g, 2).samples.dtype == np.complex128
+
+
+@pytest.mark.parametrize("sigma", [1e-160, 1e-154])
+def test_tiny_widths_reach_the_zero_limit_silently(sigma):
+    # (x - c)^2 / (4 sigma^2) overflows off the center; exp(-inf) = 0 is exact
+    g = Grid.spanning(129, 4.0 + 8.0 * sigma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f = gaussian_profile(g, 0.0, sigma)
+        h = double_gaussian_profile(g, 4.0, sigma)
+        with pytest.raises(DegenerateInputError):
+            odd_profile(g, sigma)  # zero at the center and exp(-inf) elsewhere
+    assert f.samples[64] == 1.0 and np.count_nonzero(f.samples) == 1
+    assert np.count_nonzero(h.samples) == 2  # the lobes at -4 and +4 sit on the edge points
+
+
+def sum_diff_targets(d):
+    i, j = np.divmod(np.arange(d * d), d)
+    return ((i + j) % d) * d + (i - j) % d
+
+
+def assert_matches_oracle(report, f, g, targets):
+    want = coords_pair(f.samples, g.samples, f.grid.points, targets)
+    assert (report.rank_xy, report.rank_ab) == (want["rank_xy"], want["rank_ab"])
+    scale = f.position_variance() + g.position_variance()
+    for key in ("qcf_ab", "variance_diff", "alpha_ratio_ab"):
+        assert getattr(report, key) == pytest.approx(want[key], rel=1e-12, abs=1e-12 * scale)
+
+
+@pytest.mark.parametrize("d", [9, 65, 129])
+def test_stacked_sum_diff_matches_per_pair_complex_oracle(d):
+    # the three pairs of `demo coords`, each on its own grid, for random
+    # widths and separations, all in one stacked call
+    rng = np.random.default_rng(d)
+    fs, gs = [], []
+    for _ in range(4):
+        s1, s2, sep = rng.uniform(0.5, 2.0), rng.uniform(0.5, 3.0), rng.uniform(1.0, 6.0)
+        wide = Grid.spanning(d, 8.0 * max(s1, s2))
+        tight = Grid.spanning(d, 8.0 * s1)
+        lobes = Grid.spanning(d, sep + 8.0 * s1)
+        fs += [gaussian_profile(wide, 0.0, s1), gaussian_profile(tight, 0.0, s1),
+               double_gaussian_profile(lobes, sep, s1)]
+        gs += [gaussian_profile(wide, rng.uniform(-1.0, 1.0), s2),
+               gaussian_profile(tight, 0.0, s1), gaussian_profile(lobes, 0.0, s1)]
+    reports = demo_sum_diff(fs, gs)
+    assert len(reports) == len(fs)
+    for rep, f, g in zip(reports, fs, gs):
+        assert_matches_oracle(rep, f, g, sum_diff_targets(d))
+
+
+@pytest.mark.parametrize("d", [9, 65])
+def test_general_bijection_matches_per_pair_complex_oracle(d):
+    rng = np.random.default_rng(d + 1)
+    g = std_grid(d)
+    pairs = [
+        (fourier_profile(g, 1), fourier_profile(g, 3)),
+        (odd_profile(g, 1.0), gaussian_profile(g, 0.4, 1.3)),
+        (fourier_profile(g, 2), odd_profile(g, 0.8)),
+    ]
+    for bij in (sum_diff_bijection(d), random_bijection(d, d, rng)):
+        for f, h in pairs:
+            assert_matches_oracle(demo_general_bijection(f, h, bij), f, h, bij.flat_targets())
+
+
+def test_stacked_reports_equal_the_single_pair_calls():
+    g, wide = std_grid(33), std_grid(33, 12.0)
+    fs = [gaussian_profile(g, 0.0, 1.0), odd_profile(wide, 1.2)]
+    gs = [gaussian_profile(g, 0.3, 1.4), gaussian_profile(wide, 0.0, 0.9)]
+    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff(f, h) for f, h in zip(fs, gs))
+    spectra = sum_diff_spectra(fs, gs)
+    for k, (f, h) in enumerate(zip(fs, gs)):
+        one = sum_diff_spectra(f, h)
+        np.testing.assert_array_equal(spectra.values_ab[k], one.values_ab[0])
+        assert spectra.qcf_ab[k] == one.qcf_ab[0]
+
+
+def test_stacks_need_equal_lengths_and_one_grid_size():
+    f9, f11 = gaussian_profile(std_grid(9), 0.0, 1.0), gaussian_profile(std_grid(11), 0.0, 1.0)
+    with pytest.raises(ShapeError):
+        demo_sum_diff([f9, f9], [f9])
+    with pytest.raises(ShapeError):
+        demo_sum_diff([], [])
+    with pytest.raises(ShapeError):
+        demo_sum_diff([f9, f11], [f9, f11])
