@@ -47,5 +47,6 @@ from .tps import (
     sum_diff_bijection,
     swap_bijection,
     tps_from_joint_eigenbasis,
+    tps_with_spectrum,
     trivial_tps,
 )

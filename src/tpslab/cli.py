@@ -54,9 +54,9 @@ from .tps import (
     IndexBijection,
     TensorProductStructure,
     identity_bijection,
-    relabel_tps,
     sum_diff_bijection,
     swap_bijection,
+    tps_with_spectrum,
     trivial_tps,
 )
 
@@ -296,31 +296,37 @@ def _load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
     return IndexBijection(d1, d2, fa, fb)
 
 
-def cmd_refactor(args: argparse.Namespace) -> int:
-    sf = load_state_file(args.state)
+def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     d1, d2 = sf.d1, sf.d2
-    if args.bijection == "sumdiff":
+    if spec == "sumdiff":
         if d1 != d2:
             raise BijectionError(f"sumdiff needs a square grid, got {d1}x{d2}")
         bij = sum_diff_bijection(d1)
-    elif args.bijection == "swap":
+    elif spec == "swap":
         if d1 != d2:
             raise BijectionError(f"swap needs a square grid, got {d1}x{d2}")
         bij = swap_bijection(d1)
-    elif args.bijection == "identity":
+    elif spec == "identity":
         bij = identity_bijection(d1, d2)
     else:
-        bij = _load_bijection_file(args.bijection, d1, d2)
+        bij = _load_bijection_file(spec, d1, d2)
     base = sf.tps if sf.tps is not None else trivial_tps(d1, d2)
-    # base followed by the permutation P[g, t_g] = 1, without a D x D product
+    # the base's rotation is kept; its labels b_g are relabeled once more, to t[b_g]
     t = bij.flat_targets()
-    if base.unitary is None:  # g goes to its base label b_g, then to t[b_g]
-        new_tps = relabel_tps(IndexBijection.from_targets(d1, d2, t[base.relabeling.flat_targets()]))
-    else:  # U P is U with column g moved to column t_g
-        u = np.empty_like(base.unitary)
-        u[:, t] = base.unitary
-        new_tps = TensorProductStructure(d1, d2, u)
-    out = StateFile(d1=d1, d2=d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
+    if base.relabeling is not None:
+        t = t[base.relabeling.flat_targets()]
+    return TensorProductStructure(d1, d2, base.unitary, reflector=base.reflector,
+                                  relabeling=IndexBijection.from_targets(d1, d2, t))
+
+
+def cmd_refactor(args: argparse.Namespace) -> int:
+    sf = load_state_file(args.state)
+    if args.spectrum is None:
+        new_tps = _relabeled_tps(sf, args.bijection)
+    else:
+        n = 1 if args.spectrum == "product" else min(sf.d1, sf.d2)
+        new_tps = tps_with_spectrum(sf.amplitudes, (1.0 / n,) * n, trivial_tps(sf.d1, sf.d2))
+    out = StateFile(d1=sf.d1, d2=sf.d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
     save_state_file(args.out, out)
     return 0
 
@@ -404,10 +410,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, seed_default=42)
     p.set_defaults(func=cmd_demo)
 
-    p = sub.add_parser("refactor", help="rewrite a state file with a relabeled TPS")
+    p = sub.add_parser("refactor", help="rewrite a state file with a relabeled TPS, or "
+                       "with one in which the state has a given Schmidt spectrum")
     p.add_argument("state")
-    p.add_argument("--bijection", required=True,
-                   help="sumdiff | swap | identity | path to a JSON bijection file")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--bijection",
+                        help="sumdiff | swap | identity | path to a JSON bijection file")
+    target.add_argument("--spectrum", choices=("product", "maximal"),
+                        help="a reflector TPS in which the state is a product, or "
+                        "maximally entangled over min(d1, d2) terms")
     common(p)
     p.set_defaults(func=cmd_refactor)
 

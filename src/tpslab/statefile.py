@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BijectionError, ContractError, ShapeError, StateFileError
+from .errors import BijectionError, ContractError, ShapeError, SizeLimitError, StateFileError
+from .linalg import MAX_GLOBAL_DIM
 from .tps import IndexBijection, TensorProductStructure
 
 
@@ -82,10 +83,12 @@ def json_int(value, what: str, low: int = 1) -> int:
 
 def tps_to_dict(tps: TensorProductStructure) -> dict:
     out = {"d1": tps.d1, "d2": tps.d2}
-    if tps.unitary is None:
+    if tps.relabeling is not None:
         out["map"] = tps.relabeling.flat_targets().tolist()
-    else:
+    if tps.unitary is not None:
         out["unitary"] = complex_pairs(tps.unitary.ravel())
+    if tps.reflector is not None:
+        out["reflector"] = complex_pairs(tps.reflector)
     if tps.label_left is not None:
         out["label_left"] = list(tps.label_left)
     if tps.label_right is not None:
@@ -93,8 +96,27 @@ def tps_to_dict(tps: TensorProductStructure) -> dict:
     return out
 
 
+def _checked_dim(d1: int, d2: int, what: str) -> int:
+    """The global dimension d1*d2, refused above ``MAX_GLOBAL_DIM`` before anything is parsed."""
+    if d1 * d2 > MAX_GLOBAL_DIM:
+        raise SizeLimitError(
+            f"{what} {d1}x{d2} exceed the configured maximum global dimension {MAX_GLOBAL_DIM}"
+        )
+    return d1 * d2
+
+
+def _sized_list(value, length: int, what: str) -> list:
+    """A JSON list of the length the declared dims give, checked before any entry is read."""
+    if not isinstance(value, list):
+        raise StateFileError(f"{what} must be a list")
+    if len(value) != length:
+        raise ShapeError(f"{what} has {len(value)} entries, expected {length}")
+    return value
+
+
 def tps_from_dict(data) -> TensorProductStructure:
-    """A TPS block: d1, d2 and exactly one of a dense ``unitary`` and a label ``map``."""
+    """A TPS block: d1, d2, at most one of a dense ``unitary`` and a ``reflector``, and
+    an optional label ``map``; at least one of the three."""
     if not isinstance(data, dict):
         raise StateFileError("tps block must be an object")
     try:
@@ -102,32 +124,34 @@ def tps_from_dict(data) -> TensorProductStructure:
         d2 = json_int(data["d2"], "tps d2")
     except KeyError as exc:
         raise StateFileError(f"tps block is missing key {exc}") from exc
-    if ("map" in data) == ("unitary" in data):
-        raise StateFileError("tps block needs exactly one of 'map' and 'unitary'")
+    if "unitary" in data and "reflector" in data:
+        raise StateFileError("tps block holds at most one of 'unitary' and 'reflector'")
+    if not any(key in data for key in ("map", "unitary", "reflector")):
+        raise StateFileError("tps block needs at least one of 'map', 'unitary' and 'reflector'")
     labels = {}
     for key in ("label_left", "label_right"):
         if key in data:
             if not (isinstance(data[key], list) and all(isinstance(x, str) for x in data[key])):
                 raise StateFileError(f"tps {key} must be a list of strings")
             labels[key] = tuple(data[key])
-    dim = d1 * d2
-    if "map" in data:
-        if not isinstance(data["map"], list):
-            raise StateFileError("tps map must be a list of product labels")
-        targets = [json_int(t, "tps map entry", 0) for t in data["map"]]
-        if len(targets) != dim:
-            raise ShapeError(f"tps map has {len(targets)} entries, expected {dim}")
+    dim = _checked_dim(d1, d2, "tps dims")
+    lengths = {"map": dim, "unitary": dim * dim, "reflector": dim}
+    blocks = {key: _sized_list(data[key], n, f"tps {key}")
+              for key, n in lengths.items() if key in data}
+    parts = {}
+    if "map" in blocks:
+        targets = [json_int(t, "tps map entry", 0) for t in blocks["map"]]
         if max(targets) >= dim:  # checked here, as numpy cannot hold every JSON integer
             raise BijectionError(f"tps map label {max(targets)} outside the {d1}x{d2} grid")
-        bij = IndexBijection.from_targets(d1, d2, targets)
-        return TensorProductStructure(d1, d2, None, relabeling=bij, **labels)
-    flat = pairs_to_complex(data["unitary"], "tps unitary")
-    if flat.size != dim**2:
-        raise ShapeError(f"tps unitary has {flat.size} entries, expected {dim**2}")
+        parts["relabeling"] = IndexBijection.from_targets(d1, d2, targets)
+    if "unitary" in blocks:
+        parts["unitary"] = pairs_to_complex(blocks["unitary"], "tps unitary").reshape(dim, dim)
+    if "reflector" in blocks:
+        parts["reflector"] = pairs_to_complex(blocks["reflector"], "tps reflector")
     try:
-        return TensorProductStructure(d1, d2, flat.reshape(dim, dim), **labels)
+        return TensorProductStructure(d1, d2, **parts, **labels)
     except ContractError as exc:
-        raise StateFileError(f"tps unitary: {exc}") from exc
+        raise StateFileError(f"tps block: {exc}") from exc
 
 
 @dataclass
@@ -156,7 +180,8 @@ def load_state_file(path: str) -> StateFile:
 
     Raises:
         StateFileError: unreadable or malformed file (with line diagnostics).
-        ShapeError: amplitude count disagrees with the declared dims.
+        SizeLimitError: the declared dims exceed ``MAX_GLOBAL_DIM``.
+        ShapeError: a list's length disagrees with the declared dims.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -180,11 +205,14 @@ def load_state_file(path: str) -> StateFile:
         raise StateFileError(f"{path}: dims must be a [d1, d2] pair")
     d1 = json_int(dims[0], f"{path}: dims[0]")
     d2 = json_int(dims[1], f"{path}: dims[1]")
-    amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
-    if amplitudes.size != d1 * d2:
+    dim = _checked_dim(d1, d2, f"{path}: dims")
+    amps = _sized_list(amps, dim, f"{path}: amplitudes")
+    tps = tps_from_dict(data["tps"]) if "tps" in data and data["tps"] is not None else None
+    if tps is not None and (tps.d1, tps.d2) != (d1, d2):
         raise ShapeError(
-            f"{path}: {amplitudes.size} amplitudes for dims {d1}x{d2} = {d1 * d2}"
+            f"{path}: tps dims ({tps.d1}, {tps.d2}) disagree with state dims ({d1}, {d2})"
         )
+    amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     n = float(np.linalg.norm(amplitudes))
     if n == 0.0:
         raise StateFileError(f"{path}: state has zero norm")
@@ -195,11 +223,6 @@ def load_state_file(path: str) -> StateFile:
     if abs(n - 1.0) > 1e-12:
         warnings.warn(f"{path}: normalizing state with norm {n!r}", stacklevel=2)
         amplitudes = amplitudes / n
-    tps = tps_from_dict(data["tps"]) if "tps" in data and data["tps"] is not None else None
-    if tps is not None and (tps.d1, tps.d2) != (d1, d2):
-        raise ShapeError(
-            f"{path}: tps dims ({tps.d1}, {tps.d2}) disagree with state dims ({d1}, {d2})"
-        )
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise StateFileError(f"{path}: metadata must be an object")

@@ -1,11 +1,14 @@
 """Tensor product structures over a global Hilbert space, and their refactorizations.
 
-A tensor product structure (TPS) is held in one of two forms.  A dense
-factorization unitary U has as column ``k*d2 + r`` the product basis vector
-|k, r> in the global computational basis; coefficients are ``U^dagger psi``.
-An index relabeling (an ``IndexBijection`` alone) gives global index
-``g = i*d2 + j`` the product label ``t_g = map(i, j)``; coefficients are the
-scatter ``c[t_g] = psi[g]``, i.e. U[g, t_g] = 1 without the D x D matrix.  The
+A tensor product structure (TPS) is an optional rotation R of the global
+space followed by an optional index relabeling P; it has at least one of the
+two.  R is either a dense unitary U or a Householder vector w standing for
+the Hermitian reflector ``H = I - 2 w w^dagger / |w|^2`` (D numbers instead
+of D^2).  The relabeling (an ``IndexBijection``) gives global index
+``g = i*d2 + j`` the product label ``t_g = map(i, j)``.  Coefficients are the
+scatter by P of R^dagger psi, ``c[t_g] = (R^dagger psi)[g]``: the dense
+factorization unitary is R P with P[g, t_g] = 1, whose column ``k*d2 + r`` is
+the product basis vector |k, r>, but neither P nor H is ever formed.  The
 trivial TPS is the identity relabeling.  Coefficients are reshaped to d1 x d2
 (left factor slow).
 """
@@ -26,8 +29,10 @@ from .errors import (
 from .linalg import (
     HERMITIAN_TOL,
     UNITARY_TOL,
+    STATE_NORM_TOL,
     _fix_phase,
     as_matrix,
+    as_vector,
     check_hermitian,
     check_state,
     commutator_maxnorm,
@@ -48,34 +53,44 @@ def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TensorProductStructure:
-    """Factor dimensions plus exactly one of a dense unitary and an index relabeling."""
+    """Factor dimensions, an optional rotation (dense ``unitary`` or ``reflector``) and
+    an optional ``relabeling``; at most one rotation, and at least one of the two parts."""
 
     d1: int
     d2: int
-    unitary: np.ndarray | None
+    unitary: np.ndarray | None = None
     label_left: tuple[str, ...] | None = None
     label_right: tuple[str, ...] | None = None
     relabeling: IndexBijection | None = None
+    reflector: np.ndarray | None = None
 
     def __post_init__(self):
         if self.d1 < 1 or self.d2 < 1:
             raise ShapeError(f"factor dimensions must be positive, got ({self.d1}, {self.d2})")
-        if (self.unitary is None) == (self.relabeling is None):
-            raise ContractError("a TPS needs exactly one of a unitary and a relabeling")
+        if self.unitary is not None and self.reflector is not None:
+            raise ContractError("a TPS rotation is a dense unitary or a reflector, not both")
+        if self.unitary is None and self.reflector is None and self.relabeling is None:
+            raise ContractError("a TPS needs a rotation, a relabeling, or both")
         for name, labels, d in (("label_left", self.label_left, self.d1),
                                 ("label_right", self.label_right, self.d2)):
             if labels is not None and len(labels) != d:
                 raise ShapeError(f"{name} has {len(labels)} labels for a factor of dimension {d}")
-        if self.relabeling is not None:
-            if (self.relabeling.d1, self.relabeling.d2) != (self.d1, self.d2):
-                raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
-            return
-        u = _check_unitary(self.unitary)
-        if u.shape[0] != self.d1 * self.d2:
-            raise ShapeError(
-                f"unitary dimension {u.shape[0]} != d1*d2 = {self.d1 * self.d2}"
-            )
-        object.__setattr__(self, "unitary", u)
+        bij = self.relabeling
+        if bij is not None and (bij.d1, bij.d2) != (self.d1, self.d2):
+            raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
+        if self.unitary is not None:
+            u = _check_unitary(self.unitary)
+            if u.shape[0] != self.dim:
+                raise ShapeError(f"unitary dimension {u.shape[0]} != d1*d2 = {self.dim}")
+            object.__setattr__(self, "unitary", u)
+        if self.reflector is not None:
+            w = as_vector(self.reflector)
+            if w.size != self.dim:
+                raise ShapeError(f"reflector dimension {w.size} != d1*d2 = {self.dim}")
+            # H is unitary for every w != 0; 2 / |w|^2 must also be a finite double
+            if not np.finfo(float).tiny <= np.vdot(w, w).real < np.inf:
+                raise ContractError("reflector must be a nonzero vector of finite squared norm")
+            object.__setattr__(self, "reflector", w)
 
     @property
     def dim(self) -> int:
@@ -88,11 +103,15 @@ def trivial_tps(d1: int, d2: int) -> TensorProductStructure:
 
 def _coefficients(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
     """d1 x d2 coefficient matrices of psi (one state or a stack on the last axis); unchecked."""
-    if tps.unitary is None:
-        c = np.empty_like(psi)
-        c[..., tps.relabeling.flat_targets()] = psi
-    else:  # U^dagger psi for each state
+    c = psi
+    if tps.unitary is not None:  # U^dagger psi for each state
         c = psi @ tps.unitary.conj()
+    elif tps.reflector is not None:  # H psi = psi - w (2 w^dagger psi / |w|^2), as H = H^dagger
+        w = tps.reflector
+        c = psi - ((2.0 / np.vdot(w, w).real) * (psi @ w.conj()))[..., None] * w
+    if tps.relabeling is not None:
+        rotated, c = c, np.empty_like(c)
+        c[..., tps.relabeling.flat_targets()] = rotated
     return c.reshape(*psi.shape[:-1], tps.d1, tps.d2)
 
 
@@ -211,7 +230,7 @@ def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
     The coefficient of a state at new label map(i, j) equals its coefficient
     at (i, j) in the trivial TPS.
     """
-    return TensorProductStructure(bij.d1, bij.d2, None, relabeling=bij)
+    return TensorProductStructure(bij.d1, bij.d2, relabeling=bij)
 
 
 def local_unitary_tps(
@@ -224,10 +243,9 @@ def local_unitary_tps(
         raise ShapeError(
             f"local unitaries {u_a.shape[0]}x{u_b.shape[0]} vs factors ({tps.d1}, {tps.d2})"
         )
-    local = tensor_op(u_a, u_b)
-    if tps.unitary is None:  # (P L)[g] = L[t_g] for the permutation P[g, t_g] = 1
-        return TensorProductStructure(tps.d1, tps.d2, local[tps.relabeling.flat_targets()])
-    return TensorProductStructure(tps.d1, tps.d2, tps.unitary @ local)
+    # row g of the coefficients of the identity is the conjugate of row g of R P
+    base = _coefficients(np.eye(tps.dim, dtype=complex), tps).reshape(tps.dim, tps.dim).conj()
+    return TensorProductStructure(tps.d1, tps.d2, base @ tensor_op(u_a, u_b))
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[tuple[float, slice]]:
@@ -316,20 +334,41 @@ def tps_from_joint_eigenbasis(
     return TensorProductStructure(d1, d2, u, label_left=f_labels, label_right=g_labels)
 
 
+def tps_with_spectrum(psi, alphas, tps: TensorProductStructure) -> TensorProductStructure:
+    """A TPS with the factor dimensions of tps in which psi has Schmidt coefficients sqrt(alphas).
+
+    The rotation is the Householder reflector ``H = I - 2 w w^dagger / |w|^2``
+    with ``w = psi + e^{i arg <phi|psi>} phi`` for the target
+    ``phi = sum_k sqrt(alpha_k) |k, k>``: H swaps psi with phi up to a phase,
+    so the coefficient matrix of psi is diagonal with entries sqrt(alpha_k)
+    (|w|^2 = 2 + 2|<phi|psi>| >= 2, so w never vanishes).  Costs O(D) time and
+    memory.  alphas are at most min(d1, d2) nonnegative weights summing to 1;
+    a single weight makes psi a product, equal weights maximally entangled.
+    """
+    psi = check_state(psi)
+    if psi.size != tps.dim:
+        raise ShapeError(f"state dim {psi.size} vs TPS dim {tps.dim}")
+    a = np.asarray(alphas, dtype=float)
+    if a.ndim != 1 or not 1 <= a.size <= min(tps.d1, tps.d2):
+        raise ShapeError(
+            f"{a.size} Schmidt weights for factors ({tps.d1}, {tps.d2}); "
+            f"give between 1 and {min(tps.d1, tps.d2)}"
+        )
+    if not (np.all(a >= 0) and abs(a.sum() - 1.0) <= STATE_NORM_TOL):
+        raise ContractError(f"Schmidt weights must be nonnegative and sum to 1, got {a.tolist()}")
+    phi = np.zeros(tps.dim, dtype=complex)
+    k = np.arange(a.size)
+    phi[k * tps.d2 + k] = np.sqrt(a)
+    w = psi + np.exp(1j * np.angle(np.vdot(phi, psi))) * phi
+    return TensorProductStructure(tps.d1, tps.d2, reflector=w)
+
+
 def disentangling_tps(psi, tps: TensorProductStructure) -> TensorProductStructure:
     """A TPS with the same factor dimensions in which psi is a product state.
 
-    The factorization unitary is the Householder reflector
-    ``H = I - 2 w w^dagger / |w|^2`` with ``w = psi + e^{i arg psi_0} e_0``,
-    which swaps psi with the product basis state (0, 0) up to a phase
-    (|w|^2 = 2 + 2|psi_0| >= 2, so w never vanishes).  One canonical choice
-    among many; deterministic.
+    The reflector of ``tps_with_spectrum`` for the single weight 1, i.e.
+    ``w = psi + e^{i arg psi_0} e_0``, which swaps psi with the product basis
+    state (0, 0) up to a phase.  One canonical choice among many;
+    deterministic.
     """
-    psi = check_state(psi)
-    dim = tps.dim
-    if psi.size != dim:
-        raise ShapeError(f"state dim {psi.size} vs TPS dim {dim}")
-    w = psi.copy()
-    w[0] += np.exp(1j * np.angle(psi[0]))
-    u = np.eye(dim, dtype=complex) - (2.0 / np.vdot(w, w).real) * np.outer(w, w.conj())
-    return TensorProductStructure(tps.d1, tps.d2, u)
+    return tps_with_spectrum(psi, (1.0,), tps)

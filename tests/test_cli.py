@@ -7,9 +7,25 @@ import numpy as np
 import pytest
 
 from tpslab.cli import main
+from tpslab.errors import SizeLimitError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
-from tpslab.sampling import random_product_state
-from tpslab.statefile import StateFile, dump_json, format_float, save_state_file
+from tpslab.sampling import haar_state, random_product_state, random_unitary
+from tpslab.statefile import (
+    StateFile,
+    dump_json,
+    format_float,
+    load_state_file,
+    save_state_file,
+    tps_from_dict,
+)
+from tpslab.tps import (
+    TensorProductStructure,
+    coefficient_matrix,
+    random_bijection,
+    sum_diff_bijection,
+    tps_with_spectrum,
+    trivial_tps,
+)
 
 SQ2 = np.sqrt(2.0)
 
@@ -456,7 +472,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_left": 5},
         {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_right": [0, 1]},
         {"d1": 2, "d2": 2},
-        {"d1": 2, "d2": 2, "map": [0, 1, 2, 3], "unitary": IDENTITY_16},
+        {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "reflector": HALF},
         {"d1": 2, "d2": 2, "map": 5},
         {"d1": 2, "d2": 2, "map": [0, 1, 2.0, 3]},
         {"d1": 2, "d2": 2, "map": [0, 1, True, 3]},
@@ -466,6 +482,9 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         {"d1": 2, "d2": 2, "unitary": [[float("nan"), 0.0]] + IDENTITY_16[1:]},
         {"d1": 2, "d2": 2, "unitary": [["1", 0.0]] + IDENTITY_16[1:]},
         {"d1": 2, "d2": 2, "unitary": [[True, 0.0]] + IDENTITY_16[1:]},
+        {"d1": 2, "d2": 2, "reflector": [[0.0, 0.0]] * 4},
+        {"d1": 2, "d2": 2, "reflector": [[True, 0.0]] + HALF[1:]},
+        {"d1": 2, "d2": 2, "reflector": 5},
     ],
     ids=[
         "list-block",
@@ -473,7 +492,7 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         "int-label",
         "non-string-labels",
         "no-map-no-unitary",
-        "map-and-unitary",
+        "unitary-and-reflector",
         "int-map",
         "float-map-entry",
         "bool-map-entry",
@@ -483,6 +502,9 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
         "nan-unitary-entry",
         "numeric-string-unitary-entry",
         "bool-unitary-entry",
+        "zero-reflector",
+        "bool-reflector-entry",
+        "int-reflector",
     ],
 )
 def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
@@ -638,3 +660,134 @@ def test_refactor_beyond_the_old_dense_limit(tmp_path):
     np.testing.assert_allclose(
         coefficients, np.linalg.svd(scattered, compute_uv=False), rtol=0, atol=1e-12
     )
+
+
+def test_schmidt_reads_a_dense_unitary_followed_by_a_map(tmp_path):
+    # a block with both keys is the rotation U followed by the relabeling
+    from tps_oracle import permutation_matrix
+
+    from tpslab.statefile import complex_pairs
+
+    rng = np.random.default_rng(31)
+    psi, u, bij = haar_state(9, rng), random_unitary(9, rng), sum_diff_bijection(3)
+    doc = StateFile(3, 3, psi).to_dict()
+    doc["tps"] = {"d1": 3, "d2": 3, "unitary": complex_pairs(u.ravel()),
+                  "map": bij.flat_targets().tolist()}
+    state = tmp_path / "state.json"
+    state.write_text(dump_json(doc))
+    code, out = run(["schmidt", str(state)], tmp_path)
+    assert code == 0
+    wanted = np.linalg.svd(((u @ permutation_matrix(bij)).conj().T @ psi).reshape(3, 3),
+                           compute_uv=False)
+    np.testing.assert_allclose(json.loads(out.read_text())["coefficients"], wanted,
+                               rtol=0, atol=1e-12)
+
+
+OVER = {"d1": 2048, "d2": 1024}  # 2^21 > MAX_GLOBAL_DIM
+TWO = {"d1": 2, "d2": 2}
+
+
+def no_parse(pairs, what):
+    raise AssertionError(f"{what} was parsed")
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        {"dims": [2048, 1024], "amplitudes": HALF},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**OVER, "unitary": IDENTITY_16}},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**OVER, "reflector": HALF}},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**OVER, "map": [0, 1, 2, 3]}},
+        {"dims": [2, 2], "amplitudes": HALF[:3]},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "unitary": IDENTITY_16[:15]}},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "reflector": HALF[:3]}},
+        {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "map": [0, 1, 2, 3, 0]}},
+    ],
+    ids=["state-over-size", "unitary-over-size", "reflector-over-size", "map-over-size",
+         "short-amplitudes", "short-unitary", "short-reflector", "long-map"],
+)
+def test_sizes_are_checked_from_the_declared_dims_before_any_entry_is_read(
+    doc, tmp_path, monkeypatch, capsys
+):
+    def no_map_entry(value, what, low=1):
+        if what == "tps map entry":
+            raise AssertionError("a map entry was parsed")
+        return int(value)
+
+    monkeypatch.setattr("tpslab.statefile.pairs_to_complex", no_parse)
+    monkeypatch.setattr("tpslab.statefile.json_int", no_map_entry)
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps(doc))
+    assert main(["schmidt", str(state)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_tps_from_dict_refuses_over_size_dims_before_any_entry_is_read(monkeypatch):
+    # the route of a --tps override file
+    monkeypatch.setattr("tpslab.statefile.pairs_to_complex", no_parse)
+    with pytest.raises(SizeLimitError):
+        tps_from_dict({**OVER, "unitary": IDENTITY_16})
+
+
+@pytest.mark.parametrize("spectrum", ["product", "maximal"])
+@pytest.mark.parametrize("d1,d2", [(3, 3), (3, 4)])
+def test_refactor_spectrum_sets_the_schmidt_coefficients(spectrum, d1, d2, tmp_path):
+    rng = np.random.default_rng(d1 * d2)
+    state = tmp_path / "state.json"
+    base = TensorProductStructure(d1, d2, relabeling=random_bijection(d1, d2, rng))
+    save_state_file(str(state), StateFile(d1, d2, haar_state(d1 * d2, rng), tps=base))
+    out = tmp_path / "spectrum.json"
+    assert main(["refactor", str(state), "--spectrum", spectrum, "--out", str(out)]) == 0
+    assert sorted(json.loads(out.read_text())["tps"]) == ["d1", "d2", "reflector"]
+    code, report = run(["schmidt", str(out)], tmp_path, "report.json")
+    assert code == 0
+    rep = json.loads(report.read_text())
+    n = 1 if spectrum == "product" else min(d1, d2)
+    wanted = [1.0 / np.sqrt(n)] * n + [0.0] * (min(d1, d2) - n)
+    assert rep["rank"] == n and rep["factorizable"] == (n == 1)
+    np.testing.assert_allclose(rep["coefficients"], wanted, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("flags", [["--bijection", "swap", "--spectrum", "product"], []],
+                         ids=["both", "neither"])
+def test_refactor_needs_exactly_one_of_bijection_and_spectrum(flags, bell_file, tmp_path):
+    out = tmp_path / "o.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["refactor", bell_file, *flags, "--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rotation", ["unitary", "reflector"])
+@pytest.mark.parametrize("relabeled", [False, True], ids=["no-map", "map"])
+def test_refactor_keeps_the_rotation_and_composes_the_maps(rotation, relabeled, tmp_path):
+    from tps_oracle import dense_unitary, permutation_matrix
+
+    rng = np.random.default_rng(41)
+    psi = haar_state(12, rng)
+    parts = {"unitary": random_unitary(12, rng)} if rotation == "unitary" else {
+        "reflector": tps_with_spectrum(psi, (0.5, 0.3, 0.2), trivial_tps(3, 4)).reflector}
+    if relabeled:
+        parts["relabeling"] = random_bijection(3, 4, rng)
+    base = TensorProductStructure(3, 4, **parts)
+    state = tmp_path / "state.json"
+    save_state_file(str(state), StateFile(3, 4, psi, tps=base))
+    bij = random_bijection(3, 4, rng)
+    bij_file = tmp_path / "bij.json"
+    bij_file.write_text(json.dumps({"map": [[i, j, *bij.forward(i, j)]
+                                            for i in range(3) for j in range(4)]}))
+    out = tmp_path / "out.json"
+    assert main(["refactor", str(state), "--bijection", str(bij_file), "--out", str(out)]) == 0
+    tps = load_state_file(str(out)).tps
+    assert np.array_equal(getattr(tps, rotation), getattr(base, rotation))
+    dense = dense_unitary(base) @ permutation_matrix(bij)
+    np.testing.assert_allclose(coefficient_matrix(psi, tps), (dense.conj().T @ psi).reshape(3, 4),
+                               rtol=0, atol=1e-12)
+
+
+def test_demo_coords_wide_equal_widths_pass_the_variance_identity(tmp_path):
+    # the identity's rounding scales with Var1 + Var2 (here about 2e10)
+    code, out = run(["demo", "coords", "--d", "33", "--sigma1", "1e5", "--sigma2", "1e5"], tmp_path)
+    assert code == 0
+    assert json.loads(out.read_text())["equal_sigma"]["rank_xy"] == 1

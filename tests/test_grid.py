@@ -7,7 +7,14 @@ import pytest
 from demo_oracle import coords_pair
 from tps_oracle import permutation_matrix, qcf_local_global
 
-from tpslab.errors import DegenerateInputError, GridSpecError, ShapeError, SizeLimitError
+from tpslab import grid as grid_module
+from tpslab.errors import (
+    DegenerateInputError,
+    GridSpecError,
+    NumericalError,
+    ShapeError,
+    SizeLimitError,
+)
 from tpslab.grid import (
     Grid,
     demo_general_bijection,
@@ -359,3 +366,25 @@ def test_stacks_need_equal_lengths_and_one_grid_size():
         demo_sum_diff([], [])
     with pytest.raises(ShapeError):
         demo_sum_diff([f9, f11], [f9, f11])
+
+
+@pytest.mark.parametrize("sigma", [1.0, 1e5])
+def test_corrupted_covariance_fails_the_variance_identity(sigma, monkeypatch):
+    # a covariance off by ten times the tolerance 1e-9 max(1, Var1 + Var2)
+    grid = Grid.spanning(33, 8.0 * sigma)
+    f, g = gaussian_profile(grid, 0.0, sigma), gaussian_profile(grid, 0.0, sigma)
+    offset = 1e-8 * max(1.0, f.position_variance() + g.position_variance())
+    exact = grid_module._sum_diff_covariance
+    monkeypatch.setattr(grid_module, "_sum_diff_covariance", lambda x, c: exact(x, c) + offset)
+    with pytest.raises(NumericalError, match="deviates from the variance difference"):
+        sum_diff_spectra(f, g)
+
+
+def test_general_bijection_covariance_does_not_depend_on_the_bijection():
+    grid = std_grid(33)
+    f, g = gaussian_profile(grid, 0.5, 1.0), double_gaussian_profile(grid, 3.0, 1.2)
+    sum_diff = demo_sum_diff(f, g)
+    mixed = demo_general_bijection(f, g, random_bijection(33, 33, np.random.default_rng(17)))
+    kept = demo_general_bijection(f, g, identity_bijection(33, 33))
+    assert mixed.qcf_ab == kept.qcf_ab == sum_diff.qcf_ab
+    assert kept.rank_ab == 1 < mixed.rank_ab

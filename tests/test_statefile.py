@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tpslab.errors import ShapeError, StateFileError
-from tpslab.sampling import haar_state
+from tpslab.sampling import haar_state, random_unitary
 from tpslab.statefile import (
     StateFile,
     dump_json,
@@ -129,3 +129,20 @@ def test_tps_labels_survive_round_trip():
     again = tps_from_dict(tps_to_dict(tps))
     assert again.label_left == tps.label_left
     assert again.label_right == tps.label_right
+
+
+@pytest.mark.parametrize("rotation", ["unitary", "reflector"])
+def test_tps_with_a_rotation_and_a_map_round_trips(rotation, tmp_path):
+    rng = np.random.default_rng(7)
+    bij = sum_diff_bijection(3)
+    r = random_unitary(9, rng) if rotation == "unitary" else 2.0 * haar_state(9, rng)
+    tps = TensorProductStructure(3, 3, relabeling=bij, **{rotation: r})
+    path = tmp_path / "state.json"
+    save_state_file(str(path), StateFile(3, 3, haar_state(9, rng), tps=tps))
+    assert sorted(json.loads(path.read_text())["tps"]) == ["d1", "d2", "map", rotation]
+    loaded = load_state_file(str(path)).tps
+    assert np.array_equal(getattr(loaded, rotation), r)
+    assert np.array_equal(loaded.relabeling.flat_targets(), bij.flat_targets())
+    again = tmp_path / "again.json"
+    save_state_file(str(again), load_state_file(str(path)))
+    assert again.read_bytes() == path.read_bytes()

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
-from tps_oracle import permutation_matrix
+from tps_oracle import dense_unitary, permutation_matrix, reflector_matrix
 
-from tpslab.errors import BijectionError, ContractError, GridSpecError, SpectrumError
+from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError, SpectrumError
 from tpslab.linalg import tensor_op
 from tpslab.sampling import haar_state, random_product_state, random_unitary
 from tpslab.schmidt import schmidt, schmidt_values
 from tpslab.tps import (
     IndexBijection,
     TensorProductStructure,
+    _coefficients,
     coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
@@ -21,6 +22,7 @@ from tpslab.tps import (
     sum_diff_bijection,
     swap_bijection,
     tps_from_joint_eigenbasis,
+    tps_with_spectrum,
     trivial_tps,
 )
 
@@ -263,7 +265,8 @@ def test_disentangling_tps_unitarity_near_basis_states():
     psi[4] = 1e-7
     psi /= np.linalg.norm(psi)
     out = disentangling_tps(psi, trivial_tps(2, 3))
-    u = out.unitary
+    assert out.unitary is None
+    u = reflector_matrix(out.reflector)
     assert np.max(np.abs(u.conj().T @ u - np.eye(6))) <= 1e-9
     assert schmidt(psi, out).rank == 1
 
@@ -272,3 +275,135 @@ def test_relabel_random_bijection_roundtrip_dimension():
     bij = random_bijection(3, 5, np.random.default_rng(4))
     tps = relabel_tps(bij)
     assert (tps.d1, tps.d2, tps.dim) == (3, 5, 15)
+
+
+def _tps(rotation, relabeled, d1, d2, rng):
+    """A TPS of the given form: rotation none|dense|reflector, with or without a random map."""
+    parts = {}
+    if relabeled:
+        parts["relabeling"] = random_bijection(d1, d2, rng)
+    if rotation == "dense":
+        parts["unitary"] = random_unitary(d1 * d2, rng)
+    elif rotation == "reflector":
+        parts["reflector"] = rng.normal(size=d1 * d2) + 1j * rng.normal(size=d1 * d2)
+    return TensorProductStructure(d1, d2, **parts)
+
+
+FORMS = [(r, m) for r in ("none", "dense", "reflector") for m in (False, True)
+         if (r, m) != ("none", False)]
+
+
+@pytest.mark.parametrize("rotation,relabeled", FORMS)
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 4)])
+def test_coefficients_match_the_dense_route(rotation, relabeled, d1, d2):
+    # coefficients of every TPS form are (R P)^dagger psi, one state and a stack
+    rng = np.random.default_rng(d1 * 10 + d2)
+    tps = _tps(rotation, relabeled, d1, d2, rng)
+    dense = dense_unitary(tps)
+    psi = haar_state(d1 * d2, rng)
+    np.testing.assert_allclose(
+        coefficient_matrix(psi, tps), (dense.conj().T @ psi).reshape(d1, d2), rtol=0, atol=1e-12
+    )
+    stack = np.stack([haar_state(d1 * d2, rng) for _ in range(5)])
+    np.testing.assert_allclose(
+        _coefficients(stack, tps), (stack @ dense.conj()).reshape(5, d1, d2), rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("rotation,relabeled", FORMS)
+def test_local_unitary_tps_matches_the_dense_route(rotation, relabeled):
+    rng = np.random.default_rng(21)
+    tps = _tps(rotation, relabeled, 2, 3, rng)
+    u_a, u_b = random_unitary(2, rng), random_unitary(3, rng)
+    out = local_unitary_tps(tps, u_a, u_b)
+    np.testing.assert_allclose(out.unitary, dense_unitary(tps) @ np.kron(u_a, u_b),
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "parts",
+    [
+        {},
+        {"unitary": np.eye(4), "reflector": np.ones(4)},
+        {"reflector": np.zeros(4)},
+        {"reflector": np.full(4, 1e-160)},
+        {"reflector": np.full(4, 1e160)},
+    ],
+    ids=["no-part", "two-rotations", "zero-reflector", "underflowing-reflector",
+         "overflowing-reflector"],
+)
+def test_tps_refuses_a_bad_combination_of_parts(parts):
+    with pytest.raises(ContractError):
+        TensorProductStructure(2, 2, **parts)
+
+
+def test_tps_refuses_a_reflector_of_the_wrong_size():
+    with pytest.raises(ShapeError, match="reflector dimension 3"):
+        TensorProductStructure(2, 2, reflector=np.ones(3))
+
+
+def _phi(alphas, d1, d2):
+    phi = np.zeros(d1 * d2, dtype=complex)
+    for k, a in enumerate(alphas):
+        phi[k * d2 + k] = np.sqrt(a)
+    return phi
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 3), (3, 4)])
+@pytest.mark.parametrize("spectrum", ["product", "maximal", "random"])
+@pytest.mark.parametrize("state", ["haar", "target", "orthogonal"])
+def test_tps_with_spectrum_gives_the_requested_schmidt_values(d1, d2, spectrum, state):
+    rng = np.random.default_rng(d1 * d2 + len(spectrum) + 7 * len(state))
+    n = min(d1, d2)
+    alphas = {"product": np.ones(1), "maximal": np.full(n, 1.0 / n)}.get(spectrum)
+    if alphas is None:
+        alphas = rng.random(n)
+        alphas /= alphas.sum()
+    phi = _phi(alphas, d1, d2)
+    psi = haar_state(d1 * d2, rng)
+    if state == "target":
+        psi = phi * np.exp(0.3j)
+    elif state == "orthogonal":  # psi with <phi|psi> = 0 (for the product target, psi_0 = 0)
+        psi = psi - np.vdot(phi, psi) * phi
+        psi /= np.linalg.norm(psi)
+    out = tps_with_spectrum(psi, alphas, trivial_tps(d1, d2))
+    assert out.unitary is None and out.relabeling is None and out.reflector.shape == (d1 * d2,)
+    wanted = np.zeros(n)
+    wanted[: alphas.size] = np.sort(np.sqrt(alphas))[::-1]
+    np.testing.assert_allclose(schmidt_values(psi, out), wanted, rtol=0, atol=1e-12)
+    # and the reflector route agrees with the dense one on the full coefficient matrix
+    np.testing.assert_allclose(
+        coefficient_matrix(psi, out),
+        (reflector_matrix(out.reflector) @ psi).reshape(d1, d2), rtol=0, atol=1e-12,
+    )
+
+
+def test_tps_with_a_single_weight_is_the_disentangling_tps():
+    psi = haar_state(12, np.random.default_rng(5))
+    one = tps_with_spectrum(psi, (1.0,), trivial_tps(3, 4))
+    assert np.array_equal(one.reflector, disentangling_tps(psi, trivial_tps(3, 4)).reflector)
+    w = psi.copy()
+    w[0] += np.exp(1j * np.angle(psi[0]))
+    assert np.array_equal(one.reflector, w)
+
+
+@pytest.mark.parametrize(
+    "alphas,error",
+    [((0.5, 0.25, 0.25), ShapeError), ((), ShapeError), ((0.5, 0.4), ContractError),
+     ((1.5, -0.5), ContractError), ((float("nan"), 1.0), ContractError)],
+    ids=["too-many", "none", "short-sum", "negative", "nan"],
+)
+def test_tps_with_spectrum_refuses_bad_weights(alphas, error):
+    with pytest.raises(error):
+        tps_with_spectrum(BELL, alphas, trivial_tps(2, 2))
+
+
+def test_disentangling_tps_at_d45_stays_linear():
+    # D = 2025: one reflector of D numbers instead of a D x D unitary
+    rng = np.random.default_rng(45)
+    psi = haar_state(45 * 45, rng)
+    out = disentangling_tps(psi, trivial_tps(45, 45))
+    assert out.unitary is None and out.reflector.nbytes == 45 * 45 * 16
+    sd = schmidt(psi, out)
+    assert sd.rank == 1
+    np.testing.assert_allclose(sd.coefficients[0], 1.0, atol=1e-12)

@@ -1,9 +1,10 @@
 """Dense-matrix routes for TPS reads: the test-side oracles for relabelings and qcf_local.
 
-A relabeling TPS never forms its permutation matrix, and ``qcf_local`` reads
-its covariance from traces on the d1 x d2 coefficient matrix.  The routes here
-do both with D x D matrices instead: the permutation unitary is built from the
-bijection's forward tables, and the local observables are lifted to global
+A TPS never forms its permutation matrix or its Householder reflector, and
+``qcf_local`` reads its covariance from traces on the d1 x d2 coefficient
+matrix.  The routes here do all three with D x D matrices instead: the
+permutation unitary is built from the bijection's forward tables, the
+reflector from its vector, and the local observables are lifted to global
 operators before the plain covariance is taken.  The reconstructions of an
 SVD and of a Schmidt decomposition from their factors live here as well.
 """
@@ -20,6 +21,22 @@ def permutation_matrix(bij) -> np.ndarray:
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(dim), targets] = 1.0
     return p
+
+
+def reflector_matrix(w) -> np.ndarray:
+    """Dense Householder reflector I - 2 w w^dagger / |w|^2."""
+    w = np.asarray(w, dtype=complex)
+    return np.eye(w.size) - 2.0 * np.outer(w, w.conj()) / np.vdot(w, w).real
+
+
+def dense_unitary(tps) -> np.ndarray:
+    """Dense factorization unitary R P of a TPS: its rotation times its permutation."""
+    r = np.eye(tps.dim, dtype=complex)
+    if tps.unitary is not None:
+        r = tps.unitary
+    elif tps.reflector is not None:
+        r = reflector_matrix(tps.reflector)
+    return r if tps.relabeling is None else r @ permutation_matrix(tps.relabeling)
 
 
 def qcf_local_global(a1, b2, psi, u) -> complex:
