@@ -44,6 +44,7 @@ from .tps import (
     local_unitary_tps,
     random_bijection,
     relabel_tps,
+    relabeled,
     sum_diff_bijection,
     swap_bijection,
     tps_from_joint_eigenbasis,

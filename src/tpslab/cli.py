@@ -44,16 +44,18 @@ from .statefile import (
     StateFile,
     dump_json,
     json_int,
+    load_bijection_file,
     load_state_file,
     pairs_to_complex,
+    read_json,
     render_csv,
     save_state_file,
     tps_from_dict,
 )
 from .tps import (
-    IndexBijection,
     TensorProductStructure,
     identity_bijection,
+    relabeled,
     sum_diff_bijection,
     swap_bijection,
     tps_with_spectrum,
@@ -128,16 +130,7 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
 
 def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
     if tps_path:
-        try:
-            with open(tps_path, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise StateFileError(f"cannot read {tps_path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise StateFileError(
-                f"{tps_path}: invalid JSON at line {exc.lineno}: {exc.msg}"
-            ) from exc
-        tps = tps_from_dict(data)
+        tps = tps_from_dict(read_json(tps_path))
         if (tps.d1, tps.d2) != (sf.d1, sf.d2):
             raise ShapeError(
                 f"{tps_path}: tps dims ({tps.d1}, {tps.d2}) vs state dims ({sf.d1}, {sf.d2})"
@@ -263,39 +256,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise StateFileError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    entries = data.get("map") if isinstance(data, dict) else None
-    if not isinstance(entries, list):
-        raise StateFileError(f"{path}: bijection file needs a 'map' list")
-    fa = -np.ones((d1, d2), dtype=int)
-    fb = -np.ones((d1, d2), dtype=int)
-    for entry in entries:
-        if not (isinstance(entry, list) and len(entry) == 4):
-            raise StateFileError(f"{path}: map entries must be [i, j, a, b]")
-        i, j, a, b = (json_int(x, f"{path}: map entry", 0) for x in entry)
-        if not (i < d1 and j < d2):
-            raise BijectionError(f"{path}: source ({i}, {j}) outside the {d1}x{d2} grid")
-        if not (a < d1 and b < d2):
-            raise BijectionError(f"{path}: image ({a}, {b}) outside the {d1}x{d2} grid")
-        if fa[i, j] != -1:
-            raise BijectionError(f"{path}: source ({i}, {j}) mapped twice")
-        fa[i, j], fb[i, j] = a, b
-    if np.any(fa < 0):
-        missing = np.argwhere(fa < 0)[0]
-        raise BijectionError(
-            f"{path}: source ({missing[0]}, {missing[1]}) has no image; the map "
-            "must cover the full grid"
-        )
-    return IndexBijection(d1, d2, fa, fb)
-
-
 def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     d1, d2 = sf.d1, sf.d2
     if spec == "sumdiff":
@@ -309,14 +269,8 @@ def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     elif spec == "identity":
         bij = identity_bijection(d1, d2)
     else:
-        bij = _load_bijection_file(spec, d1, d2)
-    base = sf.tps if sf.tps is not None else trivial_tps(d1, d2)
-    # the base's rotation is kept; its labels b_g are relabeled once more, to t[b_g]
-    t = bij.flat_targets()
-    if base.relabeling is not None:
-        t = t[base.relabeling.flat_targets()]
-    return TensorProductStructure(d1, d2, base.unitary, reflector=base.reflector,
-                                  relabeling=IndexBijection.from_targets(d1, d2, t))
+        bij = load_bijection_file(spec, d1, d2)
+    return relabeled(sf.tps if sf.tps is not None else trivial_tps(d1, d2), bij)
 
 
 def cmd_refactor(args: argparse.Namespace) -> int:

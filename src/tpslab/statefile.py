@@ -81,10 +81,27 @@ def json_int(value, what: str, low: int = 1) -> int:
     return int(value)
 
 
+def read_json(path: str):
+    """The JSON document in the file at path.
+
+    Raises:
+        StateFileError: the file cannot be read, or is not JSON (with its line and column).
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise StateFileError(f"cannot read {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise StateFileError(
+            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
+        ) from exc
+
+
 def tps_to_dict(tps: TensorProductStructure) -> dict:
     out = {"d1": tps.d1, "d2": tps.d2}
     if tps.relabeling is not None:
-        out["map"] = tps.relabeling.flat_targets().tolist()
+        out["map"] = tps.relabeling.targets.tolist()
     if tps.unitary is not None:
         out["unitary"] = complex_pairs(tps.unitary.ravel())
     if tps.reflector is not None:
@@ -143,7 +160,7 @@ def tps_from_dict(data) -> TensorProductStructure:
         targets = [json_int(t, "tps map entry", 0) for t in blocks["map"]]
         if max(targets) >= dim:  # checked here, as numpy cannot hold every JSON integer
             raise BijectionError(f"tps map label {max(targets)} outside the {d1}x{d2} grid")
-        parts["relabeling"] = IndexBijection.from_targets(d1, d2, targets)
+        parts["relabeling"] = IndexBijection(d1, d2, targets)
     if "unitary" in blocks:
         parts["unitary"] = pairs_to_complex(blocks["unitary"], "tps unitary").reshape(dim, dim)
     if "reflector" in blocks:
@@ -152,6 +169,33 @@ def tps_from_dict(data) -> TensorProductStructure:
         return TensorProductStructure(d1, d2, **parts, **labels)
     except ContractError as exc:
         raise StateFileError(f"tps block: {exc}") from exc
+
+
+def load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
+    """A bijection file: a 'map' list of [i, j, a, b] entries, one for each source (i, j)."""
+    data = read_json(path)
+    entries = data.get("map") if isinstance(data, dict) else None
+    if not isinstance(entries, list):
+        raise StateFileError(f"{path}: bijection file needs a 'map' list")
+    targets = np.full(d1 * d2, -1)
+    for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 4):
+            raise StateFileError(f"{path}: map entries must be [i, j, a, b]")
+        i, j, a, b = (json_int(x, f"{path}: map entry", 0) for x in entry)
+        # checked here, as numpy cannot hold every JSON integer
+        if not (i < d1 and j < d2):
+            raise BijectionError(f"{path}: source ({i}, {j}) outside the {d1}x{d2} grid")
+        if not (a < d1 and b < d2):
+            raise BijectionError(f"{path}: image ({a}, {b}) outside the {d1}x{d2} grid")
+        if targets[i * d2 + j] != -1:
+            raise BijectionError(f"{path}: source ({i}, {j}) mapped twice")
+        targets[i * d2 + j] = a * d2 + b
+    if np.any(targets < 0):
+        i, j = divmod(int(np.argmax(targets < 0)), d2)
+        raise BijectionError(
+            f"{path}: source ({i}, {j}) has no image; the map must cover the full grid"
+        )
+    return IndexBijection(d1, d2, targets)
 
 
 @dataclass
@@ -183,17 +227,7 @@ def load_state_file(path: str) -> StateFile:
         SizeLimitError: the declared dims exceed ``MAX_GLOBAL_DIM``.
         ShapeError: a list's length disagrees with the declared dims.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise StateFileError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise StateFileError(
-            f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
-        ) from exc
+    data = read_json(path)
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")
     try:

@@ -4,8 +4,10 @@ A tensor product structure (TPS) is an optional rotation R of the global
 space followed by an optional index relabeling P; it has at least one of the
 two.  R is either a dense unitary U or a Householder vector w standing for
 the Hermitian reflector ``H = I - 2 w w^dagger / |w|^2`` (D numbers instead
-of D^2).  The relabeling (an ``IndexBijection``) gives global index
-``g = i*d2 + j`` the product label ``t_g = map(i, j)``.  Coefficients are the
+of D^2).  The relabeling (an ``IndexBijection``) is its flat array
+``targets``: global index ``g = i*d2 + j`` gets the product label
+``t_g = targets[g] = a*d2 + b`` of its image (a, b) = map(i, j); composing
+relabelings indexes one targets array by another.  Coefficients are the
 scatter by P of R^dagger psi, ``c[t_g] = (R^dagger psi)[g]``: the dense
 factorization unitary is R P with P[g, t_g] = 1, whose column ``k*d2 + r`` is
 the product basis vector |k, r>, but neither P nor H is ever formed.  The
@@ -15,7 +17,8 @@ trivial TPS is the identity relabeling.  Coefficients are reshaped to d1 x d2
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,7 +114,7 @@ def _coefficients(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
         c = psi - ((2.0 / np.vdot(w, w).real) * (psi @ w.conj()))[..., None] * w
     if tps.relabeling is not None:
         rotated, c = c, np.empty_like(c)
-        c[..., tps.relabeling.flat_targets()] = rotated
+        c[..., tps.relabeling.targets] = rotated
     return c.reshape(*psi.shape[:-1], tps.d1, tps.d2)
 
 
@@ -131,82 +134,64 @@ def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
 class IndexBijection:
     """A bijection of the d1 x d2 product index grid onto itself.
 
-    ``forward_a``/``forward_b`` hold the image (a, b) = map(i, j) per grid
-    point; the inverse tables are derived at construction, which also proves
-    bijectivity by exhaustion.
+    ``targets[i*d2 + j] = a*d2 + b`` for the image (a, b) = map(i, j); the
+    construction proves that targets is a permutation of range(d1*d2) by a
+    range check and a count of each target.
     """
 
     d1: int
     d2: int
-    forward_a: np.ndarray
-    forward_b: np.ndarray
-    inverse_i: np.ndarray = field(init=False)
-    inverse_j: np.ndarray = field(init=False)
+    targets: np.ndarray
 
     def __post_init__(self):
-        fa = np.asarray(self.forward_a, dtype=int)
-        fb = np.asarray(self.forward_b, dtype=int)
-        if fa.shape != (self.d1, self.d2) or fb.shape != (self.d1, self.d2):
-            raise ShapeError(
-                f"forward tables must be shaped ({self.d1}, {self.d2}), "
-                f"got {fa.shape} and {fb.shape}"
-            )
-        if fa.min() < 0 or fa.max() >= self.d1 or fb.min() < 0 or fb.max() >= self.d2:
+        dim = self.d1 * self.d2
+        t = np.asarray(self.targets)
+        if t.shape != (dim,):
+            raise ShapeError(f"targets must have length {dim}, got shape {t.shape}")
+        if t.dtype.kind not in "biu":  # numpy reads a bool as the integer 0 or 1
+            raise BijectionError(f"targets must be integers, got dtype {t.dtype}")
+        if np.any((t < 0) | (t >= dim)):
             raise BijectionError("image indices fall outside the grid")
-        flat = fa.ravel() * self.d2 + fb.ravel()
-        order = np.argsort(flat, kind="stable")
-        if not np.array_equal(flat[order], np.arange(self.d1 * self.d2)):
-            seen = np.bincount(flat, minlength=self.d1 * self.d2)
-            dup = int(np.argmax(seen))
+        t = t.astype(np.intp, copy=False)
+        seen = np.bincount(t, minlength=dim)
+        dup = int(np.argmax(seen))
+        if seen[dup] > 1:
             raise BijectionError(
                 f"index map is not a bijection: target ({dup // self.d2}, {dup % self.d2}) "
                 f"is hit {int(seen[dup])} times"
             )
-        inv_i, inv_j = np.divmod(order, self.d2)
-        object.__setattr__(self, "forward_a", fa)
-        object.__setattr__(self, "forward_b", fb)
-        object.__setattr__(self, "inverse_i", inv_i.reshape(self.d1, self.d2))
-        object.__setattr__(self, "inverse_j", inv_j.reshape(self.d1, self.d2))
-
-    @classmethod
-    def from_targets(cls, d1: int, d2: int, targets) -> "IndexBijection":
-        """The bijection whose ``flat_targets()`` is ``targets`` (length d1*d2)."""
-        a, b = np.divmod(np.asarray(targets, dtype=int), d2)
-        return cls(d1, d2, a.reshape(d1, d2), b.reshape(d1, d2))
+        object.__setattr__(self, "targets", t)
 
     def forward(self, i: int, j: int) -> tuple[int, int]:
-        return int(self.forward_a[i, j]), int(self.forward_b[i, j])
+        return divmod(int(self.targets[np.ravel_multi_index((i, j), (self.d1, self.d2))]), self.d2)
 
     def inverse(self, a: int, b: int) -> tuple[int, int]:
-        return int(self.inverse_i[a, b]), int(self.inverse_j[a, b])
-
-    def flat_targets(self) -> np.ndarray:
-        """Length-D array t with t[i*d2+j] = global index of map(i, j)."""
-        return (self.forward_a * self.d2 + self.forward_b).ravel()
+        g = np.ravel_multi_index((a, b), (self.d1, self.d2))
+        return divmod(int(np.flatnonzero(self.targets == g)[0]), self.d2)
 
 
 def identity_bijection(d1: int, d2: int) -> IndexBijection:
-    i, j = np.meshgrid(np.arange(d1), np.arange(d2), indexing="ij")
-    return IndexBijection(d1, d2, i, j)
+    return IndexBijection(d1, d2, np.arange(d1 * d2))
 
 
 def swap_bijection(d: int) -> IndexBijection:
     """Exchange the two factors of a d x d grid: (i, j) -> (j, i)."""
-    i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return IndexBijection(d, d, j, i)
+    return IndexBijection(d, d, np.arange(d * d).reshape(d, d).T.ravel())
 
 
 def factor_local_bijection(perm1, perm2) -> IndexBijection:
     """(i, j) -> (perm1[i], perm2[j]); never mixes the factors."""
     p1 = np.asarray(perm1, dtype=int)
     p2 = np.asarray(perm2, dtype=int)
-    i, j = np.meshgrid(np.arange(p1.size), np.arange(p2.size), indexing="ij")
-    return IndexBijection(p1.size, p2.size, p1[i], p2[j])
+    # negative images could still add up to valid targets, as perm1 - k and perm2 + k*d2 do
+    if min(p1.min(), p2.min()) < 0:
+        raise BijectionError("image indices fall outside the grid")
+    return IndexBijection(p1.size, p2.size, (p1[:, None] * p2.size + p2).ravel())
 
 
 def random_bijection(d1: int, d2: int, rng: np.random.Generator) -> IndexBijection:
     """Uniformly random relabeling of the whole grid (generically factor-mixing)."""
-    return IndexBijection.from_targets(d1, d2, rng.permutation(d1 * d2))
+    return IndexBijection(d1, d2, rng.permutation(d1 * d2))
 
 
 def sum_diff_bijection(d: int) -> IndexBijection:
@@ -221,7 +206,7 @@ def sum_diff_bijection(d: int) -> IndexBijection:
             "2 has no modular inverse mod an even d, so the map would not be a bijection"
         )
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
-    return IndexBijection(d, d, (i + j) % d, (i - j) % d)
+    return IndexBijection(d, d, ((i + j) % d * d + (i - j) % d).ravel())
 
 
 def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
@@ -231,6 +216,22 @@ def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
     at (i, j) in the trivial TPS.
     """
     return TensorProductStructure(bij.d1, bij.d2, relabeling=bij)
+
+
+def relabeled(tps: TensorProductStructure, bij: IndexBijection) -> TensorProductStructure:
+    """tps followed by bij: the rotation is kept and each label t_g becomes bij.targets[t_g].
+
+    The factor labels are dropped, as a relabeling that mixes the factors
+    leaves them naming nothing.  The rotation was checked when tps was built
+    and is not checked again; only the composed labels are.
+    """
+    if (bij.d1, bij.d2) != (tps.d1, tps.d2):
+        raise ShapeError(f"relabeling grid ({bij.d1}, {bij.d2}) vs factors ({tps.d1}, {tps.d2})")
+    t = bij.targets if tps.relabeling is None else bij.targets[tps.relabeling.targets]
+    out = copy.copy(tps)
+    # a frozen dataclass refuses setattr, not an update of its instance dict
+    vars(out).update(relabeling=IndexBijection(tps.d1, tps.d2, t), label_left=None, label_right=None)
+    return out
 
 
 def local_unitary_tps(

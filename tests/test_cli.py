@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def test_schmidt_truncated_file_exits_2(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text('{"dims": [2, 2],\n"amplitudes": [[1.0')
     assert main(["schmidt", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("which", ["state", "tps", "bijection"])
+def test_json_file_that_is_not_utf8_exits_2(which, bell_file, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"dims": [2, 2]}')
+    out = tmp_path / "o.json"
+    argv = {"state": ["schmidt", str(bad)],
+            "tps": ["schmidt", bell_file, "--tps", str(bad)],
+            "bijection": ["refactor", bell_file, "--bijection", str(bad), "--out", str(out)]}
+    assert main(argv[which]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {bad}") and err.count("\n") == 1
 
 
 def test_schmidt_dimension_mismatch_exits_3(tmp_path):
@@ -297,7 +311,7 @@ def test_refactor_sumdiff_entangles_product(product_file, tmp_path):
     report = json.loads(out.read_text())
     assert report["rank"] >= 2
     # amplitudes pass through untouched
-    original = json.loads(open(product_file).read())
+    original = json.loads(Path(product_file).read_text())
     rewritten = json.loads(refactored.read_text())
     assert rewritten["amplitudes"] == original["amplitudes"]
 
@@ -672,7 +686,7 @@ def test_schmidt_reads_a_dense_unitary_followed_by_a_map(tmp_path):
     psi, u, bij = haar_state(9, rng), random_unitary(9, rng), sum_diff_bijection(3)
     doc = StateFile(3, 3, psi).to_dict()
     doc["tps"] = {"d1": 3, "d2": 3, "unitary": complex_pairs(u.ravel()),
-                  "map": bij.flat_targets().tolist()}
+                  "map": bij.targets.tolist()}
     state = tmp_path / "state.json"
     state.write_text(dump_json(doc))
     code, out = run(["schmidt", str(state)], tmp_path)
@@ -784,6 +798,29 @@ def test_refactor_keeps_the_rotation_and_composes_the_maps(rotation, relabeled, 
     dense = dense_unitary(base) @ permutation_matrix(bij)
     np.testing.assert_allclose(coefficient_matrix(psi, tps), (dense.conj().T @ psi).reshape(3, 4),
                                rtol=0, atol=1e-12)
+
+
+def test_refactor_checks_a_dense_rotation_once(tmp_path, monkeypatch):
+    # the base's unitary is checked when the state file loads; relabeling it
+    # keeps the checked matrix instead of building a new TPS from it
+    import tpslab.tps
+
+    calls = []
+    check = tpslab.tps._check_unitary
+
+    def counted(u, *args):
+        calls.append(u.shape)
+        return check(u, *args)
+
+    rng = np.random.default_rng(7)
+    dense = tmp_path / "dense.json"
+    base = TensorProductStructure(3, 3, random_unitary(9, rng))
+    save_state_file(str(dense), StateFile(3, 3, haar_state(9, rng), tps=base))
+    monkeypatch.setattr(tpslab.tps, "_check_unitary", counted)
+    out = tmp_path / "swapped.json"
+    assert main(["refactor", str(dense), "--bijection", "swap", "--out", str(out)]) == 0
+    assert calls == [(9, 9)]
+    assert sorted(json.loads(out.read_text())["tps"]) == ["d1", "d2", "map", "unitary"]
 
 
 def test_demo_coords_wide_equal_widths_pass_the_variance_identity(tmp_path):

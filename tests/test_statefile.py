@@ -64,14 +64,14 @@ def test_state_file_with_tps_round_trip(tmp_path):
     save_state_file(str(path), StateFile(3, 3, psi, tps=tps))
     loaded = load_state_file(str(path))
     assert loaded.tps is not None and loaded.tps.unitary is None
-    assert np.array_equal(loaded.tps.relabeling.flat_targets(), tps.relabeling.flat_targets())
+    assert np.array_equal(loaded.tps.relabeling.targets, tps.relabeling.targets)
 
 
 def test_tps_dict_round_trip():
     tps = trivial_tps(2, 2)
     again = tps_from_dict(tps_to_dict(tps))
     assert again.unitary is None
-    assert np.array_equal(again.relabeling.flat_targets(), np.arange(4))
+    assert np.array_equal(again.relabeling.targets, np.arange(4))
     dense = TensorProductStructure(2, 2, np.eye(4, dtype=complex))
     assert np.array_equal(tps_from_dict(tps_to_dict(dense)).unitary, dense.unitary)
 
@@ -142,7 +142,7 @@ def test_tps_with_a_rotation_and_a_map_round_trips(rotation, tmp_path):
     assert sorted(json.loads(path.read_text())["tps"]) == ["d1", "d2", "map", rotation]
     loaded = load_state_file(str(path)).tps
     assert np.array_equal(getattr(loaded, rotation), r)
-    assert np.array_equal(loaded.relabeling.flat_targets(), bij.flat_targets())
+    assert np.array_equal(loaded.relabeling.targets, bij.targets)
     again = tmp_path / "again.json"
     save_state_file(str(again), load_state_file(str(path)))
     assert again.read_bytes() == path.read_bytes()

@@ -61,10 +61,14 @@ def test_coefficient_matrix_product_state_rank_one(d1, d2):
 
 
 def test_index_bijection_rejects_repeats():
-    fa = np.array([[0, 0], [1, 1]])
-    fb = np.array([[0, 0], [1, 1]])
     with pytest.raises(BijectionError, match="hit 2 times"):
-        IndexBijection(2, 2, fa, fb)
+        IndexBijection(2, 2, [0, 0, 3, 3])
+
+
+def test_factor_local_bijection_refuses_images_off_the_grid():
+    # (i, j) -> (i - 1, j + 2) has the targets 0..3 of a 2 x 2 grid, but no image on it
+    with pytest.raises(BijectionError, match="outside the grid"):
+        factor_local_bijection([-1, 0], [2, 3])
 
 
 def test_index_bijection_inverse_tables():

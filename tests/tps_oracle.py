@@ -3,7 +3,7 @@
 A TPS never forms its permutation matrix or its Householder reflector, and
 ``qcf_local`` reads its covariance from traces on the d1 x d2 coefficient
 matrix.  The routes here do all three with D x D matrices instead: the
-permutation unitary is built from the bijection's forward tables, the
+permutation unitary is built from the bijection's targets, the
 reflector from its vector, and the local observables are lifted to global
 operators before the plain covariance is taken.  The reconstructions of an
 SVD and of a Schmidt decomposition from their factors live here as well.
@@ -17,9 +17,8 @@ from tpslab.qcf import qcf
 def permutation_matrix(bij) -> np.ndarray:
     """Dense unitary of ``relabel_tps(bij)``: P[i*d2 + j, map(i, j)] = 1."""
     dim = bij.d1 * bij.d2
-    targets = (bij.forward_a * bij.d2 + bij.forward_b).ravel()
     p = np.zeros((dim, dim), dtype=complex)
-    p[np.arange(dim), targets] = 1.0
+    p[np.arange(dim), bij.targets] = 1.0
     return p
 
 
