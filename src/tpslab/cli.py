@@ -9,9 +9,10 @@ produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input file,
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import os
 import sys
+from collections.abc import Iterable
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -20,7 +21,6 @@ from . import __version__
 from .bell import chsh_max, chsh_max_closed_form, demo_bell
 from .errors import (
     BijectionError,
-    ContractError,
     GridSpecError,
     ShapeError,
     SizeLimitError,
@@ -36,17 +36,15 @@ from .grid import (
     position_operator,
     sum_diff_spectra,
 )
-from .linalg import check_hermitian
 from .qcf import default_witness_threshold, qcf, qcf_local
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
 from .spins import PAULI_X, PAULI_Y, PAULI_Z, demo_spins
 from .statefile import (
     StateFile,
     dump_json,
-    json_int,
     load_bijection_file,
+    load_matrix_file,
     load_state_file,
-    pairs_to_complex,
     read_json,
     render_csv,
     save_state_file,
@@ -102,30 +100,12 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
         return _PAULI_BY_NAME[spec]
     if spec == "position":
         return position_operator(np.arange(dim) - (dim - 1) / 2.0)
-    try:
-        with open(spec, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError:
+    if not os.path.isfile(spec):
         raise UnknownObservableError(
             f"unknown observable {spec!r}: expected one of {', '.join(OBSERVABLE_NAMES)} "
-            "or a readable JSON matrix file"
-        ) from None
-    except json.JSONDecodeError as exc:
-        raise StateFileError(f"{spec}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
-    try:
-        n = json_int(data["dim"], f"{spec}: dim")
-        entries = data["entries"]
-    except (KeyError, TypeError) as exc:
-        raise StateFileError(f"{spec}: matrix file needs 'dim' and 'entries'") from exc
-    flat = pairs_to_complex(entries, f"{spec}: matrix entries")
-    if flat.size != n * n:
-        raise ShapeError(f"{spec}: {flat.size} entries for a {n}x{n} matrix")
-    if n != dim:
-        raise ShapeError(f"{spec}: matrix dim {n} vs required dim {dim}")
-    try:
-        return check_hermitian(flat.reshape(n, n))
-    except ContractError as exc:
-        raise StateFileError(f"{spec}: {exc}") from exc
+            "or a JSON matrix file"
+        )
+    return load_matrix_file(spec, dim)
 
 
 def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
@@ -149,7 +129,7 @@ def cmd_schmidt(args: argparse.Namespace) -> int:
     report = {
         "manifest": _manifest(args, {"state": args.state, "tps": args.tps, "tol": tol}),
         "rank": sd.rank,
-        "coefficients": [float(c) for c in sd.coefficients],
+        "coefficients": sd.coefficients,
         "factorizable": sd.rank == 1,
     }
     _emit(args, dump_json(report))
@@ -191,7 +171,7 @@ def cmd_qcf(args: argparse.Namespace) -> int:
     return 0
 
 
-def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[list]]:
+def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, Iterable]:
     if args.d % 2 == 0:
         raise GridSpecError(
             f"--d must be odd for the coordinate demo (got {args.d}): the "
@@ -207,7 +187,7 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, list[
         )
         ranks = rank_from_singular_values(spectra.values_ab, DEFAULT_TRUNCATION_TOL)
         columns = (widths, ranks, spectra.qcf_ab, spectra.variance_diff)
-        return {}, list(zip(*(c.tolist() for c in columns)))
+        return {}, zip(*columns)
     pairs = [(f, gaussian_profile(grid, 0.0, args.sigma2))]
     grid_eq = Grid.spanning(args.d, 8.0 * args.sigma1)
     pairs.append((gaussian_profile(grid_eq, 0.0, args.sigma1),) * 2)
@@ -294,12 +274,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
         "manifest": _manifest(args, {"state": args.state}),
         "value": result.value,
         "closed_form": chsh_max_closed_form(sf.amplitudes),
-        "settings": {
-            "a": [float(x) for x in result.settings.a],
-            "a_prime": [float(x) for x in result.settings.a_prime],
-            "b": [float(x) for x in result.settings.b],
-            "b_prime": [float(x) for x in result.settings.b_prime],
-        },
+        "settings": asdict(result.settings),
     }
     _emit(args, dump_json(report))
     return 0
@@ -312,10 +287,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {text}")
+    return value
+
+
 def _finite_float(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be a finite non-negative number, got {text}")
     return value
 
 
@@ -333,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv"), default="json",
                        help="csv emits per-point sweep rows (demo only)")
         p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=int, default=seed_default, help="random seed")
+        p.add_argument("--seed", type=_non_negative_int, default=seed_default, help="random seed")
         p.add_argument("--timestamp", default=None,
                        help="optional manifest timestamp (omitted by default so reports are reproducible)")
 

@@ -1,8 +1,10 @@
-"""State files, TPS serialization, and deterministic JSON/CSV writers.
+"""Every file format of the toolkit: state, TPS, bijection and matrix files in,
+JSON reports, CSV sweeps and state files out.
 
-All floating-point numbers are written with 17 significant digits, which
-round-trips IEEE doubles exactly, and objects are serialized with sorted keys
-so identical inputs produce identical bytes.
+Output goes through the standard library's JSON encoder.  It writes each float
+as ``float.__repr__`` does, the shortest decimal that reads back as the same
+double, refuses NaN and infinities, and sorts object keys, so identical inputs
+produce identical bytes and every write->read round trip is bit-exact.
 """
 
 from __future__ import annotations
@@ -14,47 +16,35 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BijectionError, ContractError, ShapeError, SizeLimitError, StateFileError
-from .linalg import MAX_GLOBAL_DIM
+from .linalg import MAX_GLOBAL_DIM, check_hermitian
 from .tps import IndexBijection, TensorProductStructure
 
 
-def format_float(x: float) -> str:
-    """17-significant-digit decimal that round-trips the double exactly."""
-    if not np.isfinite(x):
-        raise ValueError(f"cannot serialize non-finite value {x!r}")
-    text = format(float(x), ".17g")
-    # keep a decimal point so the value parses back as a float (e.g. "-0.0")
-    if "." not in text and "e" not in text and "E" not in text:
-        text += ".0"
-    return text
-
-
-def _render(obj) -> str:
-    if obj is None:
-        return "null"
-    if isinstance(obj, (bool, np.bool_)):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return format_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = ", ".join(f"{json.dumps(str(k))}: {_render(v)}" for k, v in sorted(obj.items()))
-        return "{" + items + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_render(v) for v in obj) + "]"
+def _plain(obj):
+    """numpy arrays and scalars as the lists and Python numbers the encoder writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()  # a complex value comes back, and is refused on the second call
     raise TypeError(f"cannot serialize {type(obj).__name__} deterministically")
 
 
+_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_plain)
+# a CSV row is a JSON array of numbers without its brackets
+_CSV_ROW = json.JSONEncoder(allow_nan=False, separators=(",", ":"), default=_plain)
+
+
 def dump_json(obj) -> str:
-    """Canonical JSON text: sorted keys, 17-significant-digit floats, newline-terminated."""
-    return _render(obj) + "\n"
+    """Canonical JSON text: sorted keys, shortest round-tripping floats, newline-terminated.
+
+    Raises:
+        ValueError: obj holds a NaN or an infinity.
+        TypeError: obj holds a value with no JSON form, such as a complex number.
+    """
+    return _JSON.encode(obj) + "\n"
 
 
 def complex_pairs(values: np.ndarray) -> list[list[float]]:
-    return [[float(v.real), float(v.imag)] for v in np.asarray(values, dtype=complex)]
+    v = np.asarray(values, dtype=complex)
+    return np.stack((v.real, v.imag), -1).tolist()
 
 
 def pairs_to_complex(pairs, what: str) -> np.ndarray:
@@ -198,6 +188,28 @@ def load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
     return IndexBijection(d1, d2, targets)
 
 
+def load_matrix_file(path: str, dim: int) -> np.ndarray:
+    """A Hermitian observable from a file ``{"dim": n, "entries": [[re, im], ...]}``,
+    the n*n entries in row-major order; n must be the required ``dim``.
+
+    Raises:
+        StateFileError: unreadable or malformed file, or a matrix that is not Hermitian.
+        ShapeError: n is not ``dim``, or the entries are not n*n; checked before any entry is read.
+    """
+    data = read_json(path)
+    if not (isinstance(data, dict) and "dim" in data and "entries" in data):
+        raise StateFileError(f"{path}: matrix file needs 'dim' and 'entries'")
+    n = json_int(data["dim"], f"{path}: dim")
+    if n != dim:
+        raise ShapeError(f"{path}: matrix dim {n} vs required dim {dim}")
+    entries = _sized_list(data["entries"], dim * dim, f"{path}: matrix entries")
+    flat = pairs_to_complex(entries, f"{path}: matrix entries")
+    try:
+        return check_hermitian(flat.reshape(dim, dim))
+    except ContractError as exc:
+        raise StateFileError(f"{path}: {exc}") from exc
+
+
 @dataclass
 class StateFile:
     """On-disk representation of a state: dims, amplitudes, optional TPS, metadata."""
@@ -269,12 +281,11 @@ def save_state_file(path: str, sf: StateFile) -> None:
 
 
 def render_csv(header: list[str], rows) -> str:
-    """Plain CSV text with deterministic float formatting; rows is any iterable of rows."""
-    def cell(v) -> str:
-        if isinstance(v, (float, np.floating)):
-            return format_float(float(v))
-        return str(v)
+    """CSV text whose numeric cells read as in ``dump_json``; rows is any iterable of rows.
 
+    Raises:
+        ValueError: a cell is a NaN or an infinity.
+    """
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    lines.extend(_CSV_ROW.encode(list(row))[1:-1] for row in rows)
     return "\n".join(lines) + "\n"

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tpslab.statefile
 from tpslab.cli import main
 from tpslab.errors import SizeLimitError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
@@ -14,7 +15,6 @@ from tpslab.sampling import haar_state, random_product_state, random_unitary
 from tpslab.statefile import (
     StateFile,
     dump_json,
-    format_float,
     load_state_file,
     save_state_file,
     tps_from_dict,
@@ -74,14 +74,15 @@ def test_schmidt_truncated_file_exits_2(tmp_path):
     assert main(["schmidt", str(bad)]) == 2
 
 
-@pytest.mark.parametrize("which", ["state", "tps", "bijection"])
+@pytest.mark.parametrize("which", ["state", "tps", "bijection", "matrix"])
 def test_json_file_that_is_not_utf8_exits_2(which, bell_file, tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_bytes(b'\xff\xfe{"dims": [2, 2]}')
     out = tmp_path / "o.json"
     argv = {"state": ["schmidt", str(bad)],
             "tps": ["schmidt", bell_file, "--tps", str(bad)],
-            "bijection": ["refactor", bell_file, "--bijection", str(bad), "--out", str(out)]}
+            "bijection": ["refactor", bell_file, "--bijection", str(bad), "--out", str(out)],
+            "matrix": ["qcf", bell_file, "--obs-a", str(bad), "--obs-b", "pauli-z", "--local"]}
     assert main(argv[which]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {bad}") and err.count("\n") == 1
@@ -230,8 +231,8 @@ def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
     assert len(rows) == widths.size
     for row, s2 in zip(rows, widths):
         rep = demo_sum_diff(gaussian_profile(grid, 0.0, 0.7), gaussian_profile(grid, 0.0, float(s2)))
-        assert row == [format_float(s2), str(rep.rank_ab), format_float(rep.qcf_ab),
-                       format_float(rep.variance_diff)]
+        assert [float(row[0]), int(row[1]), float(row[2]), float(row[3])] == [
+            s2, rep.rank_ab, rep.qcf_ab, rep.variance_diff]
 
 
 def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
@@ -426,11 +427,19 @@ def test_qcf_local_tol_overrides_witness_threshold(bell_file, tmp_path):
     assert report["verdict"] == "inconclusive"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
 def test_non_finite_tol_rejected_at_parse(bell_file, tol):
     with pytest.raises(SystemExit) as exc:
         main(["schmidt", bell_file, "--tol", tol])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("which", ["spins", "bell"])
+def test_negative_seed_rejected_at_parse(which, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", which, "--samples", "2", "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed: must be a non-negative integer" in capsys.readouterr().err
 
 
 IDENTITY_16 = [[1.0 if i % 5 == 0 else 0.0, 0.0] for i in range(16)]
@@ -716,23 +725,34 @@ def no_parse(pairs, what):
         {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "unitary": IDENTITY_16[:15]}},
         {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "reflector": HALF[:3]}},
         {"dims": [2, 2], "amplitudes": HALF, "tps": {**TWO, "map": [0, 1, 2, 3, 0]}},
+        {"dim": 4, "entries": IDENTITY_16},
+        {"dim": 2, "entries": HALF[:3]},
+        {"dim": 2, "entries": HALF + HALF[:1]},
     ],
     ids=["state-over-size", "unitary-over-size", "reflector-over-size", "map-over-size",
-         "short-amplitudes", "short-unitary", "short-reflector", "long-map"],
+         "short-amplitudes", "short-unitary", "short-reflector", "long-map",
+         "matrix-wrong-dim", "short-matrix", "long-matrix"],
 )
 def test_sizes_are_checked_from_the_declared_dims_before_any_entry_is_read(
-    doc, tmp_path, monkeypatch, capsys
+    doc, bell_file, tmp_path, monkeypatch, capsys
 ):
     def no_map_entry(value, what, low=1):
         if what == "tps map entry":
             raise AssertionError("a map entry was parsed")
         return int(value)
 
-    monkeypatch.setattr("tpslab.statefile.pairs_to_complex", no_parse)
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    if "entries" in doc:  # a matrix file, read after the state it acts on
+        argv = ["qcf", bell_file, "--obs-a", str(path), "--obs-b", "pauli-z", "--local"]
+        parse = tpslab.statefile.pairs_to_complex
+        monkeypatch.setattr("tpslab.statefile.pairs_to_complex", lambda pairs, what: (
+            no_parse if what.endswith("matrix entries") else parse)(pairs, what))
+    else:
+        argv = ["schmidt", str(path)]
+        monkeypatch.setattr("tpslab.statefile.pairs_to_complex", no_parse)
     monkeypatch.setattr("tpslab.statefile.json_int", no_map_entry)
-    state = tmp_path / "state.json"
-    state.write_text(json.dumps(doc))
-    assert main(["schmidt", str(state)]) == 3
+    assert main(argv) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 

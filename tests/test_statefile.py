@@ -1,34 +1,94 @@
 """State-file round-trips, canonical JSON, and parse diagnostics."""
 
 import json
+import math
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tpslab.errors import ShapeError, StateFileError
 from tpslab.sampling import haar_state, random_unitary
 from tpslab.statefile import (
     StateFile,
     dump_json,
-    format_float,
     load_state_file,
     render_csv,
     save_state_file,
     tps_from_dict,
     tps_to_dict,
 )
-from tpslab.tps import TensorProductStructure, relabel_tps, sum_diff_bijection, trivial_tps
+from tpslab.tps import (
+    TensorProductStructure,
+    random_bijection,
+    relabel_tps,
+    sum_diff_bijection,
+    trivial_tps,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
+MAX = sys.float_info.max
+
+# every finite double (with -0.0, subnormals and +-max), and the numpy scalars
+# that reach the writers, each paired with the plain value JSON must read back
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+PLAIN_BY_DTYPE = {
+    np.float64: FINITE,
+    np.float32: st.floats(width=32, allow_nan=False, allow_infinity=False),
+    np.int64: st.integers(-2**63, 2**63 - 1),
+    np.bool_: st.booleans(),
+}
+SCALARS = st.one_of(FINITE.map(lambda x: (x, x)), *(
+    plain.map(lambda x, t=t: (t(x), x)) for t, plain in PLAIN_BY_DTYPE.items()))
+ARRAYS = st.one_of(*(st.lists(plain, max_size=4).map(lambda xs, t=t: (np.array(xs, dtype=t), xs))
+                     for t, plain in PLAIN_BY_DTYPE.items()))
+VALUES = st.recursive(
+    st.one_of(SCALARS, ARRAYS),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=3).map(lambda items: ([v for v, _ in items], [p for _, p in items])),
+        st.dictionaries(st.text(max_size=3), inner, max_size=3).map(
+            lambda d: ({k: v for k, (v, _) in d.items()}, {k: p for k, (_, p) in d.items()})),
+    ),
+    max_leaves=8,
+)
 
 
-def test_format_float_round_trips_doubles():
-    rng = np.random.default_rng(0)
-    values = list(rng.normal(size=200)) + [
-        0.0, -0.0, 1e-300, -1e300, 1 / 3, np.pi, 2**-1074, 1 + 2**-52,
-    ]
-    for x in values:
-        parsed = float(json.loads(format_float(float(x))))
-        assert parsed == float(x)
-        assert np.signbit(parsed) == np.signbit(float(x))
+def same(x, y) -> bool:
+    """Equal values of equal JSON types; floats bit-equal, so with equal signs."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, dict):
+        return x.keys() == y.keys() and all(same(x[k], y[k]) for k in x)
+    if isinstance(x, list):
+        return len(x) == len(y) and all(map(same, x, y))
+    if isinstance(x, float):
+        return x == y and math.copysign(1.0, x) == math.copysign(1.0, y)
+    return x == y
+
+
+@SETTINGS
+@given(VALUES, st.lists(st.lists(SCALARS, min_size=1, max_size=4), max_size=4))
+@example(([-0.0, 5e-324, -5e-324, MAX, -MAX, 1 / 3, 1 + 2**-52], [-0.0, 5e-324, -5e-324, MAX,
+                                                                 -MAX, 1 / 3, 1 + 2**-52]), [])
+def test_writers_round_trip_every_finite_double(value, rows):
+    obj, plain = value
+    assert same(json.loads(dump_json(obj)), plain)
+    text = render_csv([f"c{k}" for k in range(4)], [[v for v, _ in row] for row in rows])
+    cells = [[json.loads(cell) for cell in line.split(",")] for line in text.splitlines()[1:]]
+    assert same(cells, [[p for _, p in row] for row in rows])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, np.float64(math.nan),
+                                 np.float32(math.inf), np.array([1.0, -math.inf])])
+def test_writers_refuse_non_finite_numbers(bad):
+    with pytest.raises(ValueError):
+        dump_json({"x": [0.5, bad]})
+    with pytest.raises(ValueError):
+        render_csv(["a", "b"], [[0.5, bad]])
 
 
 def test_dump_json_sorted_and_newline_terminated():
@@ -37,8 +97,9 @@ def test_dump_json_sorted_and_newline_terminated():
 
 
 def test_dump_json_rejects_unserializable():
-    with pytest.raises(TypeError):
-        dump_json({"x": object()})
+    for bad in (object(), 1j, np.complex128(1j), np.array([0.5 + 1j])):
+        with pytest.raises(TypeError):
+            dump_json({"x": bad})
 
 
 def test_state_file_round_trip_bit_exact(tmp_path):
@@ -117,7 +178,7 @@ def test_load_missing_key(tmp_path):
 
 def test_render_csv_deterministic():
     text = render_csv(["a", "b"], [[1, 0.5], [2, 1.0 / 3.0]])
-    assert text == "a,b\n1,0.5\n2,0.33333333333333331\n"
+    assert text == "a,b\n1,0.5\n2,0.3333333333333333\n"
 
 
 def test_tps_labels_survive_round_trip():
@@ -146,3 +207,32 @@ def test_tps_with_a_rotation_and_a_map_round_trips(rotation, tmp_path):
     again = tmp_path / "again.json"
     save_state_file(str(again), load_state_file(str(path)))
     assert again.read_bytes() == path.read_bytes()
+
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.sampled_from([None, "unitary", "reflector"]),
+       st.booleans(), st.floats(1e-150, 1e150), st.integers(0, 2**32 - 1))
+def test_state_file_round_trip_is_bit_exact_for_every_tps_block(d1, d2, rotation, relabeled,
+                                                                scale, seed):
+    rng = np.random.default_rng(seed)
+    dim = d1 * d2
+    parts = {"relabeling": random_bijection(d1, d2, rng)} if relabeled or rotation is None else {}
+    if rotation == "unitary":
+        parts["unitary"] = random_unitary(dim, rng)
+    elif rotation == "reflector":
+        parts["reflector"] = scale * haar_state(dim, rng)  # any nonzero length
+    sf = StateFile(d1, d2, haar_state(dim, rng), tps=TensorProductStructure(d1, d2, **parts))
+    with tempfile.TemporaryDirectory() as tmp:
+        first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
+        save_state_file(str(first), sf)
+        loaded = load_state_file(str(first))
+        save_state_file(str(second), loaded)
+        assert second.read_bytes() == first.read_bytes()
+    assert np.array_equal(loaded.amplitudes, sf.amplitudes)
+    for name in ("unitary", "reflector"):
+        wanted, got = getattr(sf.tps, name), getattr(loaded.tps, name)
+        assert (got is None) if wanted is None else np.array_equal(got, wanted)
+    if "relabeling" in parts:
+        assert np.array_equal(loaded.tps.relabeling.targets, parts["relabeling"].targets)
+    else:
+        assert loaded.tps.relabeling is None
