@@ -23,9 +23,12 @@ Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
 so their coefficients and Schmidt spectra are computed in real arithmetic;
 Fourier modes stay complex.  A demo request is one stacked pass: n profile
 pairs on grids of one size d give (n, d, d) coefficients, relabeled once and
-decomposed by one batched SVD.  A grid's d x d pair grid is capped at
-``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
-sampled.
+decomposed by one batched SVD.  Only the relabeled stack is decomposed: a
+product f (x) g of unit profiles has the exact x-y spectrum (1, 0, ..., 0),
+so its x-y rank follows from the tolerance alone; the SVD cross-check of that
+rank lives in ``tests/demo_oracle.py``.  A grid's d x d pair grid is
+capped at ``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any
+profile is sampled.
 """
 
 from __future__ import annotations
@@ -192,14 +195,13 @@ def position_operator(points) -> np.ndarray:
 class CoordinateSpectra:
     """Relabeled Schmidt spectra of a stack of n product pairs f_k (x) g_k.
 
-    ``coefficients`` holds the (n, d, d) product coefficients f_k[i] g_k[j]
-    in the original labels, ``values_ab`` the (n, d) descending Schmidt
-    coefficients after the relabeling, ``qcf_ab`` the covariance of
-    X1 + X2 against X1 - X2 and ``variance_diff`` Var(X1) - Var(X2), one per
-    pair.
+    ``values_ab`` holds the (n, d) descending Schmidt coefficients after the
+    relabeling, ``qcf_ab`` the covariance of X1 + X2 against X1 - X2 and
+    ``variance_diff`` Var(X1) - Var(X2), one per pair.  The spectrum in the
+    original labels is not computed: for unit profiles it is exactly
+    (1, 0, ..., 0), and ``tests/demo_oracle.py`` checks it by SVD.
     """
 
-    coefficients: np.ndarray
     values_ab: np.ndarray
     qcf_ab: np.ndarray
     variance_diff: np.ndarray
@@ -207,7 +209,13 @@ class CoordinateSpectra:
 
 @dataclass(frozen=True)
 class CoordinateDemoReport:
-    """Ranks and covariance data for a product state under a grid relabeling."""
+    """Ranks and covariance data for a product state under a grid relabeling.
+
+    ``rank_xy`` is exact by construction, the rank of the spectrum
+    (1, 0, ..., 0) at the report's tolerance (cross-checked by SVD in
+    ``tests/demo_oracle.py``); ``rank_ab`` and ``alpha_ratio_ab`` come from
+    the SVD of the relabeled coefficients.
+    """
 
     rank_xy: int
     rank_ab: int
@@ -250,14 +258,14 @@ def _spectra(fs, gs, bij: IndexBijection) -> CoordinateSpectra:
     """One relabeling and one batched SVD for the validated pairs.
 
     The covariances run pair by pair, so their d^2-sized temporaries are
-    held for one pair at a time.
+    held for one pair at a time; the (n, d, d) product stack is freed on
+    return.
     """
     n, d = len(fs), bij.d1
     f_stack, g_stack = np.stack([fk.samples for fk in fs]), np.stack([gk.samples for gk in gs])
     c = f_stack[:, :, None] * g_stack[:, None, :]
     relabeled = _coefficients(c.reshape(n, d * d), relabel_tps(bij))
     return CoordinateSpectra(
-        coefficients=c,
         values_ab=np.linalg.svd(relabeled, compute_uv=False),
         qcf_ab=np.array([_sum_diff_covariance(fk.grid.points, ck) for fk, ck in zip(fs, c)]),
         variance_diff=np.array(
@@ -294,13 +302,12 @@ def sum_diff_spectra(
 
 def _reports(fs, gs, spectra: CoordinateSpectra, truncation_tol: float):
     """The reports of the stacked pairs: the spectra plus the x-y ranks and warnings."""
-    rank_xy = rank_from_singular_values(
-        np.linalg.svd(spectra.coefficients, compute_uv=False), truncation_tol
-    )
+    # every pair's exact x-y spectrum is (1, 0, ..., 0)
+    rank_xy = rank_from_singular_values(np.eye(1, spectra.values_ab.shape[-1])[0], truncation_tol)
     rank_ab = rank_from_singular_values(spectra.values_ab, truncation_tol)
     return tuple(
         CoordinateDemoReport(
-            rank_xy=int(rank_xy[k]),
+            rank_xy=rank_xy,
             rank_ab=int(rank_ab[k]),
             qcf_ab=float(spectra.qcf_ab[k]),
             variance_diff=float(spectra.variance_diff[k]),
@@ -320,10 +327,13 @@ def demo_sum_diff(
 ) -> CoordinateDemoReport | tuple[CoordinateDemoReport, ...]:
     """Relabel the product state f (x) g by modular sum/difference and report.
 
-    rank_xy is the Schmidt rank in the original labels (1 for any product
-    input); rank_ab the rank after relabeling; qcf_ab the covariance of
-    X1 + X2 against X1 - X2, which always equals the difference of the two
-    position variances (enforced to 1e-9 max(1, Var1 + Var2)).  Given
+    rank_xy is the Schmidt rank in the original labels, exact by
+    construction: a product of two unit profiles has the spectrum
+    (1, 0, ..., 0), so rank_xy is 1 for a tolerance below 1 and 0 from 1 on
+    (its SVD cross-check lives in ``tests/demo_oracle.py``).  rank_ab is the
+    rank after relabeling, from the one batched SVD; qcf_ab the covariance
+    of X1 + X2 against X1 - X2, which always equals the difference of the
+    two position variances (enforced to 1e-9 max(1, Var1 + Var2)).  Given
     equal-length sequences of profiles on grids of one size, it returns a
     tuple of reports from one stacked pass.
     """

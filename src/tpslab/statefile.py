@@ -224,7 +224,7 @@ class StateFile:
         out = {
             "dims": [self.d1, self.d2],
             "amplitudes": complex_pairs(self.amplitudes),
-            "metadata": {str(k): str(v) for k, v in self.metadata.items()},
+            "metadata": self.metadata,
         }
         if self.tps is not None:
             out["tps"] = tps_to_dict(self.tps)
@@ -272,6 +272,10 @@ def load_state_file(path: str) -> StateFile:
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         raise StateFileError(f"{path}: metadata must be an object")
+    try:
+        dump_json(metadata)  # json.load reads NaN and Infinity, which no writer may emit
+    except ValueError as exc:
+        raise StateFileError(f"{path}: metadata holds a non-finite number") from exc
     return StateFile(d1=d1, d2=d2, amplitudes=amplitudes, tps=tps, metadata=metadata)
 
 

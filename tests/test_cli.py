@@ -235,6 +235,27 @@ def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
             s2, rep.rank_ab, rep.qcf_ab, rep.variance_diff]
 
 
+@pytest.mark.parametrize("caller", ["library", "json", "csv"])
+def test_demo_coords_takes_one_svd(caller, monkeypatch, tmp_path):
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    if caller == "library":
+        grid = Grid.spanning(33, 8.0)
+        fs = [gaussian_profile(grid, 0.0, s) for s in (0.8, 1.0, 1.3)]
+        gs = [gaussian_profile(grid, 0.2, s) for s in (1.1, 0.9, 1.6)]
+        assert len(demo_sum_diff(fs, gs)) == 3
+    else:
+        out = tmp_path / f"out.{caller}"
+        assert main(["demo", "coords", "--d", "33", "--format", caller, "--out", str(out)]) == 0
+    assert calls == [(11 if caller == "csv" else 3, 33, 33)]
+
+
 def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
     argv = ["demo", "coords", "--d", "33", "--sigma1", "0.7", "--sigma2", "2.3", "--sep", "3"]
     code, out = run(argv, tmp_path)
@@ -335,6 +356,29 @@ def test_refactor_identity_tps_block_stable(product_file, tmp_path):
     a = json.loads(first.read_text())["tps"]
     b = json.loads(second.read_text())["tps"]
     assert dump_json(a) == dump_json(b)
+
+
+def test_refactor_keeps_metadata_values(tmp_path):
+    state = tmp_path / "state.json"
+    metadata = {"k": [1, 2], "n": 3, "s": "v", "z": None}
+    psi = random_product_state(2, 2, np.random.default_rng(0))
+    save_state_file(str(state), StateFile(2, 2, psi, metadata=metadata))
+    out = tmp_path / "out.json"
+    assert main(["refactor", str(state), "--bijection", "identity", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["metadata"] == metadata
+
+
+@pytest.mark.parametrize("bad", ["NaN", "Infinity", "[1, -Infinity]"])
+def test_refactor_refuses_non_finite_metadata(bad, tmp_path, capsys):
+    state = tmp_path / "state.json"
+    psi = random_product_state(2, 2, np.random.default_rng(0))
+    save_state_file(str(state), StateFile(2, 2, psi, metadata={"x": 0}))
+    state.write_text(state.read_text().replace('"x": 0', f'"x": {bad}'))
+    out = tmp_path / "out.json"
+    assert main(["refactor", str(state), "--bijection", "identity", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_refactor_bijection_file_with_repeats_exits_6(tmp_path):

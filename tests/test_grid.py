@@ -159,6 +159,19 @@ def test_demo_sum_diff_product_input_rank_xy_one():
     assert report.rank_xy == 1
 
 
+@pytest.mark.parametrize("tol", [1e-300, 1e-17, 1e-10, 0.5, 1.0])
+def test_rank_xy_is_exact_at_every_tolerance(tol):
+    # an SVD rounds the zeros of a product's spectrum to about 1e-17, so a
+    # tolerance below rounding needs the exact spectrum (1, 0, ..., 0): rank 1
+    # below tolerance 1, and 0 from 1 on
+    g = Grid.spanning(65, 16.0)
+    report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.3, 2.0),
+                           truncation_tol=tol)
+    assert report.rank_xy == (1 if tol < 1.0 else 0)
+    if tol == 1.0:
+        assert report.rank_xy == report.rank_ab
+
+
 def test_demo_sum_diff_unequal_sigmas_variance_difference():
     g = Grid.spanning(129, 16.0)
     report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.0, 2.0))
