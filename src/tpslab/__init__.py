@@ -14,7 +14,6 @@ from .grid import (
     CoordinateSpectra,
     Grid,
     SampledProfile,
-    demo_general_bijection,
     demo_sum_diff,
     double_gaussian_profile,
     fourier_profile,
@@ -23,8 +22,8 @@ from .grid import (
     position_operator,
     sum_diff_spectra,
 )
-from .linalg import eigh, expectation, inner, norm, normalize, svd, tensor_op, tensor_vec
-from .qcf import QcfReport, qcf, qcf_local, sum_diff_qcf_identity, variance
+from .linalg import eigh, expectation, svd, tensor_op, tensor_vec
+from .qcf import QcfReport, qcf, qcf_local, variance
 from .sampling import (
     haar_state,
     random_entangled_state,
@@ -32,7 +31,7 @@ from .sampling import (
     random_product_state,
     random_unitary,
 )
-from .schmidt import SchmidtDecomposition, factors, is_factorizable, schmidt, schmidt_values
+from .schmidt import SchmidtDecomposition, schmidt, schmidt_values
 from .spins import SpinConfig, chi_basis, demo_spins, spin_operators, spin_qcf_closed_form, total_spin_squares
 from .tps import (
     IndexBijection,
@@ -41,7 +40,6 @@ from .tps import (
     disentangling_tps,
     factor_local_bijection,
     identity_bijection,
-    local_unitary_tps,
     random_bijection,
     relabel_tps,
     relabeled,

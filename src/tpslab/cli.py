@@ -1,9 +1,13 @@
-"""Command-line interface: schmidt | qcf | demo | refactor | chsh.
+"""Command-line interface: schmidt | qcf | demo coords|spins|bell | refactor | chsh.
 
-Reports are deterministic: identical invocations (same seed, same inputs)
-produce byte-identical output.  Exit codes: 0 ok, 2 unparseable input file,
-3 dimension mismatch, 4 unknown observable, 5 grid constraint violated,
-6 bad bijection, 1 any other toolkit error.
+Each subcommand accepts ``--out`` and only the flags it reads; any other flag
+is a usage error.  A JSON report opens with the manifest
+``{"subcommand", "parameters", "version"}``, whose parameters are the inputs
+the run read, the tolerance or seed among them.  Reports are deterministic:
+identical invocations (same seed, same inputs) produce byte-identical output.
+Exit codes: 0 ok, 2 usage error or unparseable input file, 3 dimension
+mismatch, 4 unknown observable, 5 grid constraint violated, 6 bad bijection,
+1 any other toolkit error.
 """
 
 from __future__ import annotations
@@ -74,14 +78,7 @@ EXIT_CODES = (
 
 
 def _manifest(args: argparse.Namespace, parameters: dict) -> dict:
-    return {
-        "subcommand": args.command,
-        "parameters": parameters,
-        "seed": getattr(args, "seed", None),
-        "tolerances": {"tol": getattr(args, "tol", None)},
-        "timestamp": args.timestamp,
-        "version": __version__,
-    }
+    return {"subcommand": args.command, "parameters": parameters, "version": __version__}
 
 
 def _emit(args: argparse.Namespace, text: str) -> None:
@@ -124,10 +121,9 @@ def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
 def cmd_schmidt(args: argparse.Namespace) -> int:
     sf = load_state_file(args.state)
     tps = _resolve_tps(sf, args.tps)
-    tol = args.tol if args.tol is not None else 1e-10
-    sd = schmidt(sf.amplitudes, tps, truncation_tol=tol)
+    sd = schmidt(sf.amplitudes, tps, truncation_tol=args.tol)
     report = {
-        "manifest": _manifest(args, {"state": args.state, "tps": args.tps, "tol": tol}),
+        "manifest": _manifest(args, {"state": args.state, "tps": args.tps, "tol": args.tol}),
         "rank": sd.rank,
         "coefficients": sd.coefficients,
         "factorizable": sd.rank == 1,
@@ -160,6 +156,7 @@ def cmd_qcf(args: argparse.Namespace) -> int:
                 "obs_b": args.obs_b,
                 "local": args.local,
                 "tps": args.tps,
+                "tol": args.tol,
             },
         ),
         "value": [value.real, value.imag],
@@ -227,7 +224,7 @@ def cmd_demo(args: argparse.Namespace) -> int:
         body = {f.name: getattr(report, f.name) for f in fields(report)
                 if f.compare and f.name != "seed"}
         rows = zip(range(args.samples), *columns)
-        params = {"samples": args.samples}
+        params = {"samples": args.samples, "seed": args.seed}
     if args.format == "csv":
         _emit(args, render_csv(header, rows))
         return 0
@@ -310,22 +307,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"tpslab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, seed_default=None):
-        p.add_argument("--out", help="write the report to this path instead of stdout")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="csv emits per-point sweep rows (demo only)")
-        p.add_argument("--tol", type=_finite_float, default=None, help="tolerance override")
-        p.add_argument("--seed", type=_non_negative_int, default=seed_default, help="random seed")
-        p.add_argument("--timestamp", default=None,
-                       help="optional manifest timestamp (omitted by default so reports are reproducible)")
+    def command(parent, name: str, func, help: str, required: bool = False,
+                out: str = "write the report to this path instead of stdout"):
+        p = parent.add_parser(name, help=help)
+        p.add_argument("--out", required=required, help=out)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("schmidt", help="Schmidt decomposition of a state file")
+    p = command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file")
     p.add_argument("state")
     p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-    common(p)
-    p.set_defaults(func=cmd_schmidt)
+    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TRUNCATION_TOL,
+                   help="rank cut: count the coefficients above tol times the largest")
 
-    p = sub.add_parser("qcf", help="quantum covariance of two observables")
+    p = command(sub, "qcf", cmd_qcf, "quantum covariance of two observables")
     p.add_argument("state")
     p.add_argument("--obs-a", required=True,
                    help=f"{'|'.join(OBSERVABLE_NAMES)} or a JSON matrix file")
@@ -333,21 +328,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--local", action="store_true",
                    help="treat observables as acting on the two TPS factors")
     p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-    common(p)
-    p.set_defaults(func=cmd_qcf)
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="witness threshold of --local (default: the global dimension times 1e-12)")
 
-    p = sub.add_parser("demo", help="run a built-in demonstration")
-    p.add_argument("which", choices=("coords", "spins", "bell"))
+    demo = sub.add_parser("demo", help="run a built-in demonstration")
+    demos = demo.add_subparsers(dest="which", required=True)
+    p = command(demos, "coords", cmd_demo, "product of two Gaussians under the "
+                "modular sum/difference relabeling")
     p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
     p.add_argument("--sigma1", type=float, default=1.0)
     p.add_argument("--sigma2", type=float, default=2.0)
     p.add_argument("--sep", type=float, default=4.0, help="double-gaussian lobe separation")
-    p.add_argument("--samples", type=_positive_int, default=1000)
-    common(p, seed_default=42)
-    p.set_defaults(func=cmd_demo)
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv emits the rows of a sweep of the second width from sigma1 to sigma2")
+    for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),
+                        ("bell", "maximal CHSH values of seeded entangled two-qubit states")):
+        p = command(demos, which, cmd_demo, help)
+        p.add_argument("--samples", type=_positive_int, default=1000)
+        p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
+        p.add_argument("--format", choices=("json", "csv"), default="json",
+                       help="csv emits one row per sample")
 
-    p = sub.add_parser("refactor", help="rewrite a state file with a relabeled TPS, or "
-                       "with one in which the state has a given Schmidt spectrum")
+    p = command(sub, "refactor", cmd_refactor, "rewrite a state file with a relabeled TPS, "
+                "or with one in which the state has a given Schmidt spectrum",
+                required=True, out="write the rewritten state file to this path")
     p.add_argument("state")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--bijection",
@@ -355,21 +359,17 @@ def build_parser() -> argparse.ArgumentParser:
     target.add_argument("--spectrum", choices=("product", "maximal"),
                         help="a reflector TPS in which the state is a product, or "
                         "maximally entangled over min(d1, d2) terms")
-    common(p)
-    p.set_defaults(func=cmd_refactor)
 
-    p = sub.add_parser("chsh", help="maximal CHSH value of a two-qubit state file")
+    p = command(sub, "chsh", cmd_chsh, "maximal CHSH value of a two-qubit state file")
     p.add_argument("state")
-    common(p)
-    p.set_defaults(func=cmd_chsh)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "refactor" and not args.out:
-        parser.error("refactor requires --out")
+    if args.command == "qcf" and args.tol is not None and not args.local:
+        parser.error("qcf --tol sets the witness threshold of --local")
     try:
         return args.func(args)
     except ToolkitError as exc:

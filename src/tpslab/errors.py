@@ -28,10 +28,6 @@ class NumericalError(ToolkitError):
     """A numerical routine failed or produced values outside its guarantees."""
 
 
-class NotFactorizableError(ToolkitError):
-    """Factor extraction requested for a state of Schmidt rank >= 2."""
-
-
 class SpectrumError(ToolkitError):
     """A joint spectrum does not separate into the requested eigenvalue grid."""
 

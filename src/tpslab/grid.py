@@ -105,10 +105,6 @@ class SampledProfile:
             raise GridSpecError(f"profile norm {n!r} deviates from 1 beyond 1e-10")
         object.__setattr__(self, "samples", s)
 
-    def position_expectation(self) -> float:
-        p = np.abs(self.samples) ** 2
-        return float(np.sum(self.grid.points * p))
-
     def position_variance(self) -> float:
         p = np.abs(self.samples) ** 2
         x = self.grid.points
@@ -341,24 +337,3 @@ def demo_sum_diff(
     reports = _reports(fs, gs, sum_diff_spectra(fs, gs), truncation_tol)
     return reports[0] if isinstance(f, SampledProfile) else reports
 
-
-def demo_general_bijection(
-    f: SampledProfile,
-    g: SampledProfile,
-    bij: IndexBijection,
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-) -> CoordinateDemoReport:
-    """Same report for an arbitrary grid bijection.
-
-    Only rank_ab and alpha_ratio_ab read the relabeled coefficients.  qcf_ab
-    is the covariance of X1 + X2 against X1 - X2 in the original coordinates,
-    so it does not depend on the bijection: it equals ``demo_sum_diff``'s
-    value for the same pair.  The variance identity is not checked here.
-    """
-    fs, gs, _ = _pairs(f, g)
-    if bij.d1 != f.grid.d or bij.d2 != g.grid.d:
-        raise ShapeError(
-            f"bijection grid ({bij.d1}, {bij.d2}) vs profile grids "
-            f"({f.grid.d}, {g.grid.d})"
-        )
-    return _reports(fs, gs, _spectra(fs, gs, bij), truncation_tol)[0]

@@ -13,7 +13,6 @@ import numpy as np
 
 from .errors import (
     ContractError,
-    DegenerateInputError,
     NumericalError,
     ShapeError,
     SizeLimitError,
@@ -137,27 +136,6 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     for k in range(w.size):
         vecs[:, k] *= _fix_phase(vecs[:, k])
     return w, vecs
-
-
-def inner(u, v) -> complex:
-    """Inner product, conjugate-linear in the first argument."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size != v.size:
-        raise ShapeError(f"inner product of dimensions {u.size} and {v.size}")
-    return complex(np.vdot(u, v))
-
-
-def norm(v) -> float:
-    return float(np.linalg.norm(as_vector(v)))
-
-
-def normalize(v) -> np.ndarray:
-    v = as_vector(v)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise DegenerateInputError("cannot normalize a zero vector")
-    return v / n
 
 
 def check_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:

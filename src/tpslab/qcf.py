@@ -19,7 +19,6 @@ from .linalg import (
     _expectation,
     check_hermitian,
     check_state,
-    tensor_op,
 )
 from .tps import TensorProductStructure, coefficient_matrix
 
@@ -108,24 +107,3 @@ def variance(a, psi, herm_tol: float = HERMITIAN_TOL) -> float:
         raise NumericalError(f"variance {val!r} below the tolerated rounding floor")
     return max(val, 0.0)
 
-
-def sum_diff_qcf_identity(a1, b2, psi1, psi2) -> tuple[float, float]:
-    """Both sides of the sum/difference covariance identity on a product state.
-
-    For F = A (x) I + I (x) B and G = A (x) I - I (x) B,
-    ``Q(F, G, psi1 (x) psi2)`` equals ``Var(A, psi1) - Var(B, psi2)``; the
-    left-hand side is returned as computed from the covariance, the right-hand
-    side from the factor variances.
-    """
-    a1 = check_hermitian(a1)
-    b2 = check_hermitian(b2)
-    psi1 = check_state(psi1)
-    psi2 = check_state(psi2)
-    eye1 = np.eye(a1.shape[0], dtype=complex)
-    eye2 = np.eye(b2.shape[0], dtype=complex)
-    f_op = tensor_op(a1, eye2) + tensor_op(eye1, b2)
-    g_op = tensor_op(a1, eye2) - tensor_op(eye1, b2)
-    psi = np.kron(psi1, psi2)
-    lhs = qcf(f_op, g_op, psi).real
-    rhs = variance(a1, psi1) - variance(b2, psi2)
-    return lhs, rhs

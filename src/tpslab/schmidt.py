@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotFactorizableError
-from .linalg import _fix_phase, svd
+from .linalg import svd
 from .tps import TensorProductStructure, coefficient_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-10
@@ -62,42 +61,6 @@ def schmidt(
         rank=rank_from_singular_values(res.singular_values, truncation_tol),
         truncation_tol=truncation_tol,
     )
-
-
-@dataclass(frozen=True)
-class FactorizabilityVerdict:
-    factorizable: bool
-    rank: int
-
-
-def is_factorizable(
-    psi,
-    tps: TensorProductStructure,
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-) -> FactorizabilityVerdict:
-    """Whether psi is a product state in this TPS (Schmidt rank one)."""
-    sd = schmidt(psi, tps, truncation_tol)
-    return FactorizabilityVerdict(factorizable=sd.rank == 1, rank=sd.rank)
-
-
-def factors(sd: SchmidtDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """The two unit factor states of a rank-one decomposition.
-
-    Global phase is fixed by making the first factor's largest-modulus
-    component real positive; the second factor absorbs the conjugate phase so
-    tensor_vec(f1, f2) still reconstructs the state.
-
-    Raises:
-        NotFactorizableError: if the Schmidt rank is not 1.
-    """
-    if sd.rank != 1:
-        raise NotFactorizableError(
-            f"state has Schmidt rank {sd.rank}; factors exist only for rank 1"
-        )
-    u = sd.left_basis[:, 0]
-    v = sd.right_basis[:, 0]
-    ph = _fix_phase(u)
-    return u * ph, v * np.conj(ph)
 
 
 def schmidt_values(psi, tps: TensorProductStructure) -> np.ndarray:

@@ -75,13 +75,16 @@ def read_json(path: str):
     """The JSON document in the file at path.
 
     Raises:
-        StateFileError: the file cannot be read, or is not JSON (with its line and column).
+        StateFileError: the file cannot be read, is not JSON (with its line and column),
+            or nests deeper than the decoder's recursion limit.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise StateFileError(f"cannot read {path}: {exc}") from exc
+    except RecursionError as exc:
+        raise StateFileError(f"{path}: JSON nested too deeply to read") from exc
     except json.JSONDecodeError as exc:
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -40,7 +40,6 @@ from .linalg import (
     check_state,
     commutator_maxnorm,
     eigh,
-    tensor_op,
 )
 
 
@@ -162,13 +161,6 @@ class IndexBijection:
             )
         object.__setattr__(self, "targets", t)
 
-    def forward(self, i: int, j: int) -> tuple[int, int]:
-        return divmod(int(self.targets[np.ravel_multi_index((i, j), (self.d1, self.d2))]), self.d2)
-
-    def inverse(self, a: int, b: int) -> tuple[int, int]:
-        g = np.ravel_multi_index((a, b), (self.d1, self.d2))
-        return divmod(int(np.flatnonzero(self.targets == g)[0]), self.d2)
-
 
 def identity_bijection(d1: int, d2: int) -> IndexBijection:
     return IndexBijection(d1, d2, np.arange(d1 * d2))
@@ -232,21 +224,6 @@ def relabeled(tps: TensorProductStructure, bij: IndexBijection) -> TensorProduct
     # a frozen dataclass refuses setattr, not an update of its instance dict
     vars(out).update(relabeling=IndexBijection(tps.d1, tps.d2, t), label_left=None, label_right=None)
     return out
-
-
-def local_unitary_tps(
-    tps: TensorProductStructure, u_a, u_b
-) -> TensorProductStructure:
-    """Rotate each factor basis by a local unitary; the TPS itself is preserved."""
-    u_a = _check_unitary(u_a)
-    u_b = _check_unitary(u_b)
-    if u_a.shape[0] != tps.d1 or u_b.shape[0] != tps.d2:
-        raise ShapeError(
-            f"local unitaries {u_a.shape[0]}x{u_b.shape[0]} vs factors ({tps.d1}, {tps.d2})"
-        )
-    # row g of the coefficients of the identity is the conjugate of row g of R P
-    base = _coefficients(np.eye(tps.dim, dtype=complex), tps).reshape(tps.dim, tps.dim).conj()
-    return TensorProductStructure(tps.d1, tps.d2, base @ tensor_op(u_a, u_b))
 
 
 def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[tuple[float, slice]]:

@@ -20,7 +20,7 @@ from tpslab.grid import (
     odd_profile,
 )
 from tpslab.linalg import tensor_vec
-from tpslab.qcf import qcf_local
+from tpslab.qcf import qcf, qcf_local, variance
 from tpslab.sampling import (
     haar_state,
     random_entangled_state,
@@ -31,10 +31,10 @@ from tpslab.sampling import (
 from tpslab.schmidt import schmidt, schmidt_values
 from tpslab.spins import chi_basis, demo_spins, total_spin_squares
 from tpslab.tps import (
+    TensorProductStructure,
     coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
-    local_unitary_tps,
     relabel_tps,
     sum_diff_bijection,
     trivial_tps,
@@ -73,8 +73,7 @@ def test_c01_product_state_covariance_vanishes():
 
 
 def test_c02_variance_identity():
-    from tpslab.qcf import sum_diff_qcf_identity
-
+    # Q(A(x)1 + 1(x)B, A(x)1 - 1(x)B, psi1 (x) psi2) = Var(A, psi1) - Var(B, psi2)
     rng = np.random.default_rng(202)
     worst = 0.0
     failures = 0
@@ -83,7 +82,9 @@ def test_c02_variance_identity():
             a1 = random_hermitian(d1, rng)
             b2 = random_hermitian(d2, rng)
             psi1, psi2 = haar_state(d1, rng), haar_state(d2, rng)
-            lhs, rhs = sum_diff_qcf_identity(a1, b2, psi1, psi2)
+            a, b = np.kron(a1, np.eye(d2)), np.kron(np.eye(d1), b2)
+            lhs = qcf(a + b, a - b, np.kron(psi1, psi2)).real
+            rhs = variance(a1, psi1) - variance(b2, psi2)
             worst = max(worst, abs(lhs - rhs))
             failures += abs(lhs - rhs) > 1e-10
     criterion(
@@ -286,7 +287,9 @@ def test_c08_tps_invariance_under_local_maps():
             u, v = random_product_pair(d1, d2, rng)
             psi = tensor_vec(u, v)
             base = schmidt_values(psi, tps)
-            rotated = local_unitary_tps(tps, random_unitary(d1, rng), random_unitary(d2, rng))
+            rotated = TensorProductStructure(
+                d1, d2, np.kron(random_unitary(d1, rng), random_unitary(d2, rng))
+            )
             diff = float(np.max(np.abs(schmidt_values(psi, rotated) - base)))
             relabeled = relabel_tps(
                 factor_local_bijection(rng.permutation(d1), rng.permutation(d2))

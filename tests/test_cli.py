@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and report determinism."""
 
+import argparse
 import json
 import warnings
 from pathlib import Path
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 import tpslab.statefile
-from tpslab.cli import main
+from tpslab.cli import build_parser, main
 from tpslab.errors import SizeLimitError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
 from tpslab.sampling import haar_state, random_product_state, random_unitary
@@ -853,8 +854,8 @@ def test_refactor_keeps_the_rotation_and_composes_the_maps(rotation, relabeled, 
     save_state_file(str(state), StateFile(3, 4, psi, tps=base))
     bij = random_bijection(3, 4, rng)
     bij_file = tmp_path / "bij.json"
-    bij_file.write_text(json.dumps({"map": [[i, j, *bij.forward(i, j)]
-                                            for i in range(3) for j in range(4)]}))
+    bij_file.write_text(json.dumps({"map": [[*divmod(g, 4), *divmod(int(t), 4)]
+                                            for g, t in enumerate(bij.targets)]}))
     out = tmp_path / "out.json"
     assert main(["refactor", str(state), "--bijection", str(bij_file), "--out", str(out)]) == 0
     tps = load_state_file(str(out)).tps
@@ -892,3 +893,115 @@ def test_demo_coords_wide_equal_widths_pass_the_variance_identity(tmp_path):
     code, out = run(["demo", "coords", "--d", "33", "--sigma1", "1e5", "--sigma2", "1e5"], tmp_path)
     assert code == 0
     assert json.loads(out.read_text())["equal_sigma"]["rank_xy"] == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schmidt", "{deep}"],
+        ["schmidt", "{state}", "--tps", "{deep}"],
+        ["qcf", "{state}", "--obs-a", "{deep}", "--obs-b", "pauli-z"],
+        ["refactor", "{state}", "--bijection", "{deep}", "--out", "{out}"],
+    ],
+    ids=["state", "tps", "matrix", "bijection"],
+)
+def test_deeply_nested_json_exits_2(argv, bell_file, tmp_path, capsys):
+    # the decoder recurses once per nesting level and gives up at the recursion limit
+    deep, out = tmp_path / "deep.json", tmp_path / "out.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    assert main([a.format(deep=deep, state=bell_file, out=out) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
+    assert not out.exists()
+
+
+def test_qcf_tol_without_local_exits_2(bell_file, capsys):
+    # the global route reports the default threshold, so a --tol there would be ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["qcf", bell_file, "--obs-a", "position", "--obs-b", "position", "--tol", "2.0"])
+    assert exc.value.code == 2
+    assert "--tol sets the witness threshold of --local" in capsys.readouterr().err
+
+
+def flags_by_command(parser, path=""):
+    """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return {path: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}}
+    return {k: v for name, sub in subs[0].choices.items()
+            for k, v in flags_by_command(sub, f"{path} {name}".lstrip()).items()}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    flags = flags_by_command(build_parser())
+    sampling = {"--out", "--samples", "--seed", "--format"}
+    assert flags == {
+        "schmidt": {"--out", "--tps", "--tol"},
+        "qcf": {"--out", "--obs-a", "--obs-b", "--local", "--tps", "--tol"},
+        "demo coords": {"--out", "--d", "--sigma1", "--sigma2", "--sep", "--format"},
+        "demo spins": sampling,
+        "demo bell": sampling,
+        "refactor": {"--out", "--bijection", "--spectrum"},
+        "chsh": {"--out"},
+    }
+    assert sum(map(len, flags.values())) == 27
+
+
+VALID_ARGV = {
+    "schmidt": ["schmidt", "{state}"],
+    "qcf": ["qcf", "{state}", "--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local"],
+    "demo coords": ["demo", "coords", "--d", "9"],
+    "demo spins": ["demo", "spins", "--samples", "2"],
+    "demo bell": ["demo", "bell", "--samples", "2"],
+    "refactor": ["refactor", "{state}", "--bijection", "swap"],
+    "chsh": ["chsh", "{state}"],
+}
+UNREAD_BY_SAMPLING = ("--d 9", "--sigma1 1", "--sigma2 1", "--sep 1", "--tol 1", "--timestamp x")
+UNREAD_FLAGS = {
+    "schmidt": ("--format csv", "--seed 7", "--timestamp x"),
+    "qcf": ("--format csv", "--seed 7", "--timestamp x"),
+    "demo coords": ("--samples 2", "--tol 1", "--seed 1", "--timestamp x"),
+    "demo spins": UNREAD_BY_SAMPLING,
+    "demo bell": UNREAD_BY_SAMPLING,
+    "refactor": ("--format csv", "--tol 1", "--seed 7", "--timestamp x"),
+    "chsh": ("--format csv", "--tol 5", "--seed 7", "--timestamp x"),
+}
+
+
+@pytest.mark.parametrize(
+    "command,flag",
+    [(command, flag) for command, flags in UNREAD_FLAGS.items() for flag in flags],
+)
+def test_a_flag_the_subcommand_does_not_read_exits_2(command, flag, bell_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    argv = [a.format(state=bell_file) for a in VALID_ARGV[command]] + ["--out", str(out)]
+    assert main(argv) == 0
+    out.unlink()
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag.split())
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,recorded",
+    [
+        (["schmidt", "{state}"], {"tol": 1e-10}),
+        (["schmidt", "{state}", "--tol", "0.5"], {"tol": 0.5}),
+        (["qcf", "{state}", "--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local", "--tol", "2.0"],
+         {"tol": 2.0}),
+        (["qcf", "{state}", "--obs-a", "position", "--obs-b", "position"], {"tol": None}),
+        (["demo", "coords", "--d", "9"], {"which": "coords", "d": 9}),
+        (["demo", "spins", "--samples", "3"], {"which": "spins", "seed": 42}),
+        (["demo", "bell", "--samples", "3", "--seed", "8"], {"which": "bell", "seed": 8}),
+        (["chsh", "{state}"], {}),
+    ],
+)
+def test_the_manifest_records_what_the_run_read(argv, recorded, bell_file, tmp_path):
+    code, out = run([a.format(state=bell_file) for a in argv], tmp_path)
+    assert code == 0
+    manifest = json.loads(out.read_text())["manifest"]
+    assert sorted(manifest) == ["parameters", "subcommand", "version"]
+    assert manifest["subcommand"] == argv[0]
+    assert recorded.items() <= manifest["parameters"].items()

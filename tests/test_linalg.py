@@ -6,7 +6,6 @@ from tps_oracle import svd_reconstruct
 
 from tpslab.errors import (
     ContractError,
-    DegenerateInputError,
     NumericalError,
     ShapeError,
     SizeLimitError,
@@ -14,9 +13,6 @@ from tpslab.errors import (
 from tpslab.linalg import (
     eigh,
     expectation,
-    inner,
-    norm,
-    normalize,
     svd,
     tensor_op,
     tensor_vec,
@@ -177,18 +173,6 @@ def test_eigh_bit_identical_repeat():
     assert np.array_equal(v1, v2)
 
 
-def test_inner_basis():
-    e1 = np.array([1.0, 0.0])
-    assert inner(e1, e1) == 1.0
-
-
-def test_inner_conjugate_linear_first_argument():
-    u = np.array([1j, 0.0])
-    v = np.array([1.0, 0.0])
-    assert inner(u, v) == pytest.approx(-1j)
-    assert inner(v, u) == pytest.approx(1j)
-
-
 def test_expectation_identity():
     psi = np.array([1, 1j, -1, 1]) / 2.0
     assert expectation(np.eye(4), psi) == pytest.approx(1.0, abs=1e-12)
@@ -203,17 +187,6 @@ def test_expectation_pauli_z_plus_state():
 def test_expectation_requires_unit_state():
     with pytest.raises(ContractError):
         expectation(np.eye(2), np.array([1.0, 1.0]))
-
-
-def test_normalize_zero_vector():
-    with pytest.raises(DegenerateInputError):
-        normalize(np.zeros(3))
-
-
-def test_norm_and_normalize():
-    v = np.array([3.0, 4.0])
-    assert norm(v) == pytest.approx(5.0)
-    np.testing.assert_allclose(normalize(v), [0.6, 0.8])
 
 
 def test_rejects_non_finite_entries():

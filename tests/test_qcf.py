@@ -12,7 +12,6 @@ from tpslab.qcf import (
     default_witness_threshold,
     qcf,
     qcf_local,
-    sum_diff_qcf_identity,
     variance,
 )
 from tpslab.sampling import haar_state, random_hermitian, random_product_pair, random_unitary
@@ -133,33 +132,6 @@ def test_variance_never_negative():
         a = random_hermitian(4, rng)
         w, v = np.linalg.eigh(a)
         assert variance(a, v[:, 0]) >= 0.0
-
-
-def test_sum_diff_identity_on_joint_eigenvectors():
-    psi1 = np.array([1.0, 0.0], dtype=complex)
-    psi2 = np.array([0.0, 1.0], dtype=complex)
-    lhs, rhs = sum_diff_qcf_identity(SZ, SZ, psi1, psi2)
-    assert lhs == pytest.approx(0.0, abs=1e-12)
-    assert rhs == pytest.approx(0.0, abs=1e-12)
-
-
-def test_sum_diff_identity_hand_value():
-    psi1 = np.array([1.0, 1.0], dtype=complex) / SQ2
-    psi2 = np.array([1.0, 0.0], dtype=complex)
-    lhs, rhs = sum_diff_qcf_identity(SZ, SZ, psi1, psi2)
-    assert lhs == pytest.approx(1.0, abs=1e-10)
-    assert rhs == pytest.approx(1.0, abs=1e-12)
-
-
-@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3)])
-def test_sum_diff_identity_random_instances(d1, d2):
-    rng = np.random.default_rng(d1 * 5 + d2)
-    for _ in range(100):
-        a1 = random_hermitian(d1, rng)
-        b2 = random_hermitian(d2, rng)
-        psi1, psi2 = haar_state(d1, rng), haar_state(d2, rng)
-        lhs, rhs = sum_diff_qcf_identity(a1, b2, psi1, psi2)
-        assert abs(lhs - rhs) <= 1e-10
 
 
 def test_qcf_complex_for_noncommuting_pair():

@@ -1,15 +1,13 @@
-"""Schmidt decomposition, rank verdicts, and factor extraction."""
+"""Schmidt decomposition and rank verdicts."""
 
 import numpy as np
-import pytest
 from tps_oracle import permutation_matrix, schmidt_reconstruct
 
-from tpslab.errors import NotFactorizableError
 from tpslab.linalg import tensor_vec
 from tpslab.sampling import haar_state, random_product_pair
-from tpslab.schmidt import factors, is_factorizable, schmidt, schmidt_values
+from tpslab.schmidt import schmidt, schmidt_values
 from tpslab.spins import chi_basis
-from tpslab.tps import disentangling_tps, trivial_tps
+from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -77,51 +75,6 @@ def test_decomposition_idempotent_on_reconstruction():
     sd = schmidt(psi, tps)
     again = schmidt(schmidt_reconstruct(sd), tps)
     np.testing.assert_allclose(again.coefficients, sd.coefficients, atol=1e-10)
-
-
-def test_is_factorizable_product_true():
-    rng = np.random.default_rng(4)
-    u, v = random_product_pair(2, 2, rng)
-    verdict = is_factorizable(tensor_vec(u, v), trivial_tps(2, 2))
-    assert verdict.factorizable and verdict.rank == 1
-
-
-def test_is_factorizable_bell_false():
-    verdict = is_factorizable(BELL, trivial_tps(2, 2))
-    assert not verdict.factorizable and verdict.rank == 2
-
-
-def test_is_factorizable_bell_in_disentangling_tps():
-    tps = disentangling_tps(BELL, trivial_tps(2, 2))
-    verdict = is_factorizable(BELL, tps)
-    assert verdict.factorizable
-
-
-def test_factors_reconstruct_product():
-    rng = np.random.default_rng(5)
-    u, v = random_product_pair(3, 2, rng)
-    psi = tensor_vec(u, v)
-    sd = schmidt(psi, trivial_tps(3, 2))
-    f1, f2 = factors(sd)
-    assert np.linalg.norm(tensor_vec(f1, f2) - psi) <= 1e-9
-    # phase convention: first largest-modulus component of the left factor
-    piv = f1[np.argmax(np.abs(f1))]
-    assert piv.imag == pytest.approx(0.0, abs=1e-12) and piv.real > 0
-
-
-def test_factors_absorb_global_phase():
-    rng = np.random.default_rng(6)
-    u, v = random_product_pair(2, 2, rng)
-    psi = tensor_vec(np.exp(0.7j) * u, v)
-    sd = schmidt(psi, trivial_tps(2, 2))
-    f1, f2 = factors(sd)
-    assert np.linalg.norm(tensor_vec(f1, f2) - psi) <= 1e-9
-
-
-def test_factors_rejects_rank_two():
-    sd = schmidt(BELL, trivial_tps(2, 2))
-    with pytest.raises(NotFactorizableError):
-        factors(sd)
 
 
 def test_truncation_tolerance_controls_rank():

@@ -16,7 +16,6 @@ from tpslab.tps import (
     disentangling_tps,
     factor_local_bijection,
     identity_bijection,
-    local_unitary_tps,
     random_bijection,
     relabel_tps,
     sum_diff_bijection,
@@ -73,10 +72,9 @@ def test_factor_local_bijection_refuses_images_off_the_grid():
 
 def test_index_bijection_inverse_tables():
     bij = sum_diff_bijection(5)
-    for i in range(5):
-        for j in range(5):
-            a, b = bij.forward(i, j)
-            assert bij.inverse(a, b) == (i, j)
+    inverse = np.argsort(bij.targets)
+    np.testing.assert_array_equal(bij.targets[inverse], np.arange(25))
+    np.testing.assert_array_equal(inverse[bij.targets], np.arange(25))
 
 
 def test_relabel_identity_is_identity_matrix():
@@ -112,29 +110,30 @@ def test_relabel_moves_coefficients_forward():
     c_new = coefficient_matrix(psi, relabel_tps(bij))
     for i in range(d):
         for j in range(d):
-            a, b = bij.forward(i, j)
+            a, b = divmod(int(bij.targets[i * d + j]), d)
             assert c_new[a, b] == pytest.approx(c_old[i, j])
 
 
 def test_sum_diff_trivial_point():
-    assert sum_diff_bijection(3).forward(0, 0) == (0, 0)
+    assert sum_diff_bijection(3).targets[0] == 0
 
 
 def test_sum_diff_hand_modular_arithmetic():
     bij = sum_diff_bijection(3)
-    assert bij.forward(1, 2) == (0, 2)
-    assert bij.inverse(0, 2) == (1, 2)
+    assert bij.targets[1 * 3 + 2] == 0 * 3 + 2  # (1, 2) -> (0, 2)
+    assert list(bij.targets).index(0 * 3 + 2) == 1 * 3 + 2
 
 
 @pytest.mark.parametrize("d", [3, 5, 7, 9])
 def test_sum_diff_forward_inverse_exhaustive(d):
     bij = sum_diff_bijection(d)
     inv2 = (d + 1) // 2
+    inverse = np.argsort(bij.targets)
     for i in range(d):
         for j in range(d):
-            a, b = bij.forward(i, j)
+            a, b = divmod(int(bij.targets[i * d + j]), d)
             assert (a, b) == ((i + j) % d, (i - j) % d)
-            assert bij.inverse(a, b) == ((inv2 * (a + b)) % d, (inv2 * (a - b)) % d)
+            assert divmod(int(inverse[a * d + b]), d) == ((inv2 * (a + b)) % d, (inv2 * (a - b)) % d)
 
 
 @pytest.mark.parametrize("d", [2, 4, 6])
@@ -187,40 +186,21 @@ def test_joint_eigenbasis_reproduces_construction(d1, d2):
     np.testing.assert_allclose(overlaps, np.eye(dim), atol=1e-8)
 
 
-def test_local_unitary_identity_preserves_tps():
-    tps = trivial_tps(2, 2)
-    out = local_unitary_tps(tps, np.eye(2), np.eye(2))
-    np.testing.assert_array_equal(out.unitary, permutation_matrix(tps.relabeling))
-
-
-def test_local_unitary_on_relabeling_matches_dense_base():
-    rng = np.random.default_rng(11)
-    bij = sum_diff_bijection(3)
-    u_a, u_b = random_unitary(3, rng), random_unitary(3, rng)
-    out = local_unitary_tps(relabel_tps(bij), u_a, u_b)
-    dense = local_unitary_tps(TensorProductStructure(3, 3, permutation_matrix(bij)), u_a, u_b)
-    np.testing.assert_array_equal(out.unitary, dense.unitary)
-
-
-def test_local_unitary_rejects_non_unitary():
-    with pytest.raises(ContractError):
-        local_unitary_tps(trivial_tps(2, 2), np.ones((2, 2)), np.eye(2))
-
-
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3)])
 def test_local_unitary_keeps_products_rank_one(d1, d2):
     rng = np.random.default_rng(100 + d1 * d2)
     tps = trivial_tps(d1, d2)
     for _ in range(25):
         psi = random_product_state(d1, d2, rng)
-        rotated = local_unitary_tps(tps, random_unitary(d1, rng), random_unitary(d2, rng))
+        rotated = TensorProductStructure(d1, d2, np.kron(random_unitary(d1, rng),
+                                                         random_unitary(d2, rng)))
         vals = schmidt_values(psi, rotated)
         assert vals[1] <= 1e-10 * vals[0]
 
 
 def test_local_unitary_hadamard_keeps_bell_rank_two():
     h = np.array([[1, 1], [1, -1]], dtype=complex) / SQ2
-    rotated = local_unitary_tps(trivial_tps(2, 2), h, h)
+    rotated = TensorProductStructure(2, 2, np.kron(h, h))
     sd = schmidt(BELL, rotated)
     assert sd.rank == 2
 
@@ -231,7 +211,7 @@ def test_schmidt_coefficients_invariant_under_local_unitaries():
     psi = haar_state(9, rng)
     base = schmidt_values(psi, tps)
     for _ in range(10):
-        rotated = local_unitary_tps(tps, random_unitary(3, rng), random_unitary(3, rng))
+        rotated = TensorProductStructure(3, 3, np.kron(random_unitary(3, rng), random_unitary(3, rng)))
         np.testing.assert_allclose(schmidt_values(psi, rotated), base, atol=1e-10)
 
 
@@ -312,16 +292,6 @@ def test_coefficients_match_the_dense_route(rotation, relabeled, d1, d2):
     np.testing.assert_allclose(
         _coefficients(stack, tps), (stack @ dense.conj()).reshape(5, d1, d2), rtol=0, atol=1e-12
     )
-
-
-@pytest.mark.parametrize("rotation,relabeled", FORMS)
-def test_local_unitary_tps_matches_the_dense_route(rotation, relabeled):
-    rng = np.random.default_rng(21)
-    tps = _tps(rotation, relabeled, 2, 3, rng)
-    u_a, u_b = random_unitary(2, rng), random_unitary(3, rng)
-    out = local_unitary_tps(tps, u_a, u_b)
-    np.testing.assert_allclose(out.unitary, dense_unitary(tps) @ np.kron(u_a, u_b),
-                               rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize(
