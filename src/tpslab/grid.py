@@ -19,16 +19,27 @@ is 2 even for equal widths, where the continuum analogy suggests a product:
 the state is a product inside each sector, and the shared parity bit adds one
 ebit.  Grid-periodic profiles (discrete Fourier modes) relabel exactly.
 
+Reflection parity, distinct from the wrap parity above, is the symmetry of a
+profile under x -> -x, i -> d-1-i: centred Gaussians, double Gaussians and
+Fourier mode 0 are even, odd profiles odd, off-centre profiles neither.  The
+relabeling turns the reflection of a pair into the index involutions a -> -2-a
+and b -> -b (mod d) of the new factors, so when f and g both have a
+reflection parity the relabeled matrix is block diagonal in each factor's
+parity basis, a local orthogonal change that keeps the Schmidt coefficients.
+
 Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
 so their coefficients and Schmidt spectra are computed in real arithmetic;
-Fourier modes stay complex.  A demo request is one stacked pass: n profile
-pairs on grids of one size d give (n, d, d) coefficients, relabeled once and
-decomposed by one batched SVD.  Only the relabeled stack is decomposed: a
-product f (x) g of unit profiles has the exact x-y spectrum (1, 0, ..., 0),
-so its x-y rank follows from the tolerance alone; the SVD cross-check of that
-rank lives in ``tests/demo_oracle.py``.  A grid's d x d pair grid is
-capped at ``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any
-profile is sampled.
+Fourier modes stay complex.  A demo request is one stacked pass over n
+profile pairs on grids of one size d.  Pairs with a reflection parity take one
+batched SVD per parity block, built straight from the profiles; the blocks'
+sides are (d+1)/2 and (d-1)/2, so the two SVDs cost about a quarter of one
+d x d SVD.  Pairs without one are relabeled as an (n, d, d) stack and
+decomposed by one batched SVD.  Only the relabeled spectrum is computed: a product f (x) g of
+unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its x-y rank
+follows from the tolerance alone; the SVD cross-check of that rank lives in
+``tests/demo_oracle.py``.  A grid's d x d pair grid is capped at
+``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
+sampled.
 """
 
 from __future__ import annotations
@@ -48,7 +59,7 @@ from .errors import (
 )
 from .linalg import MAX_GLOBAL_DIM
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
-from .tps import IndexBijection, _coefficients, relabel_tps, sum_diff_bijection
+from .tps import _coefficients, relabel_tps, sum_diff_bijection
 
 EDGE_DENSITY_TOL = 1e-12
 
@@ -210,7 +221,7 @@ class CoordinateDemoReport:
     ``rank_xy`` is exact by construction, the rank of the spectrum
     (1, 0, ..., 0) at the report's tolerance (cross-checked by SVD in
     ``tests/demo_oracle.py``); ``rank_ab`` and ``alpha_ratio_ab`` come from
-    the SVD of the relabeled coefficients.
+    the singular values of the relabeled coefficients.
     """
 
     rank_xy: int
@@ -250,24 +261,71 @@ def _sum_diff_covariance(x: np.ndarray, c: np.ndarray) -> float:
     return _diag_qcf(a_diag, b_diag, np.abs(c.ravel()) ** 2)
 
 
-def _spectra(fs, gs, bij: IndexBijection) -> CoordinateSpectra:
-    """One relabeling and one batched SVD for the validated pairs.
+def _reflection_parity(v: np.ndarray) -> int:
+    """+1 if v is even under x -> -x (v[d-1-i] == v[i] exactly), -1 if odd, 0 if neither."""
+    if np.array_equal(v, v[::-1]):
+        return 1
+    if np.array_equal(v, -v[::-1]):
+        return -1
+    return 0
 
-    The covariances run pair by pair, so their d^2-sized temporaries are
-    held for one pair at a time; the (n, d, d) product stack is freed on
-    return.
+
+def _parity_block_values(f: np.ndarray, g: np.ndarray, s: int) -> np.ndarray:
+    """Relabeled Schmidt coefficients of pairs f_k (x) g_k of joint reflection parity s.
+
+    The reflection maps a relabeled row a to -2-a and a column b to -b
+    (mod d), so in each factor's parity basis the relabeled matrix splits
+    into the blocks (sigma, tau) with sigma tau = s.  Entry (a, b) of a block
+    is w_a w_b (f[i] g[j] + tau f[j] g[i]), i = (a+b)k, j = (a-b)k mod d,
+    k = (d+1)/2, with w = 1/sqrt(2) on the fixed row d-1 or column 0.
+    Returns the descending union of both blocks' singular values: d of them
+    for s = +1, d - 1 for s = -1.
     """
-    n, d = len(fs), bij.d1
-    f_stack, g_stack = np.stack([fk.samples for fk in fs]), np.stack([gk.samples for gk in gs])
-    c = f_stack[:, :, None] * g_stack[:, None, :]
-    relabeled = _coefficients(c.reshape(n, d * d), relabel_tps(bij))
-    return CoordinateSpectra(
-        values_ab=np.linalg.svd(relabeled, compute_uv=False),
-        qcf_ab=np.array([_sum_diff_covariance(fk.grid.points, ck) for fk, ck in zip(fs, c)]),
-        variance_diff=np.array(
-            [fk.position_variance() - gk.position_variance() for fk, gk in zip(fs, gs)]
-        ),
-    )
+    d = f.shape[1]
+    h, k = (d - 1) // 2, (d + 1) // 2
+    parts = []
+    for sigma in (1, -1):
+        tau = sigma * s
+        a = np.arange(h + (sigma > 0))[:, None]  # rows 0..h-1, then d-1 if even
+        a[h:] = d - 1
+        b = np.arange(1, h + 1 + (tau > 0))[None, :]  # columns 1..h, then 0 if even
+        b[:, h:] = 0
+        i, j = (a + b) * k % d, (a - b) * k % d
+        block = f[:, i] * g[:, j]
+        if tau > 0:
+            block += f[:, j] * g[:, i]
+        else:
+            block -= f[:, j] * g[:, i]
+        block[:, h:] *= math.sqrt(0.5)  # the fixed row, if any
+        block[:, :, h:] *= math.sqrt(0.5)  # the fixed column, if any
+        parts.append(np.linalg.svd(block, compute_uv=False))
+    return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
+
+
+def _relabeled_values(fs, gs, d: int) -> np.ndarray:
+    """(n, d) descending Schmidt coefficients of each pair after the sum/difference relabeling.
+
+    Pairs are batched by joint reflection parity and dtype, so a stacked call
+    gives every pair the bits of its single-pair call.  A pair with a parity
+    takes two half-size SVDs of its parity blocks; one without (off-centre
+    profiles, Fourier modes other than 0) takes the SVD of its relabeled
+    d x d matrix.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, (fk, gk) in enumerate(zip(fs, gs)):
+        s = _reflection_parity(fk.samples) * _reflection_parity(gk.samples)
+        groups.setdefault((s, np.result_type(fk.samples, gk.samples)), []).append(k)
+    values = np.zeros((len(fs), d))
+    for (s, _), idx in groups.items():
+        f, g = np.stack([fs[k].samples for k in idx]), np.stack([gs[k].samples for k in idx])
+        if s:
+            v = _parity_block_values(f, g, s)
+        else:
+            c = (f[:, :, None] * g[:, None, :]).reshape(len(idx), d * d)
+            v = np.linalg.svd(_coefficients(c, relabel_tps(sum_diff_bijection(d))),
+                              compute_uv=False)
+        values[idx, : v.shape[1]] = v  # zero-padded to d
+    return values
 
 
 def sum_diff_spectra(
@@ -279,13 +337,20 @@ def sum_diff_spectra(
     f and g are profiles or equal-length sequences of them on grids of one
     size.  The covariance qcf_ab must equal the variance difference for every
     pair, to 1e-9 max(1, Var1 + Var2): both sides are sums of squared
-    positions, so their rounding grows with the variances.
+    positions, so their rounding grows with the variances.  The covariances
+    run pair by pair, so their d^2-sized temporaries are held for one pair at
+    a time.
     """
     fs, gs, d = _pairs(f, g)
-    spectra = _spectra(fs, gs, sum_diff_bijection(d))
-    tol = 1e-9 * np.maximum(
-        1.0, [fk.position_variance() + gk.position_variance() for fk, gk in zip(fs, gs)]
+    var_f = np.array([fk.position_variance() for fk in fs])
+    var_g = np.array([gk.position_variance() for gk in gs])
+    spectra = CoordinateSpectra(
+        values_ab=_relabeled_values(fs, gs, d),
+        qcf_ab=np.array([_sum_diff_covariance(fk.grid.points, np.outer(fk.samples, gk.samples))
+                         for fk, gk in zip(fs, gs)]),
+        variance_diff=var_f - var_g,
     )
+    tol = 1e-9 * np.maximum(1.0, var_f + var_g)
     bad = ~(np.abs(spectra.qcf_ab - spectra.variance_diff) <= tol)
     if bad.any():
         k = int(np.argmax(bad))
@@ -327,7 +392,7 @@ def demo_sum_diff(
     construction: a product of two unit profiles has the spectrum
     (1, 0, ..., 0), so rank_xy is 1 for a tolerance below 1 and 0 from 1 on
     (its SVD cross-check lives in ``tests/demo_oracle.py``).  rank_ab is the
-    rank after relabeling, from the one batched SVD; qcf_ab the covariance
+    rank after relabeling, from ``sum_diff_spectra``; qcf_ab the covariance
     of X1 + X2 against X1 - X2, which always equals the difference of the
     two position variances (enforced to 1e-9 max(1, Var1 + Var2)).  Given
     equal-length sequences of profiles on grids of one size, it returns a

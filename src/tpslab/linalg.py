@@ -47,6 +47,15 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
+def check_dense_dim(dim: int, what: str) -> None:
+    """Refuse a dense dim x dim matrix of more than ``MAX_GLOBAL_DIM`` entries (D <= 1024)."""
+    if dim * dim > MAX_GLOBAL_DIM:
+        raise SizeLimitError(
+            f"{what} is a dense {dim}x{dim} matrix: {dim * dim} entries exceed the "
+            f"configured maximum {MAX_GLOBAL_DIM}"
+        )
+
+
 def tensor_vec(u, v, max_dim: int = MAX_GLOBAL_DIM) -> np.ndarray:
     """Tensor product of two vectors, left factor slow: out[i*dv + j] = u[i]v[j]."""
     u = as_vector(u)

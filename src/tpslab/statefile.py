@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BijectionError, ContractError, ShapeError, SizeLimitError, StateFileError
-from .linalg import MAX_GLOBAL_DIM, check_hermitian
+from .linalg import MAX_GLOBAL_DIM, check_dense_dim, check_hermitian
 from .tps import IndexBijection, TensorProductStructure
 
 
@@ -145,6 +145,8 @@ def tps_from_dict(data) -> TensorProductStructure:
                 raise StateFileError(f"tps {key} must be a list of strings")
             labels[key] = tuple(data[key])
     dim = _checked_dim(d1, d2, "tps dims")
+    if "unitary" in data:
+        check_dense_dim(dim, "tps unitary")
     lengths = {"map": dim, "unitary": dim * dim, "reflector": dim}
     blocks = {key: _sized_list(data[key], n, f"tps {key}")
               for key, n in lengths.items() if key in data}

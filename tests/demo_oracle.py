@@ -85,7 +85,8 @@ def coords_pair(f, g, x, targets, tol: float = 1e-10) -> dict:
     """One product pair f (x) g on grid points x under the relabeling that sends
     global index i*d + j to ``targets[i*d + j]``, as `demo coords` once
     computed it: complex coefficients, one dense SVD per labeling, and the
-    covariance of X1 + X2 against X1 - X2 from the joint distribution."""
+    covariance of X1 + X2 against X1 - X2 from the joint distribution.  Also
+    returns the relabeled spectrum itself as ``values_ab``."""
     f, g, x = np.asarray(f, dtype=complex), np.asarray(g, dtype=complex), np.asarray(x)
     c = np.outer(f, g)
     relabeled = np.empty(c.size, dtype=complex)
@@ -107,4 +108,5 @@ def coords_pair(f, g, x, targets, tol: float = 1e-10) -> dict:
         "qcf_ab": float(qcf),
         "variance_diff": float(variance(np.abs(f) ** 2) - variance(np.abs(g) ** 2)),
         "alpha_ratio_ab": float(vals_ab[1] / vals_ab[0]) if vals_ab.size > 1 else 0.0,
+        "values_ab": vals_ab,
     }

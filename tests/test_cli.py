@@ -10,7 +10,7 @@ import pytest
 
 import tpslab.statefile
 from tpslab.cli import build_parser, main
-from tpslab.errors import SizeLimitError
+from tpslab.errors import SizeLimitError, UnknownObservableError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
 from tpslab.sampling import haar_state, random_product_state, random_unitary
 from tpslab.statefile import (
@@ -237,7 +237,7 @@ def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
 
 
 @pytest.mark.parametrize("caller", ["library", "json", "csv"])
-def test_demo_coords_takes_one_svd(caller, monkeypatch, tmp_path):
+def test_demo_coords_takes_two_half_size_svds(caller, monkeypatch, tmp_path):
     calls = []
     svd = np.linalg.svd
 
@@ -247,14 +247,18 @@ def test_demo_coords_takes_one_svd(caller, monkeypatch, tmp_path):
 
     monkeypatch.setattr(np.linalg, "svd", counting)
     if caller == "library":
+        # an off-centre g has no reflection parity: one SVD of the relabeled stack
         grid = Grid.spanning(33, 8.0)
         fs = [gaussian_profile(grid, 0.0, s) for s in (0.8, 1.0, 1.3)]
         gs = [gaussian_profile(grid, 0.2, s) for s in (1.1, 0.9, 1.6)]
         assert len(demo_sum_diff(fs, gs)) == 3
+        assert calls == [(3, 33, 33)]
     else:
+        # centred Gaussians are even: one SVD per parity block, (d+1)/2 and (d-1)/2 square
         out = tmp_path / f"out.{caller}"
         assert main(["demo", "coords", "--d", "33", "--format", caller, "--out", str(out)]) == 0
-    assert calls == [(11 if caller == "csv" else 3, 33, 33)]
+        n = 11 if caller == "csv" else 3
+        assert calls == [(n, 17, 17), (n, 16, 16)]
 
 
 def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
@@ -294,6 +298,55 @@ def test_demo_coords_pair_grid_above_the_cap_exits_3_before_any_profile(monkeypa
         assert main(["demo", "coords", "--d", "1025", "--format", fmt]) == 3  # 1025^2 > 2^20
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def square_state_file(tmp_path, d, tps=None):
+    path = tmp_path / f"state-{d}.json"
+    psi = random_product_state(d, d, np.random.default_rng(d))
+    save_state_file(str(path), StateFile(d, d, psi))
+    if tps is not None:
+        doc = json.loads(path.read_text())
+        path.write_text(json.dumps({**doc, "tps": tps}))
+    return str(path)
+
+
+@pytest.mark.parametrize("where", ["state", "tps-file"])
+@pytest.mark.parametrize("d, code", [(33, 3), (32, 2)])
+def test_dense_unitary_block_above_the_cap_exits_3_before_any_entry(where, d, code, tmp_path,
+                                                                   capsys):
+    # D = 1089 gives D^2 > 2^20 from the declared dims alone; at D = 1024 the
+    # unreadable block is parsed and refused as malformed (exit 2)
+    tps = {"d1": d, "d2": d, "unitary": "never read"}
+    if where == "state":
+        argv = ["schmidt", square_state_file(tmp_path, d, tps)]
+    else:
+        tps_path = tmp_path / "tps.json"
+        tps_path.write_text(json.dumps(tps))
+        argv = ["schmidt", square_state_file(tmp_path, d), "--tps", str(tps_path)]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert ("exceed the configured maximum" in err) == (code == 3)
+
+
+@pytest.mark.parametrize("d, code", [(33, 3), (32, 4)])
+def test_global_qcf_above_the_dense_cap_exits_3_before_any_observable(d, code, monkeypatch,
+                                                                     tmp_path, capsys):
+    state = square_state_file(tmp_path, d)
+    assert run(["qcf", state, "--obs-a", "position", "--obs-b", "position", "--local"],
+               tmp_path)[0] == 0
+    resolved = []
+
+    def unknown(spec, dim):
+        resolved.append(dim)
+        raise UnknownObservableError(f"stub for {spec}")
+
+    monkeypatch.setattr("tpslab.cli.resolve_observable", unknown)
+    assert main(["qcf", state, "--obs-a", "position", "--obs-b", "position"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    # D = 1024 still reaches the observables (here a stub that exits 4)
+    assert resolved == ([] if code == 3 else [d * d])
 
 
 def test_demo_bell_small_sample(tmp_path):

@@ -17,6 +17,7 @@ from tpslab.errors import (
 )
 from tpslab.grid import (
     Grid,
+    SampledProfile,
     demo_sum_diff,
     double_gaussian_profile,
     fourier_profile,
@@ -344,6 +345,65 @@ def test_stacked_reports_equal_the_single_pair_calls():
         one = sum_diff_spectra(f, h)
         np.testing.assert_array_equal(spectra.values_ab[k], one.values_ab[0])
         assert spectra.qcf_ab[k] == one.qcf_ab[0]
+
+
+PARITY = {"even": 1, "odd": -1, "none": 0}
+PARITY_CLASSES = [("even", "even"), ("odd", "odd"), ("even", "odd"), ("odd", "even"),
+                  ("none", "even")]
+
+
+def parity_profile(grid, kind, source, rng):
+    """A unit profile that is even, odd or neither under x -> -x: a centred
+    Gaussian, x times one, or an off-centre one; or a symmetrized random vector."""
+    if source == "gaussian":
+        width = rng.uniform(0.5, 1.5)
+        if kind == "odd":
+            return odd_profile(grid, width)
+        return gaussian_profile(grid, 0.0 if kind == "even" else rng.uniform(0.2, 1.0), width)
+    v = rng.normal(size=grid.d)
+    v = {"even": v + v[::-1], "odd": v - v[::-1], "none": v}[kind]
+    return SampledProfile(grid=grid, samples=v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("source", ["gaussian", "random"])
+@pytest.mark.parametrize(
+    "d, kinds",
+    # every one-point profile is even
+    [(1, ("even", "even"))] + [(d, kinds) for d in (3, 5, 9, 65) for kinds in PARITY_CLASSES],
+)
+def test_parity_blocks_match_the_dense_oracle(d, kinds, source):
+    # pairs with a reflection parity take two half-size block SVDs, the rest
+    # the relabeled d x d SVD; both must give the oracle's dense spectrum
+    rng = np.random.default_rng(d)
+    grid = Grid(1, 1.0) if d == 1 else Grid.spanning(d, 6.0)
+    f, g = (parity_profile(grid, kind, source, rng) for kind in kinds)
+    parities = [grid_module._reflection_parity(p.samples) for p in (f, g)]
+    assert parities == [PARITY[k] for k in kinds]
+    want = coords_pair(f.samples, g.samples, grid.points, sum_diff_targets(d))
+    values = sum_diff_spectra(f, g).values_ab[0]
+    assert values.shape == (d,)
+    want_values = want["values_ab"]
+    np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12 * want_values[0])
+    assert_matches_oracle(demo_sum_diff(f, g), f, g, sum_diff_targets(d))
+
+
+def test_a_stack_of_every_parity_class_equals_the_single_pair_calls():
+    rng = np.random.default_rng(7)
+    grid = Grid.spanning(33, 6.0)
+    pairs = [tuple(parity_profile(grid, kind, source, rng) for kind in kinds)
+             for source in ("gaussian", "random") for kinds in PARITY_CLASSES]
+    # complex profiles: the constant Fourier mode is even, the others have no parity
+    pairs += [(fourier_profile(grid, 0), gaussian_profile(grid, 0.0, 1.0)),
+              (fourier_profile(grid, 2), gaussian_profile(grid, 0.0, 1.0))]
+    pairs = [pairs[k] for k in rng.permutation(len(pairs))]
+    fs, gs = zip(*pairs)
+    spectra = sum_diff_spectra(fs, gs)
+    for k, (f, g) in enumerate(pairs):
+        one = sum_diff_spectra(f, g)
+        np.testing.assert_array_equal(spectra.values_ab[k], one.values_ab[0])
+        assert spectra.qcf_ab[k] == one.qcf_ab[0]
+        assert spectra.variance_diff[k] == one.variance_diff[0]
+    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff(f, g) for f, g in pairs)
 
 
 def test_stacks_need_equal_lengths_and_one_grid_size():
