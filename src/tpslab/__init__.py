@@ -32,7 +32,7 @@ from .sampling import (
     random_unitary,
 )
 from .schmidt import SchmidtDecomposition, schmidt, schmidt_values
-from .spins import SpinConfig, chi_basis, demo_spins, spin_operators, spin_qcf_closed_form, total_spin_squares
+from .spins import chi_basis, demo_spins, spin_operators, spin_qcf_closed_form, total_spin_squares
 from .tps import (
     IndexBijection,
     TensorProductStructure,

@@ -40,7 +40,7 @@ from .grid import (
     position_operator,
     sum_diff_spectra,
 )
-from .linalg import check_dense_dim
+from .linalg import check_size
 from .qcf import default_witness_threshold, qcf, qcf_local
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
 from .spins import PAULI_X, PAULI_Y, PAULI_Z, demo_spins
@@ -143,7 +143,7 @@ def cmd_qcf(args: argparse.Namespace) -> int:
         value, threshold, verdict = rep.value, rep.witness_threshold, rep.verdict
     else:
         dim = sf.d1 * sf.d2
-        check_dense_dim(dim, "a global qcf observable (use --local)")
+        check_size(dim * dim, f"a dense {dim}x{dim} global qcf observable (use --local)")
         obs_a = resolve_observable(args.obs_a, dim)
         obs_b = resolve_observable(args.obs_b, dim)
         value = qcf(obs_a, obs_b, sf.amplitudes)

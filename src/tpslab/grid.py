@@ -55,9 +55,8 @@ from .errors import (
     GridSpecError,
     NumericalError,
     ShapeError,
-    SizeLimitError,
 )
-from .linalg import MAX_GLOBAL_DIM
+from .linalg import check_size
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
 from .tps import _coefficients, relabel_tps, sum_diff_bijection
 
@@ -66,36 +65,32 @@ EDGE_DENSITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class Grid:
-    """Centered one-dimensional grid: x_i = (i - (d-1)/2) * spacing + origin_offset."""
+    """Centered one-dimensional grid: x_i = (i - (d-1)/2) * spacing."""
 
     d: int
     spacing: float
-    origin_offset: float = 0.0
 
     def __post_init__(self):
         if self.d < 1 or self.d % 2 == 0:
             raise GridSpecError(f"grid size must be odd and positive, got d={self.d}")
-        if self.d * self.d > MAX_GLOBAL_DIM:
-            raise SizeLimitError(
-                f"a {self.d}x{self.d} pair grid exceeds the configured maximum {MAX_GLOBAL_DIM}"
-            )
+        check_size(self.d * self.d, f"a {self.d}x{self.d} pair grid")
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise GridSpecError(f"grid spacing must be finite and positive, got {self.spacing}")
         # covariances square the sum and difference of two points
-        extent = 2.0 * (abs(self.origin_offset) + self.spacing * (self.d - 1) / 2.0)
+        extent = self.spacing * (self.d - 1)
         if not math.isfinite(extent * extent):
             raise GridSpecError(f"grid extent {extent / 2.0!r} is too wide: its square overflows")
 
     @classmethod
-    def spanning(cls, d: int, halfwidth: float, origin_offset: float = 0.0) -> "Grid":
-        """Grid of d points covering [-halfwidth, +halfwidth] around the offset."""
+    def spanning(cls, d: int, halfwidth: float) -> "Grid":
+        """Grid of d points covering [-halfwidth, +halfwidth]."""
         if d < 3:
             raise GridSpecError("a spanning grid needs at least 3 points")
-        return cls(d=d, spacing=2.0 * halfwidth / (d - 1), origin_offset=origin_offset)
+        return cls(d=d, spacing=2.0 * halfwidth / (d - 1))
 
     @property
     def points(self) -> np.ndarray:
-        return (np.arange(self.d) - (self.d - 1) / 2.0) * self.spacing + self.origin_offset
+        return (np.arange(self.d) - (self.d - 1) / 2.0) * self.spacing
 
 
 @dataclass(frozen=True)

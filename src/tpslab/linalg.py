@@ -1,7 +1,7 @@
 """Dense complex linear algebra kernels with deterministic conventions.
 
 Thin wrappers around numpy that pin down the index convention (left factor is
-the slow, row-major index), tolerance defaults, and output phases, so that
+the slow, row-major index), tolerances, and output phases, so that
 every decomposition is reproducible bit-for-bit across calls.
 """
 
@@ -47,26 +47,22 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def check_dense_dim(dim: int, what: str) -> None:
-    """Refuse a dense dim x dim matrix of more than ``MAX_GLOBAL_DIM`` entries (D <= 1024)."""
-    if dim * dim > MAX_GLOBAL_DIM:
-        raise SizeLimitError(
-            f"{what} is a dense {dim}x{dim} matrix: {dim * dim} entries exceed the "
-            f"configured maximum {MAX_GLOBAL_DIM}"
-        )
+def check_size(n: int, what: str) -> None:
+    """Refuse an object of n entries above ``MAX_GLOBAL_DIM``: a global dimension,
+    a dense D x D matrix (n = D^2, so D <= 1024), a pair grid or a sample stack."""
+    if n > MAX_GLOBAL_DIM:
+        # n can be a product of input integers too long for str() to write
+        count = n if n < 2**64 else "over 2^64"
+        raise SizeLimitError(f"{what}: {count} entries exceed the configured maximum {MAX_GLOBAL_DIM}")
 
 
-def tensor_vec(u, v, max_dim: int = MAX_GLOBAL_DIM) -> np.ndarray:
+def tensor_vec(u, v) -> np.ndarray:
     """Tensor product of two vectors, left factor slow: out[i*dv + j] = u[i]v[j]."""
     u = as_vector(u)
     v = as_vector(v)
     if u.size < 1 or v.size < 1:
         raise ShapeError("tensor factors must have dimension >= 1")
-    if u.size * v.size > max_dim:
-        raise SizeLimitError(
-            f"tensor product dimension {u.size}x{v.size} exceeds the "
-            f"configured maximum {max_dim}"
-        )
+    check_size(u.size * v.size, f"tensor product {u.size}x{v.size}")
     return np.kron(u, v)
 
 
@@ -147,21 +143,21 @@ def eigh(h, tol: float = HERMITIAN_TOL) -> tuple[np.ndarray, np.ndarray]:
     return w, vecs
 
 
-def check_state(psi, tol: float = STATE_NORM_TOL) -> np.ndarray:
-    """Validate that psi is a unit vector within ``tol`` and return it."""
+def check_state(psi) -> np.ndarray:
+    """Validate that psi is a unit vector within ``STATE_NORM_TOL`` and return it."""
     psi = as_vector(psi)
     n = float(np.linalg.norm(psi))
-    if abs(n - 1.0) > tol:
-        raise ContractError(f"state norm {n!r} differs from 1 beyond tolerance {tol}")
+    if abs(n - 1.0) > STATE_NORM_TOL:
+        raise ContractError(f"state norm {n!r} differs from 1 beyond tolerance {STATE_NORM_TOL}")
     return psi
 
 
-def check_hermitian(a, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def check_hermitian(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"observable must be square, got {a.shape}")
     defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
-    if defect > tol:
+    if defect > HERMITIAN_TOL:
         raise ContractError(f"observable is not Hermitian: max defect {defect:.3e}")
     return a
 
@@ -180,10 +176,10 @@ def _expectation(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return val.real
 
 
-def expectation(a, psi, herm_tol: float = HERMITIAN_TOL, norm_tol: float = STATE_NORM_TOL) -> float:
+def expectation(a, psi) -> float:
     """Real expectation value <psi, a psi> of a Hermitian observable."""
-    a = check_hermitian(a, herm_tol)
-    psi = check_state(psi, norm_tol)
+    a = check_hermitian(a)
+    psi = check_state(psi)
     if a.shape[0] != psi.size:
         raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
     return float(_expectation(a, psi))

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .linalg import (
-    HERMITIAN_TOL,
-    _expectation,
-    check_hermitian,
-    check_state,
-)
+from .linalg import _expectation, check_hermitian, check_state
 from .tps import TensorProductStructure, coefficient_matrix
 
 ENTANGLED_WITNESSED = "entangled-witnessed"
@@ -47,10 +42,10 @@ def _covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return cross - _expectation(a, psi) * _expectation(b, psi)
 
 
-def qcf(a, b, psi, herm_tol: float = HERMITIAN_TOL) -> complex:
+def qcf(a, b, psi) -> complex:
     """Covariance <A B> - <A><B> in the state psi; complex for non-commuting pairs."""
-    a = check_hermitian(a, herm_tol)
-    b = check_hermitian(b, herm_tol)
+    a = check_hermitian(a)
+    b = check_hermitian(b)
     psi = check_state(psi)
     if a.shape[0] != psi.size or b.shape[0] != psi.size:
         raise ShapeError(
@@ -70,15 +65,14 @@ def qcf_local(
     psi,
     tps: TensorProductStructure,
     witness_threshold: float | None = None,
-    herm_tol: float = HERMITIAN_TOL,
 ) -> QcfReport:
     """Covariance of two single-factor observables read through a TPS.
 
     The observables act as a1 on factor 1 and b2 on factor 2 of the TPS; a
     value above the threshold certifies entanglement of psi in that TPS.
     """
-    a1 = check_hermitian(a1, herm_tol)
-    b2 = check_hermitian(b2, herm_tol)
+    a1 = check_hermitian(a1)
+    b2 = check_hermitian(b2)
     if a1.shape[0] != tps.d1 or b2.shape[0] != tps.d2:
         raise ShapeError(
             f"factor observables {a1.shape[0]}x{b2.shape[0]} vs TPS factors "
@@ -96,9 +90,9 @@ def qcf_local(
     return QcfReport(value=value, witness_threshold=threshold, verdict=verdict)
 
 
-def variance(a, psi, herm_tol: float = HERMITIAN_TOL) -> float:
+def variance(a, psi) -> float:
     """<A^2> - <A>^2, clamped to be nonnegative."""
-    a = check_hermitian(a, herm_tol)
+    a = check_hermitian(a)
     psi = check_state(psi)
     if a.shape[0] != psi.size:
         raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")

@@ -6,8 +6,8 @@ import math
 
 import numpy as np
 
-from .errors import ContractError, SizeLimitError
-from .linalg import MAX_GLOBAL_DIM, tensor_vec
+from .errors import ContractError
+from .linalg import check_size, tensor_vec
 
 
 def check_samples(samples: int) -> None:
@@ -18,8 +18,7 @@ def check_samples(samples: int) -> None:
     """
     if samples < 1:
         raise ContractError(f"samples must be positive, got {samples}")
-    if samples > MAX_GLOBAL_DIM:
-        raise SizeLimitError(f"samples {samples} exceed the configured maximum {MAX_GLOBAL_DIM}")
+    check_size(samples, "samples")
 
 
 def haar_state(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:

@@ -5,7 +5,7 @@ joint eigenbasis chi_{s,t}; reading the four-dimensional space through that
 basis gives a second tensor product structure in which a z-product state is
 generically entangled.  The covariance of the two squares on a product state
 has a closed form in single-spin expectations, evaluated here both directly
-and in closed form.
+and in closed form.  Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -26,14 +26,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
-
-@dataclass(frozen=True)
-class SpinConfig:
-    hbar: float = 1.0
-
-    def __post_init__(self):
-        if not (self.hbar > 0):
-            raise ContractError(f"hbar must be positive, got {self.hbar}")
+# a covariance above this is resolvably nonzero, witnessing entanglement in the chi TPS
+NONZERO_THRESHOLD = 1e-8
 
 
 class SpinOperators(NamedTuple):
@@ -47,68 +41,67 @@ class TotalSpinSquares(NamedTuple):
     x2: np.ndarray
 
 
-def spin_operators(cfg: SpinConfig = SpinConfig()) -> SpinOperators:
-    """Single spin-1/2 operators (hbar/2 times the Pauli matrices)."""
-    s = cfg.hbar / 2.0
-    return SpinOperators(x=s * PAULI_X, y=s * PAULI_Y, z=s * PAULI_Z)
+def spin_operators() -> SpinOperators:
+    """Single spin-1/2 operators (half the Pauli matrices)."""
+    return SpinOperators(x=0.5 * PAULI_X, y=0.5 * PAULI_Y, z=0.5 * PAULI_Z)
 
 
-def total_spin_squares(cfg: SpinConfig = SpinConfig()) -> TotalSpinSquares:
+def total_spin_squares() -> TotalSpinSquares:
     """Squares of the z and x components of total spin for two spin-1/2 particles.
 
-    Each equals (hbar^2/2) I + 2 S_i (x) S_i, commutes with the other, and has
-    eigenvalues 0 and hbar^2 with multiplicity two each.
+    Each equals I/2 + 2 S_i (x) S_i, commutes with the other, and has
+    eigenvalues 0 and 1 with multiplicity two each.
     """
-    ops = spin_operators(cfg)
+    ops = spin_operators()
     eye4 = np.eye(4, dtype=complex)
-    z2 = (cfg.hbar**2 / 2.0) * eye4 + 2.0 * tensor_op(ops.z, ops.z)
-    x2 = (cfg.hbar**2 / 2.0) * eye4 + 2.0 * tensor_op(ops.x, ops.x)
+    z2 = 0.5 * eye4 + 2.0 * tensor_op(ops.z, ops.z)
+    x2 = 0.5 * eye4 + 2.0 * tensor_op(ops.x, ops.x)
     return TotalSpinSquares(z2=z2, x2=x2)
 
 
-def chi_basis(cfg: SpinConfig = SpinConfig()) -> tuple[TensorProductStructure, np.ndarray]:
+def chi_basis() -> tuple[TensorProductStructure, np.ndarray]:
     """Joint eigenbasis TPS of the total-spin squares, plus the basis-change matrix.
 
     Returns the TPS whose product labels (s, t) pair eigenvalues of the z- and
-    x-component squares (each descending: hbar^2 before 0), and the 4x4 matrix
+    x-component squares (each descending: 1 before 0), and the 4x4 matrix
     whose row s*2+t expresses chi_{s,t} over the two-spin product basis
     (up-up, up-down, down-up, down-down).
     """
-    squares = total_spin_squares(cfg)
+    squares = total_spin_squares()
     tps = tps_from_joint_eigenbasis(squares.z2, squares.x2, 2, 2)
     return tps, tps.unitary.T.copy()
 
 
-def _closed_form(psi1: np.ndarray, psi2: np.ndarray, cfg: SpinConfig) -> np.ndarray:
+def _closed_form(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """The covariance closed form on the last axis of psi1 and psi2; unchecked inputs."""
-    ops = spin_operators(cfg)
+    ops = spin_operators()
     x1, y1, z1 = (_expectation(op, psi1) for op in ops)
     x2, y2, z2 = (_expectation(op, psi2) for op in ops)
-    return -(cfg.hbar**2) * y1 * y2 - 4.0 * x1 * x2 * z1 * z2
+    return -y1 * y2 - 4.0 * x1 * x2 * z1 * z2
 
 
-def spin_qcf_closed_form(psi1, psi2, cfg: SpinConfig = SpinConfig()) -> float:
+def spin_qcf_closed_form(psi1, psi2) -> float:
     """Closed form for the covariance of the two total-spin squares on a product state.
 
-    Equals ``-hbar^2 <S_y>_1 <S_y>_2 - 4 <S_x>_1 <S_x>_2 <S_z>_1 <S_z>_2``
+    Equals ``-<S_y>_1 <S_y>_2 - 4 <S_x>_1 <S_x>_2 <S_z>_1 <S_z>_2``
     where the expectations are taken in the single-spin factors.
     """
     psi1 = check_state(psi1)
     psi2 = check_state(psi2)
     if psi1.size != 2 or psi2.size != 2:
         raise ContractError("closed form is defined for two single-spin states")
-    return float(_closed_form(psi1, psi2, cfg))
+    return float(_closed_form(psi1, psi2))
 
 
-def _spin_samples(samples: int, seed: int, cfg: SpinConfig) -> tuple[np.ndarray, ...]:
+def _spin_samples(samples: int, seed: int) -> tuple[np.ndarray, ...]:
     """Seeded Haar pairs psi1, psi2 (psi1 drawn first, sample by sample), their
     products psi1 (x) psi2, the direct covariance of the two total-spin
     squares on them, and its closed form; all stacked over the samples."""
     pairs = haar_state(2, np.random.default_rng(seed), (samples, 2))
     psi1, psi2 = pairs[:, 0], pairs[:, 1]
     psi = (psi1[:, :, None] * psi2[:, None, :]).reshape(samples, 4)
-    squares = total_spin_squares(cfg)
-    return psi1, psi2, psi, _covariance(squares.z2, squares.x2, psi), _closed_form(psi1, psi2, cfg)
+    squares = total_spin_squares()
+    return psi1, psi2, psi, _covariance(squares.z2, squares.x2, psi), _closed_form(psi1, psi2)
 
 
 @dataclass(frozen=True)
@@ -130,12 +123,7 @@ class SpinDemoReport:
     qcf_values: np.ndarray = field(compare=False, repr=False)
 
 
-def demo_spins(
-    samples: int = 1000,
-    seed: int = 42,
-    cfg: SpinConfig = SpinConfig(),
-    nonzero_threshold: float = 1e-8,
-) -> SpinDemoReport:
+def demo_spins(samples: int = 1000, seed: int = 42) -> SpinDemoReport:
     """Sample random product spin pairs and compare covariance routes.
 
     Reports the worst disagreement between the direct covariance and its
@@ -149,8 +137,8 @@ def demo_spins(
     ranks come out 1; generic product states come out entangled.
     """
     check_samples(samples)
-    _, _, psi, direct, closed = _spin_samples(samples, seed, cfg)
-    tps, _ = chi_basis(cfg)
+    _, _, psi, direct, closed = _spin_samples(samples, seed)
+    tps, _ = chi_basis()
     # the samples and the four z-product basis states, in one stacked SVD
     vals = np.linalg.svd(_coefficients(np.concatenate([psi, np.eye(4)]), tps), compute_uv=False)
     ranks = rank_from_singular_values(vals, DEFAULT_TRUNCATION_TOL)
@@ -159,8 +147,8 @@ def demo_spins(
         samples=samples,
         seed=seed,
         closed_form_residual_max=float(residuals.max()),
-        fraction_nonzero=int(np.count_nonzero(np.abs(direct) > nonzero_threshold)) / samples,
-        nonzero_threshold=nonzero_threshold,
+        fraction_nonzero=int(np.count_nonzero(np.abs(direct) > NONZERO_THRESHOLD)) / samples,
+        nonzero_threshold=NONZERO_THRESHOLD,
         chi_tps_rank_examples=tuple(ranks[samples:].tolist()),
         sampled_rank2_fraction=int(np.count_nonzero(ranks[:samples] == 2)) / samples,
         residuals=residuals,

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BijectionError, ContractError, ShapeError, SizeLimitError, StateFileError
-from .linalg import MAX_GLOBAL_DIM, check_dense_dim, check_hermitian
+from .errors import BijectionError, ContractError, ShapeError, StateFileError
+from .linalg import check_hermitian, check_size
 from .tps import IndexBijection, TensorProductStructure
 
 
@@ -76,7 +76,8 @@ def read_json(path: str):
 
     Raises:
         StateFileError: the file cannot be read, is not JSON (with its line and column),
-            or nests deeper than the decoder's recursion limit.
+            nests deeper than the decoder's recursion limit, or holds an integer
+            literal too long to convert.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -89,6 +90,8 @@ def read_json(path: str):
         raise StateFileError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise StateFileError(f"{path}: unreadable JSON number: {exc}") from exc
 
 
 def tps_to_dict(tps: TensorProductStructure) -> dict:
@@ -104,15 +107,6 @@ def tps_to_dict(tps: TensorProductStructure) -> dict:
     if tps.label_right is not None:
         out["label_right"] = list(tps.label_right)
     return out
-
-
-def _checked_dim(d1: int, d2: int, what: str) -> int:
-    """The global dimension d1*d2, refused above ``MAX_GLOBAL_DIM`` before anything is parsed."""
-    if d1 * d2 > MAX_GLOBAL_DIM:
-        raise SizeLimitError(
-            f"{what} {d1}x{d2} exceed the configured maximum global dimension {MAX_GLOBAL_DIM}"
-        )
-    return d1 * d2
 
 
 def _sized_list(value, length: int, what: str) -> list:
@@ -144,9 +138,11 @@ def tps_from_dict(data) -> TensorProductStructure:
             if not (isinstance(data[key], list) and all(isinstance(x, str) for x in data[key])):
                 raise StateFileError(f"tps {key} must be a list of strings")
             labels[key] = tuple(data[key])
-    dim = _checked_dim(d1, d2, "tps dims")
+    # sizes are refused from the declared dims, before any entry is parsed
+    dim = d1 * d2
+    check_size(dim, f"tps dims {d1}x{d2}")
     if "unitary" in data:
-        check_dense_dim(dim, "tps unitary")
+        check_size(dim * dim, f"a dense {dim}x{dim} tps unitary")
     lengths = {"map": dim, "unitary": dim * dim, "reflector": dim}
     blocks = {key: _sized_list(data[key], n, f"tps {key}")
               for key, n in lengths.items() if key in data}
@@ -256,7 +252,8 @@ def load_state_file(path: str) -> StateFile:
         raise StateFileError(f"{path}: dims must be a [d1, d2] pair")
     d1 = json_int(dims[0], f"{path}: dims[0]")
     d2 = json_int(dims[1], f"{path}: dims[1]")
-    dim = _checked_dim(d1, d2, f"{path}: dims")
+    dim = d1 * d2
+    check_size(dim, f"{path}: dims {d1}x{d2}")
     amps = _sized_list(amps, dim, f"{path}: amplitudes")
     tps = tps_from_dict(data["tps"]) if "tps" in data and data["tps"] is not None else None
     if tps is not None and (tps.d1, tps.d2) != (d1, d2):

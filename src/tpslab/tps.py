@@ -43,12 +43,16 @@ from .linalg import (
 )
 
 
-def _check_unitary(u: np.ndarray, tol: float = UNITARY_TOL) -> np.ndarray:
+# relative gap below which two eigenvalues of a joint eigenbasis count as one
+CLUSTER_TOL = 1e-8
+
+
+def _check_unitary(u: np.ndarray) -> np.ndarray:
     u = as_matrix(u)
     if u.shape[0] != u.shape[1]:
         raise ShapeError(f"unitary must be square, got {u.shape}")
     defect = float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
-    if defect > tol:
+    if defect > UNITARY_TOL:
         raise ContractError(f"factorization matrix is not unitary: max defect {defect:.3e}")
     return u
 
@@ -237,14 +241,7 @@ def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[tuple[float, slic
     return clusters
 
 
-def tps_from_joint_eigenbasis(
-    f_obs,
-    g_obs,
-    d1: int,
-    d2: int,
-    herm_tol: float = HERMITIAN_TOL,
-    cluster_tol: float = 1e-8,
-) -> TensorProductStructure:
+def tps_from_joint_eigenbasis(f_obs, g_obs, d1: int, d2: int) -> TensorProductStructure:
     """TPS whose product basis is the joint eigenbasis of two commuting observables.
 
     The joint spectrum must separate into d1 distinct eigenvalues of the first
@@ -256,18 +253,18 @@ def tps_from_joint_eigenbasis(
         ContractError: non-commuting or non-Hermitian inputs.
         SpectrumError: joint spectrum is not a d1 x d2 grid.
     """
-    f_obs = check_hermitian(f_obs, herm_tol)
-    g_obs = check_hermitian(g_obs, herm_tol)
+    f_obs = check_hermitian(f_obs)
+    g_obs = check_hermitian(g_obs)
     dim = f_obs.shape[0]
     if g_obs.shape[0] != dim or dim != d1 * d2:
         raise ShapeError(f"observable dims {f_obs.shape[0]}, {g_obs.shape[0]} vs d1*d2 = {d1 * d2}")
     comm = commutator_maxnorm(f_obs, g_obs)
-    if comm > herm_tol:
+    if comm > HERMITIAN_TOL:
         raise ContractError(f"observables do not commute: max|[F,G]| = {comm:.3e}")
 
-    fvals, fvecs = eigh(f_obs, herm_tol)
+    fvals, fvecs = eigh(f_obs)
     scale = max(1.0, float(np.max(np.abs(fvals))))
-    clusters = _cluster_eigenvalues(fvals, cluster_tol * scale)
+    clusters = _cluster_eigenvalues(fvals, CLUSTER_TOL * scale)
     if len(clusters) != d1:
         raise SpectrumError(
             f"first observable has {len(clusters)} distinct eigenvalues with "
@@ -287,19 +284,19 @@ def tps_from_joint_eigenbasis(
                 f"{mult}, expected {d2}"
             )
         restricted = w.conj().T @ g_obs @ w
-        gvals, gvecs = eigh(restricted, herm_tol * 10)
+        gvals, gvecs = eigh(restricted, HERMITIAN_TOL * 10)
         order = np.argsort(-gvals, kind="stable")
         gvals = gvals[order]
         gvecs = gvecs[:, order]
         gscale = max(1.0, float(np.max(np.abs(gvals))))
-        if d2 > 1 and np.min(np.abs(np.diff(gvals))) <= cluster_tol * gscale:
+        if d2 > 1 and np.min(np.abs(np.diff(gvals))) <= CLUSTER_TOL * gscale:
             raise SpectrumError(
                 f"second observable is degenerate inside the F={fval:.6g} eigenspace: "
                 f"eigenvalues {gvals.tolist()}"
             )
         if g_grid is None:
             g_grid = gvals
-        elif np.max(np.abs(gvals - g_grid)) > cluster_tol * gscale:
+        elif np.max(np.abs(gvals - g_grid)) > CLUSTER_TOL * gscale:
             raise SpectrumError(
                 f"G-spectrum {gvals.tolist()} inside the F={fval:.6g} eigenspace "
                 f"differs from the first eigenspace's {g_grid.tolist()}"

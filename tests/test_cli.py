@@ -349,6 +349,39 @@ def test_global_qcf_above_the_dense_cap_exits_3_before_any_observable(d, code, m
     assert resolved == ([] if code == 3 else [d * d])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schmidt", "{over_state}"],
+        ["schmidt", "{huge_state}"],
+        ["schmidt", "{state}", "--tps", "{over_tps}"],
+        ["schmidt", "{state}", "--tps", "{dense_tps}"],
+        ["qcf", "{state}", "--obs-a", "position", "--obs-b", "position"],
+        ["demo", "coords", "--d", "1025"],
+        ["demo", "spins", "--samples", "1048577"],
+        ["demo", "bell", "--samples", "1048577"],
+    ],
+    ids=["state-dims", "state-dims-past-str", "tps-dims", "dense-unitary", "global-qcf",
+         "coords-grid", "spins-samples", "bell-samples"],
+)
+def test_every_size_gate_exits_3_with_the_shared_message(argv, tmp_path, capsys):
+    # state and TPS dims above 2^20, a dense 33x33 unitary and a global qcf at
+    # D = 1089 (D^2 > 2^20), a 1025x1025 pair grid and 2^20 + 1 samples; two
+    # 3000-digit dims multiply to more digits than str() writes
+    docs = {"over_state": {"dims": [2048, 1024], "amplitudes": []},
+            "huge_state": {"dims": [int("1" * 3000)] * 2, "amplitudes": []},
+            "over_tps": {"d1": 2048, "d2": 1024, "map": []},
+            "dense_tps": {"d1": 33, "d2": 33, "unitary": "never read"}}
+    paths = {"state": square_state_file(tmp_path, 33)}
+    for name, doc in docs.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(doc))
+    assert main([a.format(**paths) for a in argv]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "entries exceed the configured maximum 1048576" in err
+
+
 def test_demo_bell_small_sample(tmp_path):
     code, out = run(["demo", "bell", "--samples", "10", "--seed", "3"], tmp_path)
     assert code == 0
@@ -959,13 +992,16 @@ def test_demo_coords_wide_equal_widths_pass_the_variance_identity(tmp_path):
     ids=["state", "tps", "matrix", "bijection"],
 )
 def test_deeply_nested_json_exits_2(argv, bell_file, tmp_path, capsys):
-    # the decoder recurses once per nesting level and gives up at the recursion limit
+    # the decoder recurses once per nesting level and gives up at the recursion limit,
+    # and refuses an integer literal of more than 4300 digits with a ValueError
     deep, out = tmp_path / "deep.json", tmp_path / "out.json"
-    deep.write_text("[" * 100_000 + "]" * 100_000)
-    assert main([a.format(deep=deep, state=bell_file, out=out) for a in argv]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1 and "nested too deeply" in err
-    assert not out.exists()
+    for text, message in (("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+                          ('{"dims": [' + "1" * 5000 + ', 1]}', "unreadable JSON number")):
+        deep.write_text(text)
+        assert main([a.format(deep=deep, state=bell_file, out=out) for a in argv]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert not out.exists()
 
 
 def test_qcf_tol_without_local_exits_2(bell_file, capsys):

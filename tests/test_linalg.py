@@ -47,7 +47,7 @@ def test_tensor_vec_index_convention():
 
 def test_tensor_vec_size_limit():
     with pytest.raises(SizeLimitError):
-        tensor_vec(np.ones(2049), np.ones(1025), max_dim=2**20)
+        tensor_vec(np.ones(2049), np.ones(1025))
 
 
 def test_tensor_op_identity():

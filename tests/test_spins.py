@@ -10,7 +10,6 @@ from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt_values
 from tpslab.spins import (
-    SpinConfig,
     _spin_samples,
     chi_basis,
     demo_spins,
@@ -21,10 +20,12 @@ from tpslab.spins import (
 
 SQ2 = np.sqrt(2.0)
 
+# the toolkit's units have hbar = 1; expected values keep hbar to show where it enters
 
-@pytest.mark.parametrize("hbar", [1.0, 2.0, 0.5])
+
+@pytest.mark.parametrize("hbar", [1.0])
 def test_spin_operator_eigenvalues(hbar):
-    ops = spin_operators(SpinConfig(hbar=hbar))
+    ops = spin_operators()
     for s in ops:
         w = np.linalg.eigvalsh(s)
         np.testing.assert_allclose(w, [-hbar / 2, hbar / 2], atol=1e-12)
@@ -35,9 +36,9 @@ def test_spin_squares_are_scalar():
     np.testing.assert_allclose(ops.x @ ops.x, np.eye(2) / 4.0, atol=1e-14)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 2.0])
+@pytest.mark.parametrize("hbar", [1.0])
 def test_spin_commutators(hbar):
-    ops = spin_operators(SpinConfig(hbar=hbar))
+    ops = spin_operators()
     np.testing.assert_allclose(
         ops.x @ ops.y - ops.y @ ops.x, 1j * hbar * ops.z, atol=1e-12
     )
@@ -49,11 +50,10 @@ def test_spin_commutators(hbar):
     )
 
 
-@pytest.mark.parametrize("hbar", [1.0, 2.0])
+@pytest.mark.parametrize("hbar", [1.0])
 def test_total_spin_squares_structure(hbar):
-    cfg = SpinConfig(hbar=hbar)
-    ops = spin_operators(cfg)
-    squares = total_spin_squares(cfg)
+    ops = spin_operators()
+    squares = total_spin_squares()
     np.testing.assert_allclose(
         squares.z2,
         hbar**2 / 2 * np.eye(4) + 2 * tensor_op(ops.z, ops.z),
@@ -91,11 +91,10 @@ def test_chi_basis_matches_known_matrix():
     np.testing.assert_allclose(rows, expected, atol=1e-12)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 0.7])
+@pytest.mark.parametrize("hbar", [1.0])
 def test_chi_vectors_satisfy_both_eigenvalue_equations(hbar):
-    cfg = SpinConfig(hbar=hbar)
-    squares = total_spin_squares(cfg)
-    tps, rows = chi_basis(cfg)
+    squares = total_spin_squares()
+    tps, rows = chi_basis()
     eigs = [(1, 1), (1, 0), (0, 1), (0, 0)]  # (s, t) per row
     for k, (s, t) in enumerate(eigs):
         chi = rows[k]
@@ -110,10 +109,10 @@ def test_closed_form_vanishes_for_both_up():
     assert spin_qcf_closed_form(up, up) == pytest.approx(0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("hbar", [1.0, 2.0])
+@pytest.mark.parametrize("hbar", [1.0])
 def test_closed_form_both_plus_y(hbar):
     plus_y = np.array([1.0, 1j]) / SQ2
-    val = spin_qcf_closed_form(plus_y, plus_y, SpinConfig(hbar=hbar))
+    val = spin_qcf_closed_form(plus_y, plus_y)
     assert val == pytest.approx(-(hbar**4) / 4.0, abs=1e-12)
 
 
@@ -158,12 +157,6 @@ def test_generic_product_state_rank_two_in_chi_tps():
     assert vals[1] > 1e-3 * vals[0]
 
 
-def test_chi_tps_from_scaled_hbar_matches_default_up_to_phase():
-    t1, _ = chi_basis(SpinConfig(hbar=1.0))
-    t2, _ = chi_basis(SpinConfig(hbar=3.0))
-    np.testing.assert_allclose(np.abs(t1.unitary), np.abs(t2.unitary), atol=1e-12)
-
-
 def test_demo_spins_rejects_zero_samples():
     with pytest.raises(ContractError):
         demo_spins(samples=0)
@@ -172,7 +165,7 @@ def test_demo_spins_rejects_zero_samples():
 @pytest.mark.parametrize("seed,samples", [(42, 1000), (9, 300), (303, 10000)])
 def test_stacked_spins_match_per_sample_loop(seed, samples):
     oracle = spins_loop(samples, seed)
-    psi1, psi2, psi, direct, closed = _spin_samples(samples, seed, SpinConfig())
+    psi1, psi2, psi, direct, closed = _spin_samples(samples, seed)
     for got, key in ((psi1, "psi1"), (psi2, "psi2"), (direct, "direct"), (closed, "closed")):
         assert np.max(np.abs(got - oracle[key])) <= 1e-14, key
     products = np.array([np.kron(a, b) for a, b in zip(oracle["psi1"], oracle["psi2"])])
