@@ -7,11 +7,10 @@ same global state is read through different tensor product structures.
 
 __version__ = "0.1.0"
 
-from .bell import ChshMaxResult, ChshSettings, chsh_max, chsh_max_closed_form, chsh_value, demo_bell
+from .bell import ChshMaxResult, ChshSettings, chsh_max, demo_bell
 from .errors import ToolkitError
 from .grid import (
     CoordinateDemoReport,
-    CoordinateSpectra,
     Grid,
     SampledProfile,
     demo_sum_diff,
@@ -20,7 +19,6 @@ from .grid import (
     gaussian_profile,
     odd_profile,
     position_operator,
-    sum_diff_spectra,
 )
 from .linalg import eigh, expectation, svd, tensor_op, tensor_vec
 from .qcf import QcfReport, qcf, qcf_local, variance

@@ -1,4 +1,4 @@
-"""CHSH values for two-qubit pure states: direct evaluation, maximization, the demo.
+"""CHSH values for two-qubit pure states: maximization and the demo.
 
 The maximal CHSH value is ``2 sqrt(t1^2 + t2^2)`` from the two largest
 singular values of the 3x3 spin correlation matrix, and the settings that
@@ -38,14 +38,6 @@ def _check_direction(n, name: str) -> np.ndarray:
     if abs(float(np.linalg.norm(arr)) - 1.0) > SETTING_NORM_TOL:
         raise ContractError(f"{name} must be unit length to {SETTING_NORM_TOL}")
     return arr
-
-
-def _two_qubit(psi, what: str) -> np.ndarray:
-    """The coefficient matrix of a checked two-qubit state."""
-    psi = check_state(psi)
-    if psi.size != 4:
-        raise ShapeError(f"{what} needs a two-qubit state, got dim {psi.size}")
-    return psi.reshape(2, 2)
 
 
 @dataclass(frozen=True)
@@ -100,32 +92,10 @@ def _chsh_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, 
     return _chsh_value(c, *settings), 2.0 * h[..., 0], settings
 
 
-def correlation(psi, u, v) -> float:
-    """E(u, v) = <psi, (u.sigma) (x) (v.sigma) psi> for a two-qubit state."""
-    c = _two_qubit(psi, "correlation")
-    return float(_correlation(c, _check_direction(u, "direction"), _check_direction(v, "direction")))
-
-
-def chsh_value(psi, settings: ChshSettings) -> float:
-    """E(a,b) + E(a,b') + E(a',b) - E(a',b')."""
-    c = _two_qubit(psi, "correlation")
-    return float(_chsh_value(c, settings.a, settings.a_prime, settings.b, settings.b_prime))
-
-
-def correlation_matrix(psi) -> np.ndarray:
-    """The 3x3 matrix T_ij = <sigma_i (x) sigma_j>."""
-    return _correlation_matrix(_two_qubit(psi, "correlation matrix"))
-
-
-def chsh_max_closed_form(psi) -> float:
-    """Maximal CHSH value 2 sqrt(t1^2 + t2^2) from the correlation matrix's
-    two largest singular values."""
-    return float(_chsh_max(_two_qubit(psi, "correlation matrix"))[1])
-
-
 @dataclass(frozen=True)
 class ChshMaxResult:
     value: float
+    closed_form: float
     settings: ChshSettings
 
 
@@ -133,10 +103,15 @@ def chsh_max(psi) -> ChshMaxResult:
     """Maximize the CHSH value of a two-qubit pure state over all settings.
 
     The settings are the closed-form (Horodecki) ones from the SVD of the
-    correlation matrix; the returned value is the raw CHSH value at them.
+    correlation matrix; ``value`` is the raw CHSH value at them and
+    ``closed_form`` the maximum 2 sqrt(t1^2 + t2^2) from the same SVD.
     """
-    value, _, settings = _chsh_max(_two_qubit(psi, "chsh_max"))
-    return ChshMaxResult(value=float(value), settings=ChshSettings(*settings))
+    psi = check_state(psi)
+    if psi.size != 4:
+        raise ShapeError(f"chsh_max needs a two-qubit state, got dim {psi.size}")
+    value, closed, settings = _chsh_max(psi.reshape(2, 2))
+    return ChshMaxResult(value=float(value), closed_form=float(closed),
+                         settings=ChshSettings(*settings))
 
 
 @dataclass(frozen=True)

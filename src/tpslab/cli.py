@@ -22,7 +22,7 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from . import __version__
-from .bell import chsh_max, chsh_max_closed_form, demo_bell
+from .bell import chsh_max, demo_bell
 from .errors import (
     BijectionError,
     GridSpecError,
@@ -38,11 +38,10 @@ from .grid import (
     double_gaussian_profile,
     gaussian_profile,
     position_operator,
-    sum_diff_spectra,
 )
 from .linalg import check_size
 from .qcf import default_witness_threshold, qcf, qcf_local
-from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
+from .schmidt import DEFAULT_TRUNCATION_TOL, schmidt
 from .spins import PAULI_X, PAULI_Y, PAULI_Z, demo_spins
 from .statefile import (
     StateFile,
@@ -181,12 +180,10 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, Itera
     f = gaussian_profile(grid, 0.0, args.sigma1)
     if want_rows:
         widths = np.linspace(args.sigma1, args.sigma2, 11)
-        spectra = sum_diff_spectra(
+        reports = demo_sum_diff(
             [f] * widths.size, [gaussian_profile(grid, 0.0, float(s2)) for s2 in widths]
         )
-        ranks = rank_from_singular_values(spectra.values_ab, DEFAULT_TRUNCATION_TOL)
-        columns = (widths, ranks, spectra.qcf_ab, spectra.variance_diff)
-        return {}, zip(*columns)
+        return {}, ((s2, r.rank_ab, r.qcf_ab, r.variance_diff) for s2, r in zip(widths, reports))
     pairs = [(f, gaussian_profile(grid, 0.0, args.sigma2))]
     grid_eq = Grid.spanning(args.d, 8.0 * args.sigma1)
     pairs.append((gaussian_profile(grid_eq, 0.0, args.sigma1),) * 2)
@@ -272,7 +269,7 @@ def cmd_chsh(args: argparse.Namespace) -> int:
     report = {
         "manifest": _manifest(args, {"state": args.state}),
         "value": result.value,
-        "closed_form": chsh_max_closed_form(sf.amplitudes),
+        "closed_form": result.closed_form,
         "settings": asdict(result.settings),
     }
     _emit(args, dump_json(report))

@@ -63,6 +63,10 @@ from .tps import _coefficients, relabel_tps, sum_diff_bijection
 EDGE_DENSITY_TOL = 1e-12
 
 
+def _check_pair_grid(d: int) -> None:
+    check_size(d * d, f"a {d}x{d} pair grid")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Centered one-dimensional grid: x_i = (i - (d-1)/2) * spacing."""
@@ -73,7 +77,7 @@ class Grid:
     def __post_init__(self):
         if self.d < 1 or self.d % 2 == 0:
             raise GridSpecError(f"grid size must be odd and positive, got d={self.d}")
-        check_size(self.d * self.d, f"a {self.d}x{self.d} pair grid")
+        _check_pair_grid(self.d)
         if not (math.isfinite(self.spacing) and self.spacing > 0):
             raise GridSpecError(f"grid spacing must be finite and positive, got {self.spacing}")
         # covariances square the sum and difference of two points
@@ -86,6 +90,7 @@ class Grid:
         """Grid of d points covering [-halfwidth, +halfwidth]."""
         if d < 3:
             raise GridSpecError("a spanning grid needs at least 3 points")
+        _check_pair_grid(d)  # before d - 1 is converted to a float
         return cls(d=d, spacing=2.0 * halfwidth / (d - 1))
 
     @property
@@ -194,22 +199,6 @@ def position_operator(points) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class CoordinateSpectra:
-    """Relabeled Schmidt spectra of a stack of n product pairs f_k (x) g_k.
-
-    ``values_ab`` holds the (n, d) descending Schmidt coefficients after the
-    relabeling, ``qcf_ab`` the covariance of X1 + X2 against X1 - X2 and
-    ``variance_diff`` Var(X1) - Var(X2), one per pair.  The spectrum in the
-    original labels is not computed: for unit profiles it is exactly
-    (1, 0, ..., 0), and ``tests/demo_oracle.py`` checks it by SVD.
-    """
-
-    values_ab: np.ndarray
-    qcf_ab: np.ndarray
-    variance_diff: np.ndarray
-
-
-@dataclass(frozen=True)
 class CoordinateDemoReport:
     """Ranks and covariance data for a product state under a grid relabeling.
 
@@ -227,10 +216,9 @@ class CoordinateDemoReport:
     warnings: tuple[str, ...]
 
 
-def _pairs(f, g) -> tuple[tuple[SampledProfile, ...], tuple[SampledProfile, ...], int]:
+def _pairs(fs, gs) -> tuple[tuple[SampledProfile, ...], tuple[SampledProfile, ...], int]:
     """Two equal-length tuples of profiles, pairwise on one grid, and the common grid size."""
-    fs = (f,) if isinstance(f, SampledProfile) else tuple(f)
-    gs = (g,) if isinstance(g, SampledProfile) else tuple(g)
+    fs, gs = tuple(fs), tuple(gs)
     if not fs or len(fs) != len(gs):
         raise ShapeError(f"{len(fs)} first profiles for {len(gs)} second profiles")
     if any(fk.grid != gk.grid for fk, gk in zip(fs, gs)):
@@ -323,77 +311,54 @@ def _relabeled_values(fs, gs, d: int) -> np.ndarray:
     return values
 
 
-def sum_diff_spectra(
-    f: SampledProfile | Sequence[SampledProfile],
-    g: SampledProfile | Sequence[SampledProfile],
-) -> CoordinateSpectra:
-    """Spectra of profile pairs under the modular sum/difference relabeling.
+def demo_sum_diff(
+    fs: Sequence[SampledProfile],
+    gs: Sequence[SampledProfile],
+    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
+) -> tuple[CoordinateDemoReport, ...]:
+    """Relabel each product state f_k (x) g_k by modular sum/difference and report.
 
-    f and g are profiles or equal-length sequences of them on grids of one
-    size.  The covariance qcf_ab must equal the variance difference for every
-    pair, to 1e-9 max(1, Var1 + Var2): both sides are sums of squared
+    fs and gs are equal-length sequences of profiles on grids of one size;
+    one stacked pass gives one report per pair.  rank_xy is the Schmidt rank
+    in the original labels, exact by construction: a product of two unit
+    profiles has the spectrum (1, 0, ..., 0), so rank_xy is 1 for a tolerance
+    below 1 and 0 from 1 on (its SVD cross-check lives in
+    ``tests/demo_oracle.py``).  rank_ab and alpha_ratio_ab come from the
+    relabeled Schmidt coefficients; qcf_ab is the covariance of X1 + X2
+    against X1 - X2, which must equal the difference of the two position
+    variances to 1e-9 max(1, Var1 + Var2): both sides are sums of squared
     positions, so their rounding grows with the variances.  The covariances
     run pair by pair, so their d^2-sized temporaries are held for one pair at
     a time.
     """
-    fs, gs, d = _pairs(f, g)
+    fs, gs, d = _pairs(fs, gs)
+    values_ab = _relabeled_values(fs, gs, d)
     var_f = np.array([fk.position_variance() for fk in fs])
     var_g = np.array([gk.position_variance() for gk in gs])
-    spectra = CoordinateSpectra(
-        values_ab=_relabeled_values(fs, gs, d),
-        qcf_ab=np.array([_sum_diff_covariance(fk.grid.points, np.outer(fk.samples, gk.samples))
-                         for fk, gk in zip(fs, gs)]),
-        variance_diff=var_f - var_g,
-    )
+    qcf_ab = np.array([_sum_diff_covariance(fk.grid.points, np.outer(fk.samples, gk.samples))
+                       for fk, gk in zip(fs, gs)])
+    variance_diff = var_f - var_g
     tol = 1e-9 * np.maximum(1.0, var_f + var_g)
-    bad = ~(np.abs(spectra.qcf_ab - spectra.variance_diff) <= tol)
+    bad = ~(np.abs(qcf_ab - variance_diff) <= tol)
     if bad.any():
         k = int(np.argmax(bad))
         raise NumericalError(
-            f"sum/difference covariance {float(spectra.qcf_ab[k])!r} deviates from the "
-            f"variance difference {float(spectra.variance_diff[k])!r} beyond {float(tol[k]):.3g}"
+            f"sum/difference covariance {float(qcf_ab[k])!r} deviates from the "
+            f"variance difference {float(variance_diff[k])!r} beyond {float(tol[k]):.3g}"
         )
-    return spectra
-
-
-def _reports(fs, gs, spectra: CoordinateSpectra, truncation_tol: float):
-    """The reports of the stacked pairs: the spectra plus the x-y ranks and warnings."""
     # every pair's exact x-y spectrum is (1, 0, ..., 0)
-    rank_xy = rank_from_singular_values(np.eye(1, spectra.values_ab.shape[-1])[0], truncation_tol)
-    rank_ab = rank_from_singular_values(spectra.values_ab, truncation_tol)
+    rank_xy = rank_from_singular_values(np.eye(1, d)[0], truncation_tol)
+    rank_ab = rank_from_singular_values(values_ab, truncation_tol)
     return tuple(
         CoordinateDemoReport(
             rank_xy=rank_xy,
             rank_ab=int(rank_ab[k]),
-            qcf_ab=float(spectra.qcf_ab[k]),
-            variance_diff=float(spectra.variance_diff[k]),
+            qcf_ab=float(qcf_ab[k]),
+            variance_diff=float(variance_diff[k]),
             alpha_ratio_ab=float(v[1] / v[0]) if v.size > 1 and v[0] > 0 else 0.0,
             warnings=tuple(
                 w for w in (fk.truncation_warning, gk.truncation_warning) if w is not None
             ),
         )
-        for k, (fk, gk, v) in enumerate(zip(fs, gs, spectra.values_ab))
+        for k, (fk, gk, v) in enumerate(zip(fs, gs, values_ab))
     )
-
-
-def demo_sum_diff(
-    f: SampledProfile | Sequence[SampledProfile],
-    g: SampledProfile | Sequence[SampledProfile],
-    truncation_tol: float = DEFAULT_TRUNCATION_TOL,
-) -> CoordinateDemoReport | tuple[CoordinateDemoReport, ...]:
-    """Relabel the product state f (x) g by modular sum/difference and report.
-
-    rank_xy is the Schmidt rank in the original labels, exact by
-    construction: a product of two unit profiles has the spectrum
-    (1, 0, ..., 0), so rank_xy is 1 for a tolerance below 1 and 0 from 1 on
-    (its SVD cross-check lives in ``tests/demo_oracle.py``).  rank_ab is the
-    rank after relabeling, from ``sum_diff_spectra``; qcf_ab the covariance
-    of X1 + X2 against X1 - X2, which always equals the difference of the
-    two position variances (enforced to 1e-9 max(1, Var1 + Var2)).  Given
-    equal-length sequences of profiles on grids of one size, it returns a
-    tuple of reports from one stacked pass.
-    """
-    fs, gs, _ = _pairs(f, g)
-    reports = _reports(fs, gs, sum_diff_spectra(fs, gs), truncation_tol)
-    return reports[0] if isinstance(f, SampledProfile) else reports
-

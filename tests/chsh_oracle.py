@@ -27,6 +27,12 @@ def spin_correlation_matrix(psi) -> np.ndarray:
     )
 
 
+def chsh_at(t_mat: np.ndarray, settings) -> float:
+    """The CHSH value a.T(b + b') + a'.T(b - b') of settings with fields a, a_prime, b, b_prime."""
+    a, ap, b, bp = settings.a, settings.a_prime, settings.b, settings.b_prime
+    return float(a @ t_mat @ (b + bp) + ap @ t_mat @ (b - bp))
+
+
 def bloch_direction(theta: float, phi: float) -> np.ndarray:
     return np.array([sin(theta) * cos(phi), sin(theta) * sin(phi), cos(theta)])
 

@@ -140,8 +140,8 @@ def test_c04_chi_basis_reproduction():
 def test_c05a_gaussian_demo_unequal_widths():
     grid = Grid.spanning(129, 8.0 * 2.0)
     report = demo_sum_diff(
-        gaussian_profile(grid, 0.0, 1.0), gaussian_profile(grid, 0.0, 2.0)
-    )
+        [gaussian_profile(grid, 0.0, 1.0)], [gaussian_profile(grid, 0.0, 2.0)]
+    )[0]
     ok = (
         report.rank_xy == 1
         and abs(report.qcf_ab - (-3.0)) <= 1e-3 * 3.0
@@ -218,7 +218,7 @@ def test_c05b_gaussian_demo_equal_widths():
     f = gaussian_profile(grid, 0.0, 1.0)
     tail = _wrapped_tail_bound(8.0, 1.0, 1.0)
     rank_tol = 2.0 * math.sqrt(tail)
-    report = demo_sum_diff(f, f, truncation_tol=rank_tol)
+    report = demo_sum_diff([f], [f], truncation_tol=rank_tol)[0]
     assert abs(report.qcf_ab) <= 1e-8, f"equal-width covariance {report.qcf_ab!r}"
     ratios, mixed = _parity_sectors(f, f)
 
@@ -267,7 +267,7 @@ def test_c06_plane_waves_relabel_exactly():
 
 def test_c07_zero_line_argument():
     grid = Grid.spanning(129, 8.0 * 1.3)
-    report = demo_sum_diff(odd_profile(grid, 1.0), gaussian_profile(grid, 0.0, 1.3))
+    report = demo_sum_diff([odd_profile(grid, 1.0)], [gaussian_profile(grid, 0.0, 1.3)])[0]
     ok = report.rank_ab >= 2 and report.alpha_ratio_ab > 0.1
     criterion(
         7,

@@ -1,6 +1,9 @@
-"""The exported API's settable defaults: each one is listed here, so a new knob is a visible edit."""
+"""The exported API: each settable default is listed here, so a new knob is a visible edit,
+and each public definition is exported or used, so dead API cannot accumulate."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import tpslab
 
@@ -50,3 +53,28 @@ def exported_defaults() -> dict:
 
 def test_every_exported_default_is_listed():
     assert exported_defaults() == DEFAULTED
+
+
+def named(node: ast.AST) -> set[str]:
+    """Every Name and Attribute that a syntax tree mentions."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_public_definition_is_exported_or_referenced():
+    # a public module-level function or class of src/tpslab must be exported by
+    # tpslab/__init__.py, or named (as a Name or an Attribute) by another
+    # top-level statement of the package; an import alone is not a use
+    package = Path(tpslab.__file__).parent
+    trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    statements = [(module, stmt, named(stmt)) for module, tree in trees.items()
+                  for stmt in tree.body]
+    dead = []
+    for module, stmt, _ in statements:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
+            used = any(stmt.name in names for _, other, names in statements if other is not stmt)
+            if stmt.name not in exported and not used:
+                dead.append(f"{module}:{stmt.name}")
+    assert dead == []

@@ -2,19 +2,11 @@
 
 import numpy as np
 import pytest
-from chsh_oracle import bloch_direction, chsh_search
-from demo_oracle import bell_loop
+from chsh_oracle import bloch_direction, chsh_at, chsh_search, spin_correlation_matrix
+from demo_oracle import bell_loop, chsh_closed_form
 
-from tpslab.bell import (
-    TSIRELSON_BOUND,
-    ChshSettings,
-    chsh_max,
-    chsh_max_closed_form,
-    chsh_value,
-    correlation,
-    correlation_matrix,
-    demo_bell,
-)
+from tpslab import bell
+from tpslab.bell import TSIRELSON_BOUND, ChshSettings, chsh_max, demo_bell
 from tpslab.errors import ContractError, ShapeError, SizeLimitError
 from tpslab.linalg import MAX_GLOBAL_DIM
 from tpslab.sampling import haar_state, random_entangled_state, random_product_state
@@ -35,39 +27,41 @@ def test_settings_require_unit_vectors():
 
 
 def test_correlation_bell_zz():
-    assert correlation(BELL, Z, Z) == pytest.approx(1.0, abs=1e-12)
-    assert correlation(BELL, X, X) == pytest.approx(1.0, abs=1e-12)
+    c = BELL.reshape(2, 2)
+    assert bell._correlation(c, Z, Z) == pytest.approx(1.0, abs=1e-12)
+    assert bell._correlation(c, X, X) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chsh_bell_standard_angles():
-    assert chsh_value(BELL, STANDARD) == pytest.approx(2 * SQ2, abs=1e-9)
+    assert chsh_at(spin_correlation_matrix(BELL), STANDARD) == pytest.approx(2 * SQ2, abs=1e-9)
 
 
 def test_chsh_product_states_respect_classical_bound():
     rng = np.random.default_rng(0)
     for _ in range(50):
         psi = random_product_state(2, 2, rng)
-        val = chsh_value(psi, STANDARD)
+        val = chsh_at(spin_correlation_matrix(psi), STANDARD)
         assert abs(val) <= 2.0 + 1e-9
 
 
 def test_chsh_degenerate_equal_settings():
+    # the oracle's value at a = a' = b = b' = z against the library's T_zz
     s = ChshSettings(a=Z, a_prime=Z, b=Z, b_prime=Z)
     rng = np.random.default_rng(1)
     for _ in range(20):
         psi = haar_state(4, rng)
-        val = chsh_value(psi, s)
-        assert abs(val - 2.0 * correlation(psi, Z, Z)) <= 1e-12
+        val = chsh_at(spin_correlation_matrix(psi), s)
+        assert abs(val - 2.0 * bell._correlation_matrix(psi.reshape(2, 2))[2, 2]) <= 1e-12
         assert abs(val) <= 2.0 + 1e-12
 
 
 def test_correlation_matrix_bell():
-    t = correlation_matrix(BELL)
+    t = bell._correlation_matrix(BELL.reshape(2, 2))
     np.testing.assert_allclose(t, np.diag([1.0, -1.0, 1.0]), atol=1e-12)
 
 
 def test_closed_form_bell_is_tsirelson():
-    assert chsh_max_closed_form(BELL) == pytest.approx(2 * SQ2, abs=1e-12)
+    assert chsh_max(BELL).closed_form == pytest.approx(2 * SQ2, abs=1e-12)
 
 
 def test_chsh_max_bell_state():
@@ -91,7 +85,7 @@ def test_chsh_max_schmidt_angle_family(theta):
     expected = 2.0 * np.sqrt(1.0 + np.sin(2 * theta) ** 2)
     res = chsh_max(psi)
     assert res.value == pytest.approx(expected, abs=1e-5)
-    assert chsh_max_closed_form(psi) == pytest.approx(expected, abs=1e-12)
+    assert res.closed_form == pytest.approx(expected, abs=1e-12)
 
 
 def test_chsh_max_agrees_with_oracle_on_random_states():
@@ -103,8 +97,11 @@ def test_chsh_max_agrees_with_oracle_on_random_states():
         assert abs(res.value - searched) <= 1e-4
         assert searched <= res.value + 1e-9
         assert res.value <= TSIRELSON_BOUND + 1e-6
-        # the reported value is reproducible through the raw definition
-        assert chsh_value(psi, res.settings) == pytest.approx(res.value, abs=1e-12)
+        # the reported value and closed form are reproducible through the
+        # oracle's correlation matrix
+        assert chsh_at(spin_correlation_matrix(psi), res.settings) == pytest.approx(
+            res.value, abs=1e-12)
+        assert res.closed_form == pytest.approx(chsh_closed_form(psi), abs=1e-12)
 
 
 def test_entangled_states_always_violate():
@@ -140,7 +137,8 @@ def test_brute_force_settings_bracket_both_routes():
 
     for _ in range(5):
         psi = haar_state(4, rng)
-        bound = chsh_max_closed_form(psi)
+        bound = chsh_max(psi).closed_form
+        t = spin_correlation_matrix(psi)
         best_sampled = -np.inf
         for _ in range(2000):
             s = ChshSettings(
@@ -149,7 +147,7 @@ def test_brute_force_settings_bracket_both_routes():
                 b=random_direction(),
                 b_prime=random_direction(),
             )
-            val = chsh_value(psi, s)
+            val = chsh_at(t, s)
             assert val <= bound + 1e-9
             best_sampled = max(best_sampled, val)
         assert chsh_max(psi).value >= best_sampled - 1e-9

@@ -231,7 +231,8 @@ def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
     widths = np.linspace(0.7, 2.3, 11)
     assert len(rows) == widths.size
     for row, s2 in zip(rows, widths):
-        rep = demo_sum_diff(gaussian_profile(grid, 0.0, 0.7), gaussian_profile(grid, 0.0, float(s2)))
+        rep = demo_sum_diff([gaussian_profile(grid, 0.0, 0.7)],
+                            [gaussian_profile(grid, 0.0, float(s2))])[0]
         assert [float(row[0]), int(row[1]), float(row[2]), float(row[3])] == [
             s2, rep.rank_ab, rep.qcf_ab, rep.variance_diff]
 
@@ -274,7 +275,7 @@ def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
                             gaussian_profile(lobes, 0.0, 0.7)),
     }
     for name, (f, g) in pairs.items():
-        rep = demo_sum_diff(f, g)
+        rep = demo_sum_diff([f], [g])[0]
         assert report[name] == {**vars(rep), "warnings": list(rep.warnings)}
 
 
@@ -358,16 +359,18 @@ def test_global_qcf_above_the_dense_cap_exits_3_before_any_observable(d, code, m
         ["schmidt", "{state}", "--tps", "{dense_tps}"],
         ["qcf", "{state}", "--obs-a", "position", "--obs-b", "position"],
         ["demo", "coords", "--d", "1025"],
+        ["demo", "coords", "--d", "1" + "0" * 399 + "1"],
         ["demo", "spins", "--samples", "1048577"],
         ["demo", "bell", "--samples", "1048577"],
     ],
     ids=["state-dims", "state-dims-past-str", "tps-dims", "dense-unitary", "global-qcf",
-         "coords-grid", "spins-samples", "bell-samples"],
+         "coords-grid", "coords-grid-past-float", "spins-samples", "bell-samples"],
 )
 def test_every_size_gate_exits_3_with_the_shared_message(argv, tmp_path, capsys):
     # state and TPS dims above 2^20, a dense 33x33 unitary and a global qcf at
     # D = 1089 (D^2 > 2^20), a 1025x1025 pair grid and 2^20 + 1 samples; two
-    # 3000-digit dims multiply to more digits than str() writes
+    # 3000-digit dims multiply to more digits than str() writes, and a
+    # 401-digit grid size is refused before it is converted to a float
     docs = {"over_state": {"dims": [2048, 1024], "amplitudes": []},
             "huge_state": {"dims": [int("1" * 3000)] * 2, "amplitudes": []},
             "over_tps": {"d1": 2048, "d2": 1024, "map": []},
@@ -410,6 +413,41 @@ def test_chsh_subcommand(bell_file, tmp_path):
 
 def test_chsh_wrong_dims_exits_3(product_file):
     assert main(["chsh", product_file]) == 3
+
+
+def test_chsh_takes_one_svd(bell_file, monkeypatch, tmp_path):
+    # the settings and the closed form come from one SVD of the correlation matrix
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(np.shape(args[0]))
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    assert run(["chsh", bell_file], tmp_path)[0] == 0
+    assert calls == [(3, 3)]
+
+
+@pytest.mark.parametrize("defect, code", [(4.4e-10, 0), (1e-9, 2)])
+@pytest.mark.parametrize(
+    "command",
+    [["schmidt"], ["qcf", "--local", "--obs-a", "pauli-z", "--obs-b", "pauli-x"]],
+    ids=["schmidt", "qcf-local"],
+)
+def test_a_unitary_within_its_tolerance_passes_the_norm_check(defect, code, command, tmp_path,
+                                                              capsys):
+    # U = (1 + e) I has max|U^dagger U - I| = 2e + e^2: accepted at load for
+    # e = 4.4e-10, so its coefficients' norm 1 + e must pass too; e = 1e-9 is refused
+    s = 1.0 + defect
+    unitary = [[s if i == j else 0.0, 0.0] for i in range(4) for j in range(4)]
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps({"dims": [2, 2], "amplitudes": [[0.5, 0.0]] * 4,
+                                "tps": {"d1": 2, "d2": 2, "unitary": unitary}}))
+    argv = [command[0], str(path), *command[1:]]
+    assert run(argv, tmp_path)[0] == code
+    err = capsys.readouterr().err
+    assert (err == "") if code == 0 else ("not unitary: max defect 2.000e-09" in err)
 
 
 def test_refactor_sumdiff_entangles_product(product_file, tmp_path):

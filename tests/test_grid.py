@@ -24,7 +24,6 @@ from tpslab.grid import (
     gaussian_profile,
     odd_profile,
     position_operator,
-    sum_diff_spectra,
 )
 from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf, qcf_local
@@ -141,7 +140,7 @@ def test_demo_qcf_matches_dense_operator_route():
     g = std_grid(d, 4.0)
     f = gaussian_profile(g, 0.3, 1.0)
     h = gaussian_profile(g, -0.2, 1.4)
-    report = demo_sum_diff(f, h)
+    report = demo_sum_diff([f], [h])[0]
     x = position_operator(g.points)
     eye = np.eye(d, dtype=complex)
     a = np.kron(x, eye) + np.kron(eye, x)
@@ -154,7 +153,7 @@ def test_demo_qcf_matches_dense_operator_route():
 
 def test_demo_sum_diff_product_input_rank_xy_one():
     g = std_grid()
-    report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.5, 1.3))
+    report = demo_sum_diff([gaussian_profile(g, 0.0, 1.0)], [gaussian_profile(g, 0.5, 1.3)])[0]
     assert report.rank_xy == 1
 
 
@@ -164,8 +163,8 @@ def test_rank_xy_is_exact_at_every_tolerance(tol):
     # tolerance below rounding needs the exact spectrum (1, 0, ..., 0): rank 1
     # below tolerance 1, and 0 from 1 on
     g = Grid.spanning(65, 16.0)
-    report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.3, 2.0),
-                           truncation_tol=tol)
+    report = demo_sum_diff([gaussian_profile(g, 0.0, 1.0)], [gaussian_profile(g, 0.3, 2.0)],
+                           truncation_tol=tol)[0]
     assert report.rank_xy == (1 if tol < 1.0 else 0)
     if tol == 1.0:
         assert report.rank_xy == report.rank_ab
@@ -173,7 +172,7 @@ def test_rank_xy_is_exact_at_every_tolerance(tol):
 
 def test_demo_sum_diff_unequal_sigmas_variance_difference():
     g = Grid.spanning(129, 16.0)
-    report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.0, 2.0))
+    report = demo_sum_diff([gaussian_profile(g, 0.0, 1.0)], [gaussian_profile(g, 0.0, 2.0)])[0]
     assert abs(report.qcf_ab - (-3.0)) <= 1e-3 * 3.0
     assert abs(report.qcf_ab - report.variance_diff) <= 1e-9
     assert report.rank_ab >= 2  # mixing the coordinates destroys the factorization
@@ -181,7 +180,7 @@ def test_demo_sum_diff_unequal_sigmas_variance_difference():
 
 def test_demo_sum_diff_equal_sigmas_covariance_vanishes():
     g = std_grid()
-    report = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.0, 1.0))
+    report = demo_sum_diff([gaussian_profile(g, 0.0, 1.0)], [gaussian_profile(g, 0.0, 1.0)])[0]
     assert abs(report.qcf_ab) <= 1e-8
     assert report.rank_xy == 1
     # the modular relabeling splits a localized profile into two wrap-parity
@@ -198,8 +197,8 @@ def test_demo_sum_diff_double_gaussian_entangles():
     sep, sigma = 4.0, 1.0
     g = Grid.spanning(129, sep + 8.0 * sigma)
     report = demo_sum_diff(
-        double_gaussian_profile(g, sep, sigma), gaussian_profile(g, 0.0, sigma)
-    )
+        [double_gaussian_profile(g, sep, sigma)], [gaussian_profile(g, 0.0, sigma)]
+    )[0]
     assert report.rank_ab >= 2
     assert report.alpha_ratio_ab > 0.1
 
@@ -207,7 +206,7 @@ def test_demo_sum_diff_double_gaussian_entangles():
 def test_demo_sum_diff_odd_profile_zero_line():
     # a zero of one factor forces a vanishing line, which no product matches
     g = std_grid()
-    report = demo_sum_diff(odd_profile(g, 1.0), gaussian_profile(g, 0.0, 1.3))
+    report = demo_sum_diff([odd_profile(g, 1.0)], [gaussian_profile(g, 0.0, 1.3)])[0]
     assert report.rank_ab >= 2
     assert report.alpha_ratio_ab > 0.1
 
@@ -249,14 +248,14 @@ def test_factor_local_relabeling_preserves_the_schmidt_coefficients():
 def test_demo_rejects_mismatched_grids():
     with pytest.raises(ShapeError):
         demo_sum_diff(
-            gaussian_profile(std_grid(9), 0.0, 1.0),
-            gaussian_profile(std_grid(11), 0.0, 1.0),
+            [gaussian_profile(std_grid(9), 0.0, 1.0)],
+            [gaussian_profile(std_grid(11), 0.0, 1.0)],
         )
 
 
 def test_demo_propagates_truncation_warnings():
     g = std_grid(33, 3.0)
-    rep = demo_sum_diff(gaussian_profile(g, 0.0, 1.0), gaussian_profile(g, 0.0, 1.0))
+    rep = demo_sum_diff([gaussian_profile(g, 0.0, 1.0)], [gaussian_profile(g, 0.0, 1.0)])[0]
     assert len(rep.warnings) == 2
 
 
@@ -332,19 +331,17 @@ def test_general_bijection_matches_per_pair_complex_oracle(d):
         (fourier_profile(g, 2), odd_profile(g, 0.8)),
     ]
     for f, h in pairs:
-        assert_matches_oracle(demo_sum_diff(f, h), f, h, sum_diff_targets(d))
+        assert_matches_oracle(demo_sum_diff([f], [h])[0], f, h, sum_diff_targets(d))
 
 
 def test_stacked_reports_equal_the_single_pair_calls():
     g, wide = std_grid(33), std_grid(33, 12.0)
     fs = [gaussian_profile(g, 0.0, 1.0), odd_profile(wide, 1.2)]
     gs = [gaussian_profile(g, 0.3, 1.4), gaussian_profile(wide, 0.0, 0.9)]
-    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff(f, h) for f, h in zip(fs, gs))
-    spectra = sum_diff_spectra(fs, gs)
+    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff([f], [h])[0] for f, h in zip(fs, gs))
+    values = grid_module._relabeled_values(fs, gs, 33)
     for k, (f, h) in enumerate(zip(fs, gs)):
-        one = sum_diff_spectra(f, h)
-        np.testing.assert_array_equal(spectra.values_ab[k], one.values_ab[0])
-        assert spectra.qcf_ab[k] == one.qcf_ab[0]
+        np.testing.assert_array_equal(values[k], grid_module._relabeled_values([f], [h], 33)[0])
 
 
 PARITY = {"even": 1, "odd": -1, "none": 0}
@@ -380,11 +377,11 @@ def test_parity_blocks_match_the_dense_oracle(d, kinds, source):
     parities = [grid_module._reflection_parity(p.samples) for p in (f, g)]
     assert parities == [PARITY[k] for k in kinds]
     want = coords_pair(f.samples, g.samples, grid.points, sum_diff_targets(d))
-    values = sum_diff_spectra(f, g).values_ab[0]
+    values = grid_module._relabeled_values([f], [g], d)[0]
     assert values.shape == (d,)
     want_values = want["values_ab"]
     np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12 * want_values[0])
-    assert_matches_oracle(demo_sum_diff(f, g), f, g, sum_diff_targets(d))
+    assert_matches_oracle(demo_sum_diff([f], [g])[0], f, g, sum_diff_targets(d))
 
 
 def test_a_stack_of_every_parity_class_equals_the_single_pair_calls():
@@ -397,13 +394,11 @@ def test_a_stack_of_every_parity_class_equals_the_single_pair_calls():
               (fourier_profile(grid, 2), gaussian_profile(grid, 0.0, 1.0))]
     pairs = [pairs[k] for k in rng.permutation(len(pairs))]
     fs, gs = zip(*pairs)
-    spectra = sum_diff_spectra(fs, gs)
+    values = grid_module._relabeled_values(fs, gs, 33)
     for k, (f, g) in enumerate(pairs):
-        one = sum_diff_spectra(f, g)
-        np.testing.assert_array_equal(spectra.values_ab[k], one.values_ab[0])
-        assert spectra.qcf_ab[k] == one.qcf_ab[0]
-        assert spectra.variance_diff[k] == one.variance_diff[0]
-    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff(f, g) for f, g in pairs)
+        np.testing.assert_array_equal(values[k], grid_module._relabeled_values([f], [g], 33)[0])
+    # the reports' qcf_ab and variance_diff compare exactly
+    assert demo_sum_diff(fs, gs) == tuple(demo_sum_diff([f], [g])[0] for f, g in pairs)
 
 
 def test_stacks_need_equal_lengths_and_one_grid_size():
@@ -425,6 +420,6 @@ def test_corrupted_covariance_fails_the_variance_identity(sigma, monkeypatch):
     exact = grid_module._sum_diff_covariance
     monkeypatch.setattr(grid_module, "_sum_diff_covariance", lambda x, c: exact(x, c) + offset)
     with pytest.raises(NumericalError, match="deviates from the variance difference"):
-        sum_diff_spectra(f, g)
+        demo_sum_diff([f], [g])
 
 
