@@ -37,7 +37,9 @@ d x d SVD.  Pairs without one are relabeled as an (n, d, d) stack and
 decomposed by one batched SVD.  Only the relabeled spectrum is computed: a product f (x) g of
 unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its x-y rank
 follows from the tolerance alone; the SVD cross-check of that rank lives in
-``tests/demo_oracle.py``.  A grid's d x d pair grid is capped at
+``tests/demo_oracle.py``, beside the joint-distribution route of the
+covariance of X1 + X2 against X1 - X2, which takes O(d) per pair here from
+the moments of the marginals |f|^2 and |g|^2.  A grid's d x d pair grid is capped at
 ``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
 sampled.
 """
@@ -229,19 +231,15 @@ def _pairs(fs, gs) -> tuple[tuple[SampledProfile, ...], tuple[SampledProfile, ..
     return fs, gs, sizes.pop()
 
 
-def _diag_qcf(a_diag: np.ndarray, b_diag: np.ndarray, prob: np.ndarray) -> float:
-    """Covariance of two commuting diagonal observables under a probability vector."""
-    ea = float(np.sum(a_diag * prob))
-    eb = float(np.sum(b_diag * prob))
-    eab = float(np.sum(a_diag * b_diag * prob))
-    return eab - ea * eb
+def _sum_diff_covariance(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
+    """Covariance of X1 + X2 against X1 - X2 under |f(x1) g(x2)|^2, from the marginals.
 
-
-def _sum_diff_covariance(x: np.ndarray, c: np.ndarray) -> float:
-    """Covariance of X1 + X2 against X1 - X2 under the joint distribution |c_ij|^2."""
-    a_diag = np.add.outer(x, x).ravel()       # X (x) I + I (x) X
-    b_diag = np.subtract.outer(x, x).ravel()  # X (x) I - I (x) X
-    return _diag_qcf(a_diag, b_diag, np.abs(c.ravel()) ** 2)
+    Under the product distribution p_f(x1) p_g(x2), with p = |samples|^2,
+    E[(X1 + X2)(X1 - X2)] = <x^2>_f - <x^2>_g and E[X1 +- X2] = m_f +- m_g.
+    """
+    pf, pg = np.abs(f) ** 2, np.abs(g) ** 2
+    mf, mg = float(x @ pf), float(x @ pg)
+    return (float(x * x @ pf) - float(x * x @ pg)) - (mf + mg) * (mf - mg)
 
 
 def _reflection_parity(v: np.ndarray) -> int:
@@ -325,17 +323,16 @@ def demo_sum_diff(
     below 1 and 0 from 1 on (its SVD cross-check lives in
     ``tests/demo_oracle.py``).  rank_ab and alpha_ratio_ab come from the
     relabeled Schmidt coefficients; qcf_ab is the covariance of X1 + X2
-    against X1 - X2, which must equal the difference of the two position
-    variances to 1e-9 max(1, Var1 + Var2): both sides are sums of squared
-    positions, so their rounding grows with the variances.  The covariances
-    run pair by pair, so their d^2-sized temporaries are held for one pair at
-    a time.
+    against X1 - X2 from the marginals' raw moments, which must equal the
+    difference of the two centred position variances to 1e-9
+    max(1, Var1 + Var2): both sides are sums of squared positions, so their
+    rounding grows with the variances.
     """
     fs, gs, d = _pairs(fs, gs)
     values_ab = _relabeled_values(fs, gs, d)
     var_f = np.array([fk.position_variance() for fk in fs])
     var_g = np.array([gk.position_variance() for gk in gs])
-    qcf_ab = np.array([_sum_diff_covariance(fk.grid.points, np.outer(fk.samples, gk.samples))
+    qcf_ab = np.array([_sum_diff_covariance(fk.grid.points, fk.samples, gk.samples)
                        for fk, gk in zip(fs, gs)])
     variance_diff = var_f - var_g
     tol = 1e-9 * np.maximum(1.0, var_f + var_g)

@@ -261,7 +261,8 @@ def load_state_file(path: str) -> StateFile:
             f"{path}: tps dims ({tps.d1}, {tps.d2}) disagree with state dims ({d1}, {d2})"
         )
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
-    n = float(np.linalg.norm(amplitudes))
+    with np.errstate(over="ignore"):  # huge finite amplitudes give the refused norm inf
+        n = float(np.linalg.norm(amplitudes))
     if n == 0.0:
         raise StateFileError(f"{path}: state has zero norm")
     if abs(n - 1.0) > 1e-8:

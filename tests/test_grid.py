@@ -1,5 +1,6 @@
 """Grid profiles, sum/difference relabeling demo, and the covariance identity."""
 
+import math
 import warnings
 
 import numpy as np
@@ -418,8 +419,21 @@ def test_corrupted_covariance_fails_the_variance_identity(sigma, monkeypatch):
     f, g = gaussian_profile(grid, 0.0, sigma), gaussian_profile(grid, 0.0, sigma)
     offset = 1e-8 * max(1.0, f.position_variance() + g.position_variance())
     exact = grid_module._sum_diff_covariance
-    monkeypatch.setattr(grid_module, "_sum_diff_covariance", lambda x, c: exact(x, c) + offset)
+    monkeypatch.setattr(grid_module, "_sum_diff_covariance",
+                        lambda x, f, g: exact(x, f, g) + offset)
     with pytest.raises(NumericalError, match="deviates from the variance difference"):
         demo_sum_diff([f], [g])
+
+
+def test_identical_profiles_have_covariance_exactly_zero():
+    # X1 + X2 against X1 - X2 on f (x) f: both marginals give the same moments
+    # bit for bit, so the covariance is 0.0 exactly, like the variance difference
+    g, wide = std_grid(33), std_grid(33, 12.0)
+    profiles = [gaussian_profile(g, 0.0, 1.0), gaussian_profile(wide, -1.7, 0.9),
+                odd_profile(g, 1.2), double_gaussian_profile(wide, 3.0, 0.8),
+                fourier_profile(g, 5)]
+    for rep in demo_sum_diff(profiles, profiles):
+        assert rep.qcf_ab == rep.variance_diff == 0.0
+        assert math.copysign(1.0, rep.qcf_ab) == 1.0  # reports print 0.0, not -0.0
 
 
