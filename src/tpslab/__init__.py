@@ -20,7 +20,7 @@ from .grid import (
     odd_profile,
     position_operator,
 )
-from .linalg import eigh, expectation, svd, tensor_op, tensor_vec
+from .linalg import expectation, svd, tensor_op, tensor_vec
 from .qcf import QcfReport, qcf, qcf_local, variance
 from .sampling import (
     haar_state,
@@ -43,7 +43,6 @@ from .tps import (
     relabeled,
     sum_diff_bijection,
     swap_bijection,
-    tps_from_joint_eigenbasis,
     tps_with_spectrum,
     trivial_tps,
 )

@@ -90,18 +90,20 @@ def _emit(args: argparse.Namespace, text: str) -> None:
 
 
 def resolve_observable(spec: str, dim: int) -> np.ndarray:
-    """An observable by name (pauli-x|y|z, position) or a JSON matrix file path."""
+    """An observable by name (pauli-x|y|z, position) or a JSON matrix file path; the
+    dense ones, all but the 2x2 Paulis, are capped at dim^2 entries by ``check_size``."""
     if spec in _PAULI_BY_NAME:
         if dim != 2:
             raise ShapeError(f"observable {spec} is 2-dimensional, needed dim {dim}")
         return _PAULI_BY_NAME[spec]
-    if spec == "position":
-        return position_operator(np.arange(dim) - (dim - 1) / 2.0)
-    if not os.path.isfile(spec):
+    if spec != "position" and not os.path.isfile(spec):
         raise UnknownObservableError(
             f"unknown observable {spec!r}: expected one of {', '.join(OBSERVABLE_NAMES)} "
             "or a JSON matrix file"
         )
+    check_size(dim * dim, f"a dense {dim}x{dim} qcf observable")
+    if spec == "position":
+        return position_operator(np.arange(dim) - (dim - 1) / 2.0)
     return load_matrix_file(spec, dim)
 
 

@@ -28,10 +28,6 @@ class NumericalError(ToolkitError):
     """A numerical routine failed or produced values outside its guarantees."""
 
 
-class SpectrumError(ToolkitError):
-    """A joint spectrum does not separate into the requested eigenvalue grid."""
-
-
 class BijectionError(ToolkitError):
     """An index map is not a bijection of the required index grid."""
 

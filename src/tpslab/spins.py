@@ -1,11 +1,13 @@
 """Two spin-1/2 particles: total-spin-component squares and the chi basis.
 
 The squares of two orthogonal total-spin components commute and share the
-joint eigenbasis chi_{s,t}; reading the four-dimensional space through that
-basis gives a second tensor product structure in which a z-product state is
-generically entangled.  The covariance of the two squares on a product state
-has a closed form in single-spin expectations, evaluated here both directly
-and in closed form.  Units have hbar = 1.
+joint eigenbasis chi_{s,t}, which is the Bell basis and is written here in
+closed form (its eigen-route check lives in ``tests/tps_oracle.py``); reading
+the four-dimensional space through that basis gives a second tensor product
+structure in which a z-product state is generically entangled.  The
+covariance of the two squares on a product state has a closed form in
+single-spin expectations, evaluated here both directly and in closed form.
+Units have hbar = 1.
 """
 
 from __future__ import annotations
@@ -20,11 +22,16 @@ from .linalg import _expectation, check_state, tensor_op
 from .qcf import _covariance
 from .sampling import check_samples, haar_state
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
-from .tps import TensorProductStructure, _coefficients, tps_from_joint_eigenbasis
+from .tps import TensorProductStructure, _coefficients
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+
+# chi_{s,t} in row s*2+t over (up-up, up-down, down-up, down-down): the Bell states
+# Phi+, Phi-, Psi+, Psi-, with the z-square eigenvalue s and the x-square eigenvalue t
+CHI_ROWS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
+                    dtype=complex) / np.sqrt(2.0)
 
 # a covariance above this is resolvably nonzero, witnessing entanglement in the chi TPS
 NONZERO_THRESHOLD = 1e-8
@@ -62,14 +69,16 @@ def total_spin_squares() -> TotalSpinSquares:
 def chi_basis() -> tuple[TensorProductStructure, np.ndarray]:
     """Joint eigenbasis TPS of the total-spin squares, plus the basis-change matrix.
 
-    Returns the TPS whose product labels (s, t) pair eigenvalues of the z- and
-    x-component squares (each descending: 1 before 0), and the 4x4 matrix
-    whose row s*2+t expresses chi_{s,t} over the two-spin product basis
-    (up-up, up-down, down-up, down-down).
+    The joint eigenbasis is the Bell basis, given in closed form by
+    ``CHI_ROWS``.  Returns the TPS whose product labels (s, t) pair
+    eigenvalues of the z- and x-component squares (each descending: 1 before
+    0), and the 4x4 matrix whose row s*2+t expresses chi_{s,t} over the
+    two-spin product basis (up-up, up-down, down-up, down-down).
     """
-    squares = total_spin_squares()
-    tps = tps_from_joint_eigenbasis(squares.z2, squares.x2, 2, 2)
-    return tps, tps.unitary.T.copy()
+    rows = CHI_ROWS.copy()
+    tps = TensorProductStructure(2, 2, np.ascontiguousarray(rows.T),
+                                 label_left=("F=1", "F=0"), label_right=("G=1", "G=0"))
+    return tps, rows
 
 
 def _closed_form(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:

@@ -19,6 +19,10 @@ from .errors import BijectionError, ContractError, ShapeError, StateFileError
 from .linalg import check_hermitian, check_size
 from .tps import IndexBijection, TensorProductStructure
 
+# the largest Frobenius norm of a matrix-file observable: for two such A and B and a unit
+# state, |<A (x) B>| and |<A><B>| stay below a sixteenth of the largest double
+MAX_MATRIX_NORM = float(np.sqrt(np.finfo(float).max)) / 4
+
 
 def _plain(obj):
     """numpy arrays and scalars as the lists and Python numbers the encoder writes."""
@@ -194,7 +198,8 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
     the n*n entries in row-major order; n must be the required ``dim``.
 
     Raises:
-        StateFileError: unreadable or malformed file, or a matrix that is not Hermitian.
+        StateFileError: unreadable or malformed file, or a matrix that is not Hermitian or
+            whose Frobenius norm exceeds ``MAX_MATRIX_NORM``.
         ShapeError: n is not ``dim``, or the entries are not n*n; checked before any entry is read.
     """
     data = read_json(path)
@@ -206,9 +211,15 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
     entries = _sized_list(data["entries"], dim * dim, f"{path}: matrix entries")
     flat = pairs_to_complex(entries, f"{path}: matrix entries")
     try:
-        return check_hermitian(flat.reshape(dim, dim))
+        matrix = check_hermitian(flat.reshape(dim, dim))
     except ContractError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
+    with np.errstate(over="ignore"):  # the squares of huge entries overflow to an inf norm
+        norm = float(np.linalg.norm(matrix))
+    if not norm <= MAX_MATRIX_NORM:
+        raise StateFileError(f"{path}: matrix Frobenius norm exceeds {MAX_MATRIX_NORM:.3e}, "
+                             "so a covariance could overflow")
+    return matrix
 
 
 @dataclass

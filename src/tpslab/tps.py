@@ -22,29 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BijectionError,
-    ContractError,
-    GridSpecError,
-    ShapeError,
-    SpectrumError,
-)
-from .linalg import (
-    HERMITIAN_TOL,
-    UNITARY_TOL,
-    STATE_NORM_TOL,
-    _fix_phase,
-    as_matrix,
-    as_vector,
-    check_hermitian,
-    check_state,
-    commutator_maxnorm,
-    eigh,
-)
-
-
-# relative gap below which two eigenvalues of a joint eigenbasis count as one
-CLUSTER_TOL = 1e-8
+from .errors import BijectionError, ContractError, GridSpecError, ShapeError
+from .linalg import STATE_NORM_TOL, UNITARY_TOL, as_matrix, as_vector, check_state
 
 
 def _check_unitary(u: np.ndarray) -> np.ndarray:
@@ -231,85 +210,6 @@ def relabeled(tps: TensorProductStructure, bij: IndexBijection) -> TensorProduct
     # a frozen dataclass refuses setattr, not an update of its instance dict
     vars(out).update(relabeling=IndexBijection(tps.d1, tps.d2, t), label_left=None, label_right=None)
     return out
-
-
-def _cluster_eigenvalues(vals: np.ndarray, tol: float) -> list[tuple[float, slice]]:
-    """Group ascending eigenvalues into near-degenerate clusters."""
-    clusters = []
-    start = 0
-    for k in range(1, vals.size + 1):
-        if k == vals.size or abs(vals[k] - vals[k - 1]) > tol:
-            clusters.append((float(np.mean(vals[start:k])), slice(start, k)))
-            start = k
-    return clusters
-
-
-def tps_from_joint_eigenbasis(f_obs, g_obs, d1: int, d2: int) -> TensorProductStructure:
-    """TPS whose product basis is the joint eigenbasis of two commuting observables.
-
-    The joint spectrum must separate into d1 distinct eigenvalues of the first
-    observable times d2 distinct eigenvalues of the second, each F-eigenspace
-    carrying the same G-spectrum.  Product label (s, t) pairs the s-th
-    F-eigenvalue (descending) with the t-th G-eigenvalue (descending).
-
-    Raises:
-        ContractError: non-commuting or non-Hermitian inputs.
-        SpectrumError: joint spectrum is not a d1 x d2 grid.
-    """
-    f_obs = check_hermitian(f_obs)
-    g_obs = check_hermitian(g_obs)
-    dim = f_obs.shape[0]
-    if g_obs.shape[0] != dim or dim != d1 * d2:
-        raise ShapeError(f"observable dims {f_obs.shape[0]}, {g_obs.shape[0]} vs d1*d2 = {d1 * d2}")
-    comm = commutator_maxnorm(f_obs, g_obs)
-    if comm > HERMITIAN_TOL:
-        raise ContractError(f"observables do not commute: max|[F,G]| = {comm:.3e}")
-
-    fvals, fvecs = eigh(f_obs)
-    scale = max(1.0, float(np.max(np.abs(fvals))))
-    clusters = _cluster_eigenvalues(fvals, CLUSTER_TOL * scale)
-    if len(clusters) != d1:
-        raise SpectrumError(
-            f"first observable has {len(clusters)} distinct eigenvalues with "
-            f"multiplicities {[c[1].stop - c[1].start for c in clusters]}, expected {d1}"
-        )
-    clusters.sort(key=lambda c: -c[0])
-    f_labels = tuple(f"F={c[0]:.12g}" for c in clusters)
-
-    columns = []
-    g_grid = None
-    for fval, block in clusters:
-        w = fvecs[:, block]
-        mult = w.shape[1]
-        if mult != d2:
-            raise SpectrumError(
-                f"eigenvalue {fval:.6g} of the first observable has multiplicity "
-                f"{mult}, expected {d2}"
-            )
-        restricted = w.conj().T @ g_obs @ w
-        gvals, gvecs = eigh(restricted, HERMITIAN_TOL * 10)
-        order = np.argsort(-gvals, kind="stable")
-        gvals = gvals[order]
-        gvecs = gvecs[:, order]
-        gscale = max(1.0, float(np.max(np.abs(gvals))))
-        if d2 > 1 and np.min(np.abs(np.diff(gvals))) <= CLUSTER_TOL * gscale:
-            raise SpectrumError(
-                f"second observable is degenerate inside the F={fval:.6g} eigenspace: "
-                f"eigenvalues {gvals.tolist()}"
-            )
-        if g_grid is None:
-            g_grid = gvals
-        elif np.max(np.abs(gvals - g_grid)) > CLUSTER_TOL * gscale:
-            raise SpectrumError(
-                f"G-spectrum {gvals.tolist()} inside the F={fval:.6g} eigenspace "
-                f"differs from the first eigenspace's {g_grid.tolist()}"
-            )
-        for t in range(d2):
-            col = w @ gvecs[:, t]
-            columns.append(col * _fix_phase(col))
-    u = np.column_stack(columns)
-    g_labels = tuple(f"G={v:.12g}" for v in g_grid)
-    return TensorProductStructure(d1, d2, u, label_left=f_labels, label_right=g_labels)
 
 
 def tps_with_spectrum(psi, alphas, tps: TensorProductStructure) -> TensorProductStructure:

@@ -21,7 +21,6 @@ DEFAULTED = {
     "demo_bell": {"samples": 1000, "seed": 42},
     "demo_spins": {"samples": 1000, "seed": 42},
     "demo_sum_diff": {"truncation_tol": 1e-10},
-    "eigh": {"tol": 1e-9},
     "haar_state": {"shape": ()},
     "qcf_local": {"witness_threshold": None},
     "random_entangled_state": {"min_alpha_ratio": 1e-3, "shape": ()},
@@ -78,3 +77,21 @@ def test_every_public_definition_is_exported_or_referenced():
             if stmt.name not in exported and not used:
                 dead.append(f"{module}:{stmt.name}")
     assert dead == []
+
+
+def test_every_import_is_used():
+    # a name that a module of src/tpslab other than __init__.py imports must be named
+    # (as a Name or an Attribute) somewhere else in that module
+    package = Path(tpslab.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        names = named(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and \
+                    getattr(node, "module", None) != "__future__":
+                imported = (alias.asname or alias.name.split(".")[0] for alias in node.names)
+                unused += [f"{path.name}:{name}" for name in imported if name not in names]
+    assert unused == []

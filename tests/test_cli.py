@@ -358,23 +358,26 @@ def test_global_qcf_above_the_dense_cap_exits_3_before_any_observable(d, code, m
         ["schmidt", "{state}", "--tps", "{over_tps}"],
         ["schmidt", "{state}", "--tps", "{dense_tps}"],
         ["qcf", "{state}", "--obs-a", "position", "--obs-b", "position"],
+        ["qcf", "{wide_state}", "--obs-a", "position", "--obs-b", "position", "--local"],
         ["demo", "coords", "--d", "1025"],
         ["demo", "coords", "--d", "1" + "0" * 399 + "1"],
         ["demo", "spins", "--samples", "1048577"],
         ["demo", "bell", "--samples", "1048577"],
     ],
     ids=["state-dims", "state-dims-past-str", "tps-dims", "dense-unitary", "global-qcf",
-         "coords-grid", "coords-grid-past-float", "spins-samples", "bell-samples"],
+         "local-qcf-observable", "coords-grid", "coords-grid-past-float", "spins-samples", "bell-samples"],
 )
 def test_every_size_gate_exits_3_with_the_shared_message(argv, tmp_path, capsys):
     # state and TPS dims above 2^20, a dense 33x33 unitary and a global qcf at
-    # D = 1089 (D^2 > 2^20), a 1025x1025 pair grid and 2^20 + 1 samples; two
+    # D = 1089 (D^2 > 2^20), a dense position observable on a factor of 1025,
+    # a 1025x1025 pair grid and 2^20 + 1 samples; two
     # 3000-digit dims multiply to more digits than str() writes, and a
     # 401-digit grid size is refused before it is converted to a float
     docs = {"over_state": {"dims": [2048, 1024], "amplitudes": []},
             "huge_state": {"dims": [int("1" * 3000)] * 2, "amplitudes": []},
             "over_tps": {"d1": 2048, "d2": 1024, "map": []},
-            "dense_tps": {"d1": 33, "d2": 33, "unitary": "never read"}}
+            "dense_tps": {"d1": 33, "d2": 33, "unitary": "never read"},
+            "wide_state": {"dims": [1, 1025], "amplitudes": [[1.0, 0.0]] + [[0.0, 0.0]] * 1024}}
     paths = {"state": square_state_file(tmp_path, 33)}
     for name, doc in docs.items():
         paths[name] = tmp_path / f"{name}.json"

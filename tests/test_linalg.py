@@ -1,4 +1,4 @@
-"""Core linear-algebra kernels: tensor products, svd/eigh contracts, phases."""
+"""Core linear-algebra kernels: tensor products, svd contracts, phases."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from tpslab.errors import (
     SizeLimitError,
 )
 from tpslab.linalg import (
-    eigh,
     expectation,
     svd,
     tensor_op,
@@ -128,49 +127,6 @@ def test_svd_nonconvergence_wrapped(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", boom)
     with pytest.raises(NumericalError, match="converge"):
         svd(np.eye(3))
-
-
-def test_eigh_diagonal():
-    w, v = eigh(np.diag([0.0, 1.0]))
-    np.testing.assert_allclose(w, [0.0, 1.0])
-    np.testing.assert_allclose(np.abs(v), np.eye(2), atol=1e-14)
-
-
-def test_eigh_pauli_x_hand_values():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    w, v = eigh(sx)
-    np.testing.assert_allclose(w, [-1.0, 1.0])
-    np.testing.assert_allclose(np.abs(v[:, 0]), [1 / SQ2, 1 / SQ2], atol=1e-14)
-    np.testing.assert_allclose(np.abs(v[:, 1]), [1 / SQ2, 1 / SQ2], atol=1e-14)
-    # phase convention: first largest-modulus component real positive
-    assert v[0, 0].real > 0 and v[0, 1].real > 0
-    np.testing.assert_allclose(sx @ v[:, 0], -v[:, 0], atol=1e-14)
-
-
-def test_eigh_random_reconstruction():
-    rng = np.random.default_rng(23)
-    for _ in range(10):
-        m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        h = (m + m.conj().T) / 2
-        w, v = eigh(h)
-        np.testing.assert_allclose((v * w) @ v.conj().T, h, atol=1e-9)
-        for k in range(4):
-            assert np.linalg.norm(h @ v[:, k] - w[k] * v[:, k]) <= 1e-9
-
-
-def test_eigh_rejects_non_hermitian():
-    with pytest.raises(ContractError):
-        eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_eigh_bit_identical_repeat():
-    rng = np.random.default_rng(3)
-    m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
-    h = (m + m.conj().T) / 2
-    w1, v1 = eigh(h.copy())
-    w2, v2 = eigh(h.copy())
-    assert np.array_equal(w1, w2)
-    assert np.array_equal(v1, v2)
 
 
 def test_expectation_identity():

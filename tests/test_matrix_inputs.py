@@ -4,7 +4,10 @@ Each test draws a state on a grid of at most 4 x 4, a Hermitian matrix for
 one factor and an optional mutation of its file, and runs ``qcf --local``
 with the file on that factor and ``position`` on the other.  The CLI must
 exit 0 on an unmutated file, with the covariance of the trace formula
-computed here, and exit 2 or 3 with one ``error:`` line on the rest.
+computed here, and exit 2 or 3 with one ``error:`` line on the rest.  A
+``huge`` mutation writes a Hermitian pair of entries near the double range,
+whose products would overflow the covariance; the explicit examples are
+files of that kind that once ended in a traceback or a warning.
 """
 
 import contextlib
@@ -15,14 +18,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tpslab.cli import main
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 MUTATIONS = (None, "bool", "numeric-string", "nan", "wrong-count", "wrong-dim",
-             "non-hermitian", "not-an-object", "non-utf8")
+             "non-hermitian", "not-an-object", "non-utf8", "huge")
 
 
 @dataclass
@@ -33,8 +36,9 @@ class Case:
     mutation: str | None
     k: int  # the entry the mutation changes
     part: int  # 0 for the real part of that entry, 1 for the imaginary part
-    flag: bool  # the boolean written, or whether a wrong count or dim grows
+    flag: bool  # the boolean written, whether a wrong count or dim grows, or a huge entry is 1e308
     seed: int
+    file: dict | None = None  # a file written as it is, in place of the drawn matrix
 
 
 @st.composite
@@ -69,6 +73,12 @@ def matrix_bytes(case: Case, a: np.ndarray) -> bytes:
         entries[k][1] += 1.0
     elif m == "not-an-object":
         doc = entries
+    elif m == "huge":  # a_ij and a_ji = conj(a_ij), or a real diagonal a_ii
+        i, j = divmod(k, n)
+        part = part if i != j else 0
+        value = (1e308 if case.flag else 1e200) * (-1) ** (i + j)
+        entries[k][part] = value
+        entries[j * n + i][part] = value if part == 0 else -value
     text = json.dumps(doc).encode()
     return b"\xff\xfe" + text if m == "non-utf8" else text
 
@@ -80,8 +90,15 @@ def run(argv: list) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def huge_example(entries: list) -> Case:
+    return Case(2, 2, True, "huge", 0, 0, True, 0, {"dim": 2, "entries": entries})
+
+
 @SETTINGS
 @given(cases())
+@example(huge_example([[1e308, 0.0]] * 4))
+@example(huge_example([[1e200, 0.0], [0.0, 0.0], [0.0, 0.0], [1e200, 0.0]]))
+@example(huge_example([[1e308, 0.0], [1e308, 0.0], [-1e308, 0.0], [0.0, 0.0]]))
 def test_qcf_local_reads_a_matrix_file_or_exits_with_one_error_line(case):
     rng = np.random.default_rng(case.seed)
     d1, d2 = case.d1, case.d2
@@ -96,7 +113,8 @@ def test_qcf_local_reads_a_matrix_file_or_exits_with_one_error_line(case):
         state_path, mat, report = (Path(tmp, name) for name in
                                    ("state.json", "matrix.json", "report.json"))
         state_path.write_text(json.dumps(state))
-        mat.write_bytes(matrix_bytes(case, matrix))
+        mat.write_bytes(matrix_bytes(case, matrix) if case.file is None else
+                        json.dumps(case.file).encode())
         obs = ["--obs-a", str(mat), "--obs-b", "position"] if case.left else \
               ["--obs-a", "position", "--obs-b", str(mat)]
         code, err = run(["qcf", str(state_path), *obs, "--local", "--out", str(report)])

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 from demo_oracle import spins_loop
+from tps_oracle import chi_rows_from_eigh
 
 from tpslab.errors import ContractError, SizeLimitError
-from tpslab.linalg import MAX_GLOBAL_DIM, commutator_maxnorm, tensor_op
+from tpslab.linalg import MAX_GLOBAL_DIM, tensor_op
 from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt_values
@@ -59,7 +60,7 @@ def test_total_spin_squares_structure(hbar):
         hbar**2 / 2 * np.eye(4) + 2 * tensor_op(ops.z, ops.z),
         atol=1e-14,
     )
-    assert commutator_maxnorm(squares.z2, squares.x2) <= 1e-12
+    assert np.max(np.abs(squares.z2 @ squares.x2 - squares.x2 @ squares.z2)) <= 1e-12
     for sq in squares:
         w = np.sort(np.linalg.eigvalsh(sq))
         np.testing.assert_allclose(w, [0.0, 0.0, hbar**2, hbar**2], atol=1e-12)
@@ -89,6 +90,14 @@ def test_chi_basis_matches_known_matrix():
     np.testing.assert_allclose(np.abs(rows), np.abs(expected), atol=1e-12)
     # phases are fixed, so the match is exact, not just entrywise modulus
     np.testing.assert_allclose(rows, expected, atol=1e-12)
+
+
+def test_chi_basis_equals_the_eigh_oracle_bit_for_bit():
+    tps, rows = chi_basis()
+    oracle = chi_rows_from_eigh()
+    assert np.array_equal(rows, oracle)
+    assert np.array_equal(tps.unitary, oracle.T)
+    assert (tps.label_left, tps.label_right) == (("F=1", "F=0"), ("G=1", "G=0"))
 
 
 @pytest.mark.parametrize("hbar", [1.0])

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from tps_oracle import dense_unitary, permutation_matrix, reflector_matrix
 
-from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError, SpectrumError
-from tpslab.linalg import tensor_op
+from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError
 from tpslab.sampling import haar_state, random_product_state, random_unitary
 from tpslab.schmidt import schmidt, schmidt_values
 from tpslab.tps import (
@@ -20,7 +19,6 @@ from tpslab.tps import (
     relabel_tps,
     sum_diff_bijection,
     swap_bijection,
-    tps_from_joint_eigenbasis,
     tps_with_spectrum,
     trivial_tps,
 )
@@ -140,50 +138,6 @@ def test_sum_diff_forward_inverse_exhaustive(d):
 def test_sum_diff_rejects_even_grids(d):
     with pytest.raises(GridSpecError, match="odd"):
         sum_diff_bijection(d)
-
-
-def test_joint_eigenbasis_already_product():
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    f = tensor_op(sz, np.eye(2))
-    g = tensor_op(np.eye(2), sz)
-    tps = tps_from_joint_eigenbasis(f, g, 2, 2)
-    np.testing.assert_allclose(tps.unitary, np.eye(4), atol=1e-12)
-
-
-def test_joint_eigenbasis_rejects_noncommuting():
-    sx = np.array([[0, 1], [1, 0]], dtype=complex)
-    sz = np.diag([1.0, -1.0]).astype(complex)
-    with pytest.raises(ContractError, match="commute"):
-        tps_from_joint_eigenbasis(tensor_op(sz, np.eye(2)), tensor_op(sx, np.eye(2)), 2, 2)
-
-
-def test_joint_eigenbasis_rejects_bad_grid():
-    f = np.diag([3.0, 2.0, 1.0, 0.0]).astype(complex)  # four distinct values, d1=2 wanted
-    g = np.eye(4, dtype=complex)
-    with pytest.raises(SpectrumError):
-        tps_from_joint_eigenbasis(f, g, 2, 2)
-
-
-def test_joint_eigenbasis_rejects_degenerate_g_inside_cluster():
-    f = np.diag([1.0, 1.0, 0.0, 0.0]).astype(complex)
-    g = np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex)  # no split inside the F=1 block
-    with pytest.raises(SpectrumError):
-        tps_from_joint_eigenbasis(f, g, 2, 2)
-
-
-@pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 2)])
-def test_joint_eigenbasis_reproduces_construction(d1, d2):
-    rng = np.random.default_rng(d1 * 7 + d2)
-    dim = d1 * d2
-    v = random_unitary(dim, rng)
-    fvals = np.repeat(np.arange(d1, 0, -1, dtype=float), d2)     # d1 distinct, mult d2
-    gvals = np.tile(np.arange(d2, 0, -1, dtype=float), d1)       # grid pattern
-    f = v @ np.diag(fvals) @ v.conj().T
-    g = v @ np.diag(gvals) @ v.conj().T
-    tps = tps_from_joint_eigenbasis(f, g, d1, d2)
-    # columns must match v's columns up to phase, in (descending, descending) order
-    overlaps = np.abs(tps.unitary.conj().T @ v)
-    np.testing.assert_allclose(overlaps, np.eye(dim), atol=1e-8)
 
 
 @pytest.mark.parametrize("d1,d2", [(2, 2), (2, 3), (3, 3)])

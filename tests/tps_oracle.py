@@ -6,12 +6,15 @@ matrix.  The routes here do all three with D x D matrices instead: the
 permutation unitary is built from the bijection's targets, the
 reflector from its vector, and the local observables are lifted to global
 operators before the plain covariance is taken.  The reconstructions of an
-SVD and of a Schmidt decomposition from their factors live here as well.
+SVD and of a Schmidt decomposition from their factors live here as well, and
+so does the eigen-route to the chi basis, which ``spins.chi_basis`` writes in
+closed form as the Bell basis.
 """
 
 import numpy as np
 
 from tpslab.qcf import qcf
+from tpslab.spins import total_spin_squares
 
 
 def permutation_matrix(bij) -> np.ndarray:
@@ -59,3 +62,19 @@ def schmidt_reconstruct(sd) -> np.ndarray:
     for k in range(sd.coefficients.size):
         out += np.kron(terms[:, k], sd.right_basis[:, k])
     return out
+
+
+def chi_rows_from_eigh() -> np.ndarray:
+    """Rows chi_{s,t} (row s*2+t) as the eigenvectors of 2 z2 + x2 from numpy's eigh.
+
+    The eigenvalue 2s + t is 3, 2, 1, 0 for (s, t) = (1, 1), (1, 0), (0, 1), (0, 0),
+    so the ascending columns are reversed; each is then phased so that its first
+    largest-modulus entry is real and positive.
+    """
+    squares = total_spin_squares()
+    _, vecs = np.linalg.eigh(2.0 * squares.z2 + squares.x2)
+    rows = vecs[:, ::-1].T.copy()
+    for row in rows:
+        pivot = row[np.argmax(np.abs(row))]
+        row *= np.conj(pivot) / abs(pivot)
+    return rows
