@@ -20,7 +20,7 @@ from .grid import (
     odd_profile,
     position_operator,
 )
-from .linalg import expectation, svd, tensor_op, tensor_vec
+from .linalg import expectation, tensor_op, tensor_vec
 from .qcf import QcfReport, qcf, qcf_local, variance
 from .sampling import (
     haar_state,
@@ -29,7 +29,7 @@ from .sampling import (
     random_product_state,
     random_unitary,
 )
-from .schmidt import SchmidtDecomposition, schmidt, schmidt_values
+from .schmidt import SchmidtDecomposition, schmidt
 from .spins import chi_basis, demo_spins, spin_operators, spin_qcf_closed_form, total_spin_squares
 from .tps import (
     IndexBijection,

@@ -8,9 +8,9 @@ settings and re-evaluates the value through the raw definition
 maximizer (angular grid scan, then coordinate descent) on a correlation
 matrix of its own, lives in the tests as the oracle.
 
-Every formula works on the last axes of the 2x2 coefficient matrices
-``C = psi.reshape(2, 2)``, so one state and a stack of states run the same
-code: ``<psi|A (x) B|psi> = tr(C^dagger A C B^T)``.
+Every formula works on the last axes of the 2x2 coefficient matrices C
+(``psi.reshape(2, 2)`` in the trivial TPS), so one state and a stack of
+states run the same code: ``<psi|A (x) B|psi> = tr(C^dagger A C B^T)``.
 """
 
 from __future__ import annotations
@@ -20,9 +20,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .linalg import check_state
 from .sampling import check_samples, random_entangled_state
 from .spins import PAULI_X, PAULI_Y, PAULI_Z
+from .tps import TensorProductStructure, coefficient_matrix
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _AXES = np.eye(3)
@@ -99,17 +99,16 @@ class ChshMaxResult:
     settings: ChshSettings
 
 
-def chsh_max(psi) -> ChshMaxResult:
-    """Maximize the CHSH value of a two-qubit pure state over all settings.
+def chsh_max(psi, tps: TensorProductStructure) -> ChshMaxResult:
+    """Maximize the CHSH value of a pure state read as two qubits through a TPS.
 
     The settings are the closed-form (Horodecki) ones from the SVD of the
     correlation matrix; ``value`` is the raw CHSH value at them and
     ``closed_form`` the maximum 2 sqrt(t1^2 + t2^2) from the same SVD.
     """
-    psi = check_state(psi)
-    if psi.size != 4:
-        raise ShapeError(f"chsh_max needs a two-qubit state, got dim {psi.size}")
-    value, closed, settings = _chsh_max(psi.reshape(2, 2))
+    if (tps.d1, tps.d2) != (2, 2):
+        raise ShapeError(f"chsh needs a two-qubit state, got dims ({tps.d1}, {tps.d2})")
+    value, closed, settings = _chsh_max(coefficient_matrix(psi, tps))
     return ChshMaxResult(value=float(value), closed_form=float(closed),
                          settings=ChshSettings(*settings))
 

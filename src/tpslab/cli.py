@@ -265,9 +265,7 @@ def cmd_refactor(args: argparse.Namespace) -> int:
 
 def cmd_chsh(args: argparse.Namespace) -> int:
     sf = load_state_file(args.state)
-    if (sf.d1, sf.d2) != (2, 2):
-        raise ShapeError(f"chsh needs a two-qubit state, got dims ({sf.d1}, {sf.d2})")
-    result = chsh_max(sf.amplitudes)
+    result = chsh_max(sf.amplitudes, _resolve_tps(sf, None))
     report = {
         "manifest": _manifest(args, {"state": args.state}),
         "value": result.value,

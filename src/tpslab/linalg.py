@@ -1,13 +1,11 @@
 """Dense complex linear algebra kernels with deterministic conventions.
 
 Thin wrappers around numpy that pin down the index convention (left factor is
-the slow, row-major index), tolerances, and output phases, so that
-every decomposition is reproducible bit-for-bit across calls.
+the slow, row-major index), the tolerances, and the size and norm limits that
+every input is checked against.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +23,10 @@ HERMITIAN_TOL = 1e-9
 UNITARY_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
 EXPECTATION_IMAG_TOL = 1e-10
+
+# the largest Frobenius norm of an observable: for two such A and B and a unit state,
+# |<A (x) B>| and |<A><B>| stay below a sixteenth of the largest double
+MAX_MATRIX_NORM = float(np.sqrt(np.finfo(float).max)) / 4
 
 
 def as_vector(v) -> np.ndarray:
@@ -78,47 +80,6 @@ def tensor_op(a, b) -> np.ndarray:
     return np.kron(a, b)
 
 
-def _fix_phase(v: np.ndarray) -> complex:
-    """Return the unit phase that makes v's first largest-modulus entry real positive."""
-    idx = int(np.argmax(np.abs(v)))
-    pivot = v[idx]
-    mag = abs(pivot)
-    if mag == 0.0:
-        return 1.0 + 0.0j
-    return np.conj(pivot) / mag
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Singular value decomposition m = left @ diag(vals) @ right^dagger.
-
-    Columns of ``left``/``right`` are orthonormal; ``singular_values`` descend.
-    Phases are fixed so each left column's first largest-modulus entry is real
-    positive, making repeated calls bit-identical.
-    """
-
-    left: np.ndarray
-    singular_values: np.ndarray
-    right: np.ndarray
-
-
-def svd(m) -> SvdResult:
-    """Thin SVD with deterministic phases and descending singular values."""
-    m = as_matrix(m)
-    try:
-        u, s, vh = np.linalg.svd(m, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise NumericalError(
-            f"SVD did not converge for a {m.shape[0]}x{m.shape[1]} matrix: {exc}"
-        ) from exc
-    v = vh.conj().T
-    for k in range(s.size):
-        ph = _fix_phase(u[:, k])
-        u[:, k] *= ph
-        v[:, k] *= ph
-    return SvdResult(left=u, singular_values=s, right=v)
-
-
 def check_state(psi) -> np.ndarray:
     """Validate that psi is a unit vector within ``STATE_NORM_TOL`` and return it."""
     psi = as_vector(psi)
@@ -132,10 +93,14 @@ def check_hermitian(a) -> np.ndarray:
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"observable must be square, got {a.shape}")
-    with np.errstate(over="ignore"):  # huge entries: an inf defect, refused
+    with np.errstate(over="ignore"):  # huge entries: an inf defect or norm, refused
         defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+        norm = float(np.linalg.norm(a))
     if not defect <= HERMITIAN_TOL:
         raise ContractError(f"observable is not Hermitian: max defect {defect:.3e}")
+    if not norm <= MAX_MATRIX_NORM:
+        raise ContractError(f"matrix Frobenius norm exceeds {MAX_MATRIX_NORM:.3e}, "
+                            "so a covariance could overflow")
     return a
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import svd
+from .errors import NumericalError
 from .tps import TensorProductStructure, coefficient_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-10
@@ -34,7 +34,8 @@ class SchmidtDecomposition:
 
     ``left_basis``/``right_basis`` hold one factor vector per column;
     ``sum_k coefficients[k] * left[:,k] (x) right[:,k]`` reconstructs the
-    state in the TPS product coordinates.
+    state in the TPS product coordinates.  Each left column's first
+    largest-modulus entry is real positive, so repeated calls are bit-identical.
     """
 
     coefficients: np.ndarray
@@ -51,19 +52,22 @@ def schmidt(
 ) -> SchmidtDecomposition:
     """Schmidt decomposition of psi relative to the given TPS."""
     c = coefficient_matrix(psi, tps)
-    res = svd(c)
-    # right Schmidt vectors are the conjugated right singular vectors, so the
+    try:
+        u, s, vh = np.linalg.svd(c, full_matrices=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+        raise NumericalError(
+            f"SVD did not converge for a {tps.d1}x{tps.d2} coefficient matrix: {exc}"
+        ) from exc
+    # the phase that makes each column of u real positive at its first largest-modulus
+    # entry, which is never zero in a unit column; vh's rows take the opposite phase
+    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
+    phase = np.conj(pivot) / np.abs(pivot)
+    # right Schmidt vectors are the rows of vh, not conjugated, so the
     # reconstruction reads as a plain (not conjugated) tensor sum
     return SchmidtDecomposition(
-        coefficients=res.singular_values,
-        left_basis=res.left,
-        right_basis=res.right.conj(),
-        rank=rank_from_singular_values(res.singular_values, truncation_tol),
+        coefficients=s,
+        left_basis=u * phase,
+        right_basis=vh.T * phase.conj(),
+        rank=rank_from_singular_values(s, truncation_tol),
         truncation_tol=truncation_tol,
     )
-
-
-def schmidt_values(psi, tps: TensorProductStructure) -> np.ndarray:
-    """Just the descending Schmidt coefficients (no bases)."""
-    c = coefficient_matrix(psi, tps)
-    return np.linalg.svd(c, compute_uv=False)

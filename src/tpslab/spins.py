@@ -66,19 +66,17 @@ def total_spin_squares() -> TotalSpinSquares:
     return TotalSpinSquares(z2=z2, x2=x2)
 
 
-def chi_basis() -> tuple[TensorProductStructure, np.ndarray]:
-    """Joint eigenbasis TPS of the total-spin squares, plus the basis-change matrix.
+def chi_basis() -> TensorProductStructure:
+    """Joint eigenbasis TPS of the total-spin squares.
 
     The joint eigenbasis is the Bell basis, given in closed form by
-    ``CHI_ROWS``.  Returns the TPS whose product labels (s, t) pair
-    eigenvalues of the z- and x-component squares (each descending: 1 before
-    0), and the 4x4 matrix whose row s*2+t expresses chi_{s,t} over the
-    two-spin product basis (up-up, up-down, down-up, down-down).
+    ``CHI_ROWS``, whose row s*2+t expresses chi_{s,t} over the two-spin
+    product basis (up-up, up-down, down-up, down-down).  The TPS's unitary
+    holds those rows as columns, so its product label (s, t) pairs
+    eigenvalues of the z- and x-component squares (each descending: 1
+    before 0).
     """
-    rows = CHI_ROWS.copy()
-    tps = TensorProductStructure(2, 2, np.ascontiguousarray(rows.T),
-                                 label_left=("F=1", "F=0"), label_right=("G=1", "G=0"))
-    return tps, rows
+    return TensorProductStructure(2, 2, np.ascontiguousarray(CHI_ROWS.T))
 
 
 def _closed_form(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
@@ -147,7 +145,7 @@ def demo_spins(samples: int = 1000, seed: int = 42) -> SpinDemoReport:
     """
     check_samples(samples)
     _, _, psi, direct, closed = _spin_samples(samples, seed)
-    tps, _ = chi_basis()
+    tps = chi_basis()
     # the samples and the four z-product basis states, in one stacked SVD
     vals = np.linalg.svd(_coefficients(np.concatenate([psi, np.eye(4)]), tps), compute_uv=False)
     ranks = rank_from_singular_values(vals, DEFAULT_TRUNCATION_TOL)

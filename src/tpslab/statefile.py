@@ -19,10 +19,6 @@ from .errors import BijectionError, ContractError, ShapeError, StateFileError
 from .linalg import check_hermitian, check_size
 from .tps import IndexBijection, TensorProductStructure
 
-# the largest Frobenius norm of a matrix-file observable: for two such A and B and a unit
-# state, |<A (x) B>| and |<A><B>| stay below a sixteenth of the largest double
-MAX_MATRIX_NORM = float(np.sqrt(np.finfo(float).max)) / 4
-
 
 def _plain(obj):
     """numpy arrays and scalars as the lists and Python numbers the encoder writes."""
@@ -106,10 +102,6 @@ def tps_to_dict(tps: TensorProductStructure) -> dict:
         out["unitary"] = complex_pairs(tps.unitary.ravel())
     if tps.reflector is not None:
         out["reflector"] = complex_pairs(tps.reflector)
-    if tps.label_left is not None:
-        out["label_left"] = list(tps.label_left)
-    if tps.label_right is not None:
-        out["label_right"] = list(tps.label_right)
     return out
 
 
@@ -124,7 +116,7 @@ def _sized_list(value, length: int, what: str) -> list:
 
 def tps_from_dict(data) -> TensorProductStructure:
     """A TPS block: d1, d2, at most one of a dense ``unitary`` and a ``reflector``, and
-    an optional label ``map``; at least one of the three."""
+    an optional label ``map``; at least one of the three.  Other keys are ignored."""
     if not isinstance(data, dict):
         raise StateFileError("tps block must be an object")
     try:
@@ -136,12 +128,6 @@ def tps_from_dict(data) -> TensorProductStructure:
         raise StateFileError("tps block holds at most one of 'unitary' and 'reflector'")
     if not any(key in data for key in ("map", "unitary", "reflector")):
         raise StateFileError("tps block needs at least one of 'map', 'unitary' and 'reflector'")
-    labels = {}
-    for key in ("label_left", "label_right"):
-        if key in data:
-            if not (isinstance(data[key], list) and all(isinstance(x, str) for x in data[key])):
-                raise StateFileError(f"tps {key} must be a list of strings")
-            labels[key] = tuple(data[key])
     # sizes are refused from the declared dims, before any entry is parsed
     dim = d1 * d2
     check_size(dim, f"tps dims {d1}x{d2}")
@@ -161,7 +147,7 @@ def tps_from_dict(data) -> TensorProductStructure:
     if "reflector" in blocks:
         parts["reflector"] = pairs_to_complex(blocks["reflector"], "tps reflector")
     try:
-        return TensorProductStructure(d1, d2, **parts, **labels)
+        return TensorProductStructure(d1, d2, **parts)
     except ContractError as exc:
         raise StateFileError(f"tps block: {exc}") from exc
 
@@ -199,7 +185,7 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
 
     Raises:
         StateFileError: unreadable or malformed file, or a matrix that is not Hermitian or
-            whose Frobenius norm exceeds ``MAX_MATRIX_NORM``.
+            whose Frobenius norm exceeds ``linalg.MAX_MATRIX_NORM``.
         ShapeError: n is not ``dim``, or the entries are not n*n; checked before any entry is read.
     """
     data = read_json(path)
@@ -211,15 +197,9 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
     entries = _sized_list(data["entries"], dim * dim, f"{path}: matrix entries")
     flat = pairs_to_complex(entries, f"{path}: matrix entries")
     try:
-        matrix = check_hermitian(flat.reshape(dim, dim))
+        return check_hermitian(flat.reshape(dim, dim))
     except ContractError as exc:
         raise StateFileError(f"{path}: {exc}") from exc
-    with np.errstate(over="ignore"):  # the squares of huge entries overflow to an inf norm
-        norm = float(np.linalg.norm(matrix))
-    if not norm <= MAX_MATRIX_NORM:
-        raise StateFileError(f"{path}: matrix Frobenius norm exceeds {MAX_MATRIX_NORM:.3e}, "
-                             "so a covariance could overflow")
-    return matrix
 
 
 @dataclass

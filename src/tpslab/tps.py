@@ -45,8 +45,6 @@ class TensorProductStructure:
     d1: int
     d2: int
     unitary: np.ndarray | None = None
-    label_left: tuple[str, ...] | None = None
-    label_right: tuple[str, ...] | None = None
     relabeling: IndexBijection | None = None
     reflector: np.ndarray | None = None
 
@@ -57,10 +55,6 @@ class TensorProductStructure:
             raise ContractError("a TPS rotation is a dense unitary or a reflector, not both")
         if self.unitary is None and self.reflector is None and self.relabeling is None:
             raise ContractError("a TPS needs a rotation, a relabeling, or both")
-        for name, labels, d in (("label_left", self.label_left, self.d1),
-                                ("label_right", self.label_right, self.d2)):
-            if labels is not None and len(labels) != d:
-                raise ShapeError(f"{name} has {len(labels)} labels for a factor of dimension {d}")
         bij = self.relabeling
         if bij is not None and (bij.d1, bij.d2) != (self.d1, self.d2):
             raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
@@ -199,16 +193,15 @@ def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
 def relabeled(tps: TensorProductStructure, bij: IndexBijection) -> TensorProductStructure:
     """tps followed by bij: the rotation is kept and each label t_g becomes bij.targets[t_g].
 
-    The factor labels are dropped, as a relabeling that mixes the factors
-    leaves them naming nothing.  The rotation was checked when tps was built
-    and is not checked again; only the composed labels are.
+    The rotation was checked when tps was built and is not checked again;
+    only the composed labels are.
     """
     if (bij.d1, bij.d2) != (tps.d1, tps.d2):
         raise ShapeError(f"relabeling grid ({bij.d1}, {bij.d2}) vs factors ({tps.d1}, {tps.d2})")
     t = bij.targets if tps.relabeling is None else bij.targets[tps.relabeling.targets]
     out = copy.copy(tps)
     # a frozen dataclass refuses setattr, not an update of its instance dict
-    vars(out).update(relabeling=IndexBijection(tps.d1, tps.d2, t), label_left=None, label_right=None)
+    vars(out)["relabeling"] = IndexBijection(tps.d1, tps.d2, t)
     return out
 
 

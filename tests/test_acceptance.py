@@ -28,7 +28,7 @@ from tpslab.sampling import (
     random_product_pair,
     random_unitary,
 )
-from tpslab.schmidt import schmidt, schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.spins import chi_basis, demo_spins, total_spin_squares
 from tpslab.tps import (
     TensorProductStructure,
@@ -108,7 +108,7 @@ def test_c03_spin_covariance_closed_form():
 
 
 def test_c04_chi_basis_reproduction():
-    tps, rows = chi_basis()
+    rows = chi_basis().unitary.T
     expected = np.array(
         [
             [1, 0, 0, 1],
@@ -255,7 +255,7 @@ def test_c06_plane_waves_relabel_exactly():
     for m1 in range(d):
         for m2 in range(d):
             c = np.outer(fourier_profile(grid, m1).samples, fourier_profile(grid, m2).samples)
-            vals = schmidt_values(c.ravel(), relabel_tps(bij))
+            vals = schmidt(c.ravel(), relabel_tps(bij)).coefficients
             worst = max(worst, float(vals[1]))
     criterion(
         6,
@@ -286,15 +286,15 @@ def test_c08_tps_invariance_under_local_maps():
         for _ in range(334):
             u, v = random_product_pair(d1, d2, rng)
             psi = tensor_vec(u, v)
-            base = schmidt_values(psi, tps)
+            base = schmidt(psi, tps).coefficients
             rotated = TensorProductStructure(
                 d1, d2, np.kron(random_unitary(d1, rng), random_unitary(d2, rng))
             )
-            diff = float(np.max(np.abs(schmidt_values(psi, rotated) - base)))
+            diff = float(np.max(np.abs(schmidt(psi, rotated).coefficients - base)))
             relabeled = relabel_tps(
                 factor_local_bijection(rng.permutation(d1), rng.permutation(d2))
             )
-            diff = max(diff, float(np.max(np.abs(schmidt_values(psi, relabeled) - base))))
+            diff = max(diff, float(np.max(np.abs(schmidt(psi, relabeled).coefficients - base))))
             worst = max(worst, diff)
             failures += diff > 1e-10
     criterion(
@@ -325,7 +325,7 @@ def test_c09_disentangling_tps():
 def test_c10_bell_violation_for_entangled_states():
     rng = np.random.default_rng(1010)
     bell = np.array([1, 0, 0, 1], dtype=complex) / SQ2
-    bell_value = chsh_max(bell).value
+    bell_value = chsh_max(bell, trivial_tps(2, 2)).value
     worst_gap = 0.0
     min_value = np.inf
     failures = 0
@@ -333,7 +333,7 @@ def test_c10_bell_violation_for_entangled_states():
     # violation margin above 1e-3 (it vanishes as alpha2 -> 0)
     for _ in range(1000):
         psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
-        res = chsh_max(psi)
+        res = chsh_max(psi, trivial_tps(2, 2))
         searched = chsh_search(psi)
         gap = abs(res.value - searched)
         worst_gap = max(worst_gap, gap)
@@ -365,7 +365,7 @@ def test_c11_witness_soundness():
             rep = qcf_local(random_hermitian(d1, rng), random_hermitian(d2, rng), psi, tps)
             if rep.witnessed:
                 witnessed_total += 1
-                vals = schmidt_values(psi, tps)
+                vals = schmidt(psi, tps).coefficients
                 if vals[1] <= 1e-10 * vals[0]:
                     counterexamples += 1
     criterion(

@@ -13,8 +13,6 @@ DEFAULTED = {
     "SampledProfile": {"truncation_warning": None},
     "TensorProductStructure": {
         "unitary": None,
-        "label_left": None,
-        "label_right": None,
         "relabeling": None,
         "reflector": None,
     },

@@ -10,7 +10,7 @@ from tpslab.bell import TSIRELSON_BOUND, ChshSettings, chsh_max, demo_bell
 from tpslab.errors import ContractError, ShapeError, SizeLimitError
 from tpslab.linalg import MAX_GLOBAL_DIM
 from tpslab.sampling import haar_state, random_entangled_state, random_product_state
-from tpslab.schmidt import schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
@@ -61,11 +61,11 @@ def test_correlation_matrix_bell():
 
 
 def test_closed_form_bell_is_tsirelson():
-    assert chsh_max(BELL).closed_form == pytest.approx(2 * SQ2, abs=1e-12)
+    assert chsh_max(BELL, trivial_tps(2, 2)).closed_form == pytest.approx(2 * SQ2, abs=1e-12)
 
 
 def test_chsh_max_bell_state():
-    res = chsh_max(BELL)
+    res = chsh_max(BELL, trivial_tps(2, 2))
     assert res.value == pytest.approx(2 * SQ2, abs=1e-6)
 
 
@@ -73,7 +73,7 @@ def test_chsh_max_product_state_no_violation():
     rng = np.random.default_rng(2)
     for _ in range(10):
         psi = random_product_state(2, 2, rng)
-        res = chsh_max(psi)
+        res = chsh_max(psi, trivial_tps(2, 2))
         assert res.value <= 2.0 + 1e-6
 
 
@@ -83,7 +83,7 @@ def test_chsh_max_schmidt_angle_family(theta):
     psi = np.zeros(4, dtype=complex)
     psi[0], psi[3] = np.cos(theta), np.sin(theta)
     expected = 2.0 * np.sqrt(1.0 + np.sin(2 * theta) ** 2)
-    res = chsh_max(psi)
+    res = chsh_max(psi, trivial_tps(2, 2))
     assert res.value == pytest.approx(expected, abs=1e-5)
     assert res.closed_form == pytest.approx(expected, abs=1e-12)
 
@@ -92,7 +92,7 @@ def test_chsh_max_agrees_with_oracle_on_random_states():
     rng = np.random.default_rng(3)
     for _ in range(150):
         psi = haar_state(4, rng)
-        res = chsh_max(psi)
+        res = chsh_max(psi, trivial_tps(2, 2))
         searched = chsh_search(psi)
         assert abs(res.value - searched) <= 1e-4
         assert searched <= res.value + 1e-9
@@ -108,14 +108,16 @@ def test_entangled_states_always_violate():
     rng = np.random.default_rng(4)
     for _ in range(100):
         psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
-        vals = schmidt_values(psi, trivial_tps(2, 2))
+        vals = schmidt(psi, trivial_tps(2, 2)).coefficients
         assert vals[1] > 1e-3 * vals[0]
-        assert chsh_max(psi).value > 2.0 + 1e-3
+        assert chsh_max(psi, trivial_tps(2, 2)).value > 2.0 + 1e-3
 
 
 def test_chsh_max_rejects_wrong_dimension():
-    with pytest.raises(ShapeError):
-        chsh_max(np.array([1.0, 0.0], dtype=complex))
+    with pytest.raises(ShapeError, match="two-qubit"):
+        chsh_max(haar_state(4, np.random.default_rng(0)), trivial_tps(1, 4))
+    with pytest.raises(ShapeError, match="two-qubit"):
+        chsh_max(haar_state(9, np.random.default_rng(0)), trivial_tps(3, 3))
 
 
 def test_bloch_direction_unit():
@@ -137,7 +139,7 @@ def test_brute_force_settings_bracket_both_routes():
 
     for _ in range(5):
         psi = haar_state(4, rng)
-        bound = chsh_max(psi).closed_form
+        bound = chsh_max(psi, trivial_tps(2, 2)).closed_form
         t = spin_correlation_matrix(psi)
         best_sampled = -np.inf
         for _ in range(2000):
@@ -150,7 +152,7 @@ def test_brute_force_settings_bracket_both_routes():
             val = chsh_at(t, s)
             assert val <= bound + 1e-9
             best_sampled = max(best_sampled, val)
-        assert chsh_max(psi).value >= best_sampled - 1e-9
+        assert chsh_max(psi, trivial_tps(2, 2)).value >= best_sampled - 1e-9
 
 
 @pytest.mark.parametrize(

@@ -418,6 +418,22 @@ def test_chsh_wrong_dims_exits_3(product_file):
     assert main(["chsh", product_file]) == 3
 
 
+@pytest.mark.parametrize("state, spectrum, wanted", [
+    (np.array([1, 0, 0, 1]) / SQ2, "product", 2.0),
+    (np.array([1, 1, 1, 1]) / 2.0, "maximal", 2.0 * SQ2),
+], ids=["bell-as-product", "product-as-bell"])
+def test_chsh_reads_the_state_files_tps(state, spectrum, wanted, tmp_path):
+    # the same amplitudes give the CHSH maximum of their Schmidt spectrum in the file's TPS
+    src, refactored = tmp_path / "state.json", tmp_path / "refactored.json"
+    save_state_file(str(src), StateFile(2, 2, state.astype(complex)))
+    assert main(["refactor", str(src), "--spectrum", spectrum, "--out", str(refactored)]) == 0
+    code, out = run(["chsh", str(refactored)], tmp_path)
+    assert code == 0
+    report = json.loads(out.read_text())
+    assert report["closed_form"] == pytest.approx(wanted, abs=1e-12)
+    assert report["value"] == pytest.approx(wanted, abs=1e-9)
+
+
 def test_chsh_takes_one_svd(bell_file, monkeypatch, tmp_path):
     # the settings and the closed form come from one SVD of the correlation matrix
     calls = []
@@ -664,8 +680,6 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
     [
         [1, 2],
         "tps",
-        {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_left": 5},
-        {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "label_right": [0, 1]},
         {"d1": 2, "d2": 2},
         {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "reflector": HALF},
         {"d1": 2, "d2": 2, "map": 5},
@@ -684,8 +698,6 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
     ids=[
         "list-block",
         "string-block",
-        "int-label",
-        "non-string-labels",
         "no-map-no-unitary",
         "unitary-and-reflector",
         "int-map",
@@ -728,14 +740,32 @@ def test_tps_map_that_is_not_a_bijection_exits_with_its_code(tps, code, tmp_path
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("key", ["label_left", "label_right"])
-def test_tps_label_list_of_the_wrong_length_exits_3(key, tmp_path, capsys):
-    tps = {"d1": 2, "d2": 2, "map": [0, 1, 2, 3], key: ["a"]}
+@pytest.mark.parametrize("block", [{"map": [0, 2, 1, 3]}, {"unitary": IDENTITY_16},
+                                   {"reflector": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}],
+                         ids=["map", "unitary", "reflector"])
+@pytest.mark.parametrize(
+    "labels",
+    [
+        {"label_left": ["F=1", "F=0"], "label_right": ["G=1", "G=0"]},
+        {"label_left": 5},
+        {"label_right": [0, 1]},
+        {"label_left": ["a"]},
+        {"label_right": ["a", "b", "c"]},
+    ],
+    ids=["string-labels", "int-label", "non-string-labels", "wrong-length-label_left",
+         "wrong-length-label_right"],
+)
+def test_tps_labels_of_older_files_are_ignored(block, labels, tmp_path, capsys):
+    # files written before the factor labels were dropped still load, labels unread
+    psi = haar_state(4, np.random.default_rng(3))
     state = tmp_path / "state.json"
-    state.write_text(json.dumps({"dims": [2, 2], "amplitudes": HALF, "tps": tps}))
-    assert main(["schmidt", str(state)]) == 3
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    reports = []
+    for tps in ({"d1": 2, "d2": 2, **block}, {"d1": 2, "d2": 2, **block, **labels}):
+        doc = {"dims": [2, 2], "amplitudes": [[z.real, z.imag] for z in psi], "tps": tps}
+        state.write_text(json.dumps(doc))
+        assert main(["schmidt", str(state)]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 @pytest.mark.parametrize(

@@ -29,7 +29,7 @@ from tpslab.grid import (
 from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf, qcf_local
 from tpslab.sampling import random_hermitian
-from tpslab.schmidt import schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.tps import (
     TensorProductStructure,
     coefficient_matrix,
@@ -129,7 +129,7 @@ def test_relabeling_tps_matches_dense_permutation_tps(bij):
     np.testing.assert_array_equal(
         coefficient_matrix(psi, relabeled), coefficient_matrix(psi, dense)
     )
-    np.testing.assert_array_equal(schmidt_values(psi, relabeled), schmidt_values(psi, dense))
+    np.testing.assert_array_equal(schmidt(psi, relabeled).coefficients, schmidt(psi, dense).coefficients)
     a1, b2 = random_hermitian(bij.d1, rng), random_hermitian(bij.d2, rng)
     value = qcf_local(a1, b2, psi, relabeled).value
     assert abs(value - qcf_local(a1, b2, psi, dense).value) <= 1e-12
@@ -242,7 +242,7 @@ def test_factor_local_relabeling_preserves_the_schmidt_coefficients():
     bij = factor_local_bijection(rng.permutation(d), rng.permutation(d))
     c = np.outer(f.samples, h.samples)
     base = np.linalg.svd(c, compute_uv=False)
-    moved = schmidt_values(c.ravel(), relabel_tps(bij))
+    moved = schmidt(c.ravel(), relabel_tps(bij)).coefficients
     np.testing.assert_allclose(moved, base, atol=1e-10)
 
 

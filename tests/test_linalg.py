@@ -1,8 +1,9 @@
-"""Core linear-algebra kernels: tensor products, svd contracts, phases."""
+"""Core linear-algebra kernels: tensor products, expectations, the observable limits,
+and the SVD contracts of ``schmidt``: reconstruction, order, phases."""
 
 import numpy as np
 import pytest
-from tps_oracle import svd_reconstruct
+from tps_oracle import schmidt_reconstruct
 
 from tpslab.errors import (
     ContractError,
@@ -11,11 +12,14 @@ from tpslab.errors import (
     SizeLimitError,
 )
 from tpslab.linalg import (
+    MAX_MATRIX_NORM,
     expectation,
-    svd,
     tensor_op,
     tensor_vec,
 )
+from tpslab.qcf import qcf, qcf_local, variance
+from tpslab.schmidt import schmidt
+from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
 
@@ -77,45 +81,49 @@ def test_tensor_product_compatibility(da, db):
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def unit(mat) -> np.ndarray:
+    """The matrix as a unit state, whose coefficient matrix in the trivial TPS is mat/|mat|."""
+    mat = np.asarray(mat, dtype=complex)
+    return mat.ravel() / np.linalg.norm(mat)
+
+
 def test_svd_diagonal():
-    res = svd(np.diag([3.0, 2.0]))
-    np.testing.assert_allclose(res.singular_values, [3.0, 2.0])
+    sd = schmidt(unit(np.diag([3.0, 2.0])), trivial_tps(2, 2))
+    np.testing.assert_allclose(sd.coefficients, np.array([3.0, 2.0]) / np.sqrt(13.0))
 
 
 def test_svd_rank_one_outer_product():
     rng = np.random.default_rng(5)
     u = rng.normal(size=4) + 1j * rng.normal(size=4)
     v = rng.normal(size=3) + 1j * rng.normal(size=3)
-    res = svd(np.outer(u, v.conj()))
-    np.testing.assert_allclose(
-        res.singular_values[0], np.linalg.norm(u) * np.linalg.norm(v), rtol=1e-12
-    )
-    np.testing.assert_allclose(res.singular_values[1:], 0.0, atol=1e-12)
+    sd = schmidt(unit(np.outer(u, v.conj())), trivial_tps(4, 3))
+    np.testing.assert_allclose(sd.coefficients[0], 1.0, rtol=1e-12)
+    np.testing.assert_allclose(sd.coefficients[1:], 0.0, atol=1e-12)
+    assert sd.rank == 1
 
 
 @pytest.mark.parametrize("m,n", [(4, 4), (5, 3), (3, 7), (32, 32)])
 def test_svd_reconstruction_and_orthonormality(m, n):
     rng = np.random.default_rng(m * 100 + n)
     for _ in range(10):
-        mat = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-        res = svd(mat)
-        scale = max(1.0, np.linalg.norm(mat))
-        assert np.linalg.norm(svd_reconstruct(res) - mat) <= 1e-10 * scale
+        psi = unit(rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n)))
+        sd = schmidt(psi, trivial_tps(m, n))
+        assert np.linalg.norm(schmidt_reconstruct(sd) - psi) <= 1e-10
         k = min(m, n)
-        np.testing.assert_allclose(res.left.conj().T @ res.left, np.eye(k), atol=1e-10)
-        np.testing.assert_allclose(res.right.conj().T @ res.right, np.eye(k), atol=1e-10)
-        assert np.all(np.diff(res.singular_values) <= 1e-15)
+        np.testing.assert_allclose(sd.left_basis.conj().T @ sd.left_basis, np.eye(k), atol=1e-10)
+        np.testing.assert_allclose(sd.right_basis.conj().T @ sd.right_basis, np.eye(k), atol=1e-10)
+        assert np.all(np.diff(sd.coefficients) <= 1e-15)
 
 
 def test_svd_deterministic_phases():
     rng = np.random.default_rng(17)
-    mat = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
-    r1 = svd(mat.copy())
-    r2 = svd(mat.copy())
-    assert np.array_equal(r1.left, r2.left)
-    assert np.array_equal(r1.right, r2.right)
+    psi = unit(rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)))
+    r1 = schmidt(psi.copy(), trivial_tps(6, 6))
+    r2 = schmidt(psi.copy(), trivial_tps(6, 6))
+    assert np.array_equal(r1.left_basis, r2.left_basis)
+    assert np.array_equal(r1.right_basis, r2.right_basis)
     for k in range(6):
-        piv = r1.left[np.argmax(np.abs(r1.left[:, k])), k]
+        piv = r1.left_basis[np.argmax(np.abs(r1.left_basis[:, k])), k]
         assert piv.imag == pytest.approx(0.0, abs=1e-14)
         assert piv.real > 0
 
@@ -126,7 +134,7 @@ def test_svd_nonconvergence_wrapped(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "svd", boom)
     with pytest.raises(NumericalError, match="converge"):
-        svd(np.eye(3))
+        schmidt(unit(np.eye(3)), trivial_tps(3, 3))
 
 
 def test_expectation_identity():
@@ -148,3 +156,29 @@ def test_expectation_requires_unit_state():
 def test_rejects_non_finite_entries():
     with pytest.raises(ContractError):
         tensor_vec([1.0, np.nan], [1.0])
+
+
+BIG = np.diag([1e200, 1e200])  # Hermitian, finite, and of Frobenius norm above MAX_MATRIX_NORM
+BIG4 = np.kron(BIG, np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda psi: qcf(BIG4, BIG4, psi),
+        lambda psi: qcf_local(BIG, BIG, psi, trivial_tps(2, 2)),
+        lambda psi: expectation(BIG4, psi),
+        lambda psi: variance(BIG4, psi),
+    ],
+    ids=["qcf", "qcf_local", "expectation", "variance"],
+)
+def test_observables_above_the_norm_limit_are_refused_before_any_overflow(call):
+    # without the limit <A B> reaches 1e400 and overflows to inf with a RuntimeWarning
+    assert BIG[0, 0] > MAX_MATRIX_NORM
+    with pytest.raises(ContractError, match="Frobenius norm"):
+        call(np.full(4, 0.5, dtype=complex))
+
+
+def test_observable_at_the_norm_limit_is_accepted():
+    a = np.diag([MAX_MATRIX_NORM, 0.0])
+    assert expectation(a, np.array([1.0, 0.0])) == MAX_MATRIX_NORM

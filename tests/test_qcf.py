@@ -15,7 +15,7 @@ from tpslab.qcf import (
     variance,
 )
 from tpslab.sampling import haar_state, random_hermitian, random_product_pair, random_unitary
-from tpslab.schmidt import schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.tps import TensorProductStructure, trivial_tps
 
 SQ2 = np.sqrt(2.0)
@@ -34,7 +34,7 @@ def test_bell_state_zx_vanishes_despite_entanglement():
     # direct 4-dim oracle: <sz (x) sx> = 0 and <sz (x) I> = <I (x) sx> = 0
     value = qcf(tensor_op(SZ, I2), tensor_op(I2, SX), BELL)
     assert abs(value) <= 1e-14
-    vals = schmidt_values(BELL, trivial_tps(2, 2))
+    vals = schmidt(BELL, trivial_tps(2, 2)).coefficients
     assert vals[1] > 0.5  # vanishing covariance does not imply factorizable
 
 
@@ -102,7 +102,7 @@ def test_witnessed_verdict_implies_rank_two():
         rep = qcf_local(random_hermitian(2, rng), random_hermitian(2, rng), psi, tps)
         if rep.witnessed:
             hits += 1
-            vals = schmidt_values(psi, tps)
+            vals = schmidt(psi, tps).coefficients
             assert vals[1] > 1e-10 * vals[0]
     assert hits > 50  # random states are almost surely entangled and detected
 
@@ -146,7 +146,7 @@ def test_qcf_complex_for_noncommuting_pair():
 def test_qcf_local_embeds_through_nontrivial_tps():
     from tpslab.spins import chi_basis
 
-    tps, _ = chi_basis()
+    tps = chi_basis()
     rng = np.random.default_rng(9)
     a1 = random_hermitian(2, rng)
     b2 = random_hermitian(2, rng)
@@ -171,11 +171,11 @@ def test_qcf_local_product_in_chi_tps_vanishes():
     # for chi-local observables, even though it is entangled in the trivial TPS
     from tpslab.spins import chi_basis
 
-    tps, _ = chi_basis()
+    tps = chi_basis()
     rng = np.random.default_rng(10)
     u, v = random_product_pair(2, 2, rng)
     psi = tps.unitary @ tensor_vec(u, v)  # product over the chi factors
     rep = qcf_local(random_hermitian(2, rng), random_hermitian(2, rng), psi, tps)
     assert rep.verdict == INCONCLUSIVE
-    vals = schmidt_values(psi, trivial_tps(2, 2))
+    vals = schmidt(psi, trivial_tps(2, 2)).coefficients
     assert vals[1] > 1e-6  # generically entangled in the computational TPS

@@ -5,8 +5,8 @@ from tps_oracle import permutation_matrix, schmidt_reconstruct
 
 from tpslab.linalg import tensor_vec
 from tpslab.sampling import haar_state, random_product_pair
-from tpslab.schmidt import schmidt, schmidt_values
-from tpslab.spins import chi_basis
+from tpslab.schmidt import schmidt
+from tpslab.spins import CHI_ROWS, chi_basis
 from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
@@ -31,10 +31,10 @@ def test_spin_basis_state_in_chi_tps():
     # brute-force oracle: reshape row of the chi change-of-basis and SVD.
     # up-up = (chi_11 + chi_10)/sqrt(2) factorizes over the (s, t) labels,
     # so its Schmidt spectrum is (1, 0) and the rank is 1.
-    tps, rows = chi_basis()
+    tps = chi_basis()
     e0 = np.zeros(4, dtype=complex)
     e0[0] = 1.0
-    oracle = np.linalg.svd((rows.conj() @ e0).reshape(2, 2), compute_uv=False)
+    oracle = np.linalg.svd((CHI_ROWS.conj() @ e0).reshape(2, 2), compute_uv=False)
     sd = schmidt(e0, tps)
     np.testing.assert_allclose(sd.coefficients, oracle, atol=1e-12)
     np.testing.assert_allclose(sd.coefficients, [1.0, 0.0], atol=1e-12)
@@ -85,12 +85,3 @@ def test_truncation_tolerance_controls_rank():
     tight = schmidt(psi, trivial_tps(2, 2), truncation_tol=1e-10)
     assert loose.rank == 1 and tight.rank == 2
 
-
-def test_schmidt_values_match_full_decomposition():
-    rng = np.random.default_rng(7)
-    psi = haar_state(6, rng)
-    np.testing.assert_allclose(
-        schmidt_values(psi, trivial_tps(2, 3)),
-        schmidt(psi, trivial_tps(2, 3)).coefficients,
-        atol=1e-14,
-    )

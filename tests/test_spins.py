@@ -9,8 +9,9 @@ from tpslab.errors import ContractError, SizeLimitError
 from tpslab.linalg import MAX_GLOBAL_DIM, tensor_op
 from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
-from tpslab.schmidt import schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.spins import (
+    CHI_ROWS,
     _spin_samples,
     chi_basis,
     demo_spins,
@@ -78,7 +79,7 @@ def test_chi_basis_matches_known_matrix():
     # rows (s, t) over the product basis (uu, ud, du, dd), hbar^2 before 0:
     #   chi_11 = (uu + dd)/sqrt(2), chi_10 = (uu - dd)/sqrt(2),
     #   chi_01 = (ud + du)/sqrt(2), chi_00 = (ud - du)/sqrt(2)
-    _, rows = chi_basis()
+    rows = chi_basis().unitary.T
     expected = np.array(
         [
             [1, 0, 0, 1],
@@ -93,24 +94,20 @@ def test_chi_basis_matches_known_matrix():
 
 
 def test_chi_basis_equals_the_eigh_oracle_bit_for_bit():
-    tps, rows = chi_basis()
     oracle = chi_rows_from_eigh()
-    assert np.array_equal(rows, oracle)
-    assert np.array_equal(tps.unitary, oracle.T)
-    assert (tps.label_left, tps.label_right) == (("F=1", "F=0"), ("G=1", "G=0"))
+    assert np.array_equal(CHI_ROWS, oracle)
+    assert np.array_equal(chi_basis().unitary, oracle.T)
 
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_chi_vectors_satisfy_both_eigenvalue_equations(hbar):
     squares = total_spin_squares()
-    tps, rows = chi_basis()
+    rows = chi_basis().unitary.T
     eigs = [(1, 1), (1, 0), (0, 1), (0, 0)]  # (s, t) per row
     for k, (s, t) in enumerate(eigs):
         chi = rows[k]
         np.testing.assert_allclose(squares.z2 @ chi, s * hbar**2 * chi, atol=1e-12)
         np.testing.assert_allclose(squares.x2 @ chi, t * hbar**2 * chi, atol=1e-12)
-    # the TPS columns are the same vectors
-    np.testing.assert_allclose(tps.unitary, rows.T, atol=1e-14)
 
 
 def test_closed_form_vanishes_for_both_up():
@@ -160,9 +157,9 @@ def test_demo_spins_deterministic():
 
 
 def test_generic_product_state_rank_two_in_chi_tps():
-    tps, _ = chi_basis()
+    tps = chi_basis()
     plus_y = np.array([1.0, 1j]) / SQ2
-    vals = schmidt_values(np.kron(plus_y, plus_y), tps)
+    vals = schmidt(np.kron(plus_y, plus_y), tps).coefficients
     assert vals[1] > 1e-3 * vals[0]
 
 

@@ -136,8 +136,8 @@ def check_report(command: str, doc: dict, out: Path) -> None:
         assert 1 <= rank <= min(c.shape) and report["factorizable"] == (rank == 1)
         np.testing.assert_allclose(report["coefficients"], values[:rank], rtol=0, atol=1e-9)
         assert values[rank:].max(initial=0.0) <= 1e-9
-    elif command == "chsh":
-        wanted = chsh_closed_form(psi)
+    elif command == "chsh":  # read, like the other reports, through the file's TPS
+        wanted = chsh_closed_form(c.ravel())
         assert abs(report["value"] - wanted) <= 1e-9 and abs(report["closed_form"] - wanted) <= 1e-9
     else:  # qcf --local with position on both factors
         xa, xb = (np.arange(n) - (n - 1) / 2.0 for n in c.shape)

@@ -181,17 +181,6 @@ def test_render_csv_deterministic():
     assert text == "a,b\n1,0.5\n2,0.3333333333333333\n"
 
 
-def test_tps_labels_survive_round_trip():
-    from tpslab.spins import chi_basis
-
-    tps, _ = chi_basis()
-    assert tps.label_left == ("F=1", "F=0")
-    assert tps.label_right == ("G=1", "G=0")
-    again = tps_from_dict(tps_to_dict(tps))
-    assert again.label_left == tps.label_left
-    assert again.label_right == tps.label_right
-
-
 @pytest.mark.parametrize("rotation", ["unitary", "reflector"])
 def test_tps_with_a_rotation_and_a_map_round_trips(rotation, tmp_path):
     rng = np.random.default_rng(7)

@@ -6,7 +6,7 @@ from tps_oracle import dense_unitary, permutation_matrix, reflector_matrix
 
 from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError
 from tpslab.sampling import haar_state, random_product_state, random_unitary
-from tpslab.schmidt import schmidt, schmidt_values
+from tpslab.schmidt import schmidt
 from tpslab.tps import (
     IndexBijection,
     TensorProductStructure,
@@ -148,7 +148,7 @@ def test_local_unitary_keeps_products_rank_one(d1, d2):
         psi = random_product_state(d1, d2, rng)
         rotated = TensorProductStructure(d1, d2, np.kron(random_unitary(d1, rng),
                                                          random_unitary(d2, rng)))
-        vals = schmidt_values(psi, rotated)
+        vals = schmidt(psi, rotated).coefficients
         assert vals[1] <= 1e-10 * vals[0]
 
 
@@ -163,17 +163,17 @@ def test_schmidt_coefficients_invariant_under_local_unitaries():
     rng = np.random.default_rng(8)
     tps = trivial_tps(3, 3)
     psi = haar_state(9, rng)
-    base = schmidt_values(psi, tps)
+    base = schmidt(psi, tps).coefficients
     for _ in range(10):
         rotated = TensorProductStructure(3, 3, np.kron(random_unitary(3, rng), random_unitary(3, rng)))
-        np.testing.assert_allclose(schmidt_values(psi, rotated), base, atol=1e-10)
+        np.testing.assert_allclose(schmidt(psi, rotated).coefficients, base, atol=1e-10)
 
 
 def test_factor_local_bijection_never_mixes():
     rng = np.random.default_rng(9)
     bij = factor_local_bijection(rng.permutation(3), rng.permutation(4))
     psi = random_product_state(3, 4, rng)
-    vals = schmidt_values(psi, relabel_tps(bij))
+    vals = schmidt(psi, relabel_tps(bij)).coefficients
     assert vals[1] <= 1e-10 * vals[0]
 
 
@@ -298,7 +298,7 @@ def test_tps_with_spectrum_gives_the_requested_schmidt_values(d1, d2, spectrum, 
     assert out.unitary is None and out.relabeling is None and out.reflector.shape == (d1 * d2,)
     wanted = np.zeros(n)
     wanted[: alphas.size] = np.sort(np.sqrt(alphas))[::-1]
-    np.testing.assert_allclose(schmidt_values(psi, out), wanted, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(schmidt(psi, out).coefficients, wanted, rtol=0, atol=1e-12)
     # and the reflector route agrees with the dense one on the full coefficient matrix
     np.testing.assert_allclose(
         coefficient_matrix(psi, out),

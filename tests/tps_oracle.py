@@ -5,10 +5,10 @@ A TPS never forms its permutation matrix or its Householder reflector, and
 matrix.  The routes here do all three with D x D matrices instead: the
 permutation unitary is built from the bijection's targets, the
 reflector from its vector, and the local observables are lifted to global
-operators before the plain covariance is taken.  The reconstructions of an
-SVD and of a Schmidt decomposition from their factors live here as well, and
-so does the eigen-route to the chi basis, which ``spins.chi_basis`` writes in
-closed form as the Bell basis.
+operators before the plain covariance is taken.  The reconstruction of a
+Schmidt decomposition from its factors lives here as well, and so does the
+eigen-route to the chi basis, which ``spins.chi_basis`` writes in closed form
+as the Bell basis.
 """
 
 import numpy as np
@@ -48,11 +48,6 @@ def qcf_local_global(a1, b2, psi, u) -> complex:
     a_global = u @ np.kron(a1, np.eye(b2.shape[0])) @ u.conj().T
     b_global = u @ np.kron(np.eye(a1.shape[0]), b2) @ u.conj().T
     return qcf(a_global, b_global, psi)
-
-
-def svd_reconstruct(res) -> np.ndarray:
-    """left @ diag(singular_values) @ right^dagger of a linalg.SvdResult."""
-    return (res.left * res.singular_values) @ res.right.conj().T
 
 
 def schmidt_reconstruct(sd) -> np.ndarray:
