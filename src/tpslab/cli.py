@@ -2,9 +2,13 @@
 
 Each subcommand accepts ``--out`` and only the flags it reads; any other flag
 is a usage error.  A JSON report opens with the manifest
-``{"subcommand", "parameters", "version"}``, whose parameters are the inputs
-the run read, the tolerance or seed among them.  Reports are deterministic:
-identical invocations (same seed, same inputs) produce byte-identical output.
+``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
+arguments: every flag the subcommand declares except ``--out`` and
+``--format``, its positional state file, and the demo's name.  Each handler
+returns its report's text, and ``main`` alone writes it, to ``--out`` or
+stdout, or maps a toolkit error to its exit code and one ``error:`` line.
+Reports are deterministic: identical invocations (same seed, same inputs)
+produce byte-identical output.
 Exit codes: 0 ok, 2 usage error or unparseable input file, 3 dimension
 mismatch, 4 unknown observable, 5 grid constraint violated, 6 bad bijection,
 1 any other toolkit error.
@@ -16,7 +20,6 @@ import argparse
 import math
 import os
 import sys
-from collections.abc import Iterable
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -77,16 +80,12 @@ EXIT_CODES = (
 )
 
 
-def _manifest(args: argparse.Namespace, parameters: dict) -> dict:
-    return {"subcommand": args.command, "parameters": parameters, "version": __version__}
-
-
-def _emit(args: argparse.Namespace, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _report(args: argparse.Namespace, body: dict) -> str:
+    """The JSON report of a run: its manifest, then body."""
+    parameters = {k: v for k, v in vars(args).items()
+                  if k not in ("command", "func", "out", "format")}
+    manifest = {"subcommand": args.command, "parameters": parameters, "version": __version__}
+    return dump_json({"manifest": manifest, **body})
 
 
 def resolve_observable(spec: str, dim: int) -> np.ndarray:
@@ -120,21 +119,14 @@ def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
     return trivial_tps(sf.d1, sf.d2)
 
 
-def cmd_schmidt(args: argparse.Namespace) -> int:
+def cmd_schmidt(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
-    tps = _resolve_tps(sf, args.tps)
-    sd = schmidt(sf.amplitudes, tps, truncation_tol=args.tol)
-    report = {
-        "manifest": _manifest(args, {"state": args.state, "tps": args.tps, "tol": args.tol}),
-        "rank": sd.rank,
-        "coefficients": sd.coefficients,
-        "factorizable": sd.rank == 1,
-    }
-    _emit(args, dump_json(report))
-    return 0
+    sd = schmidt(sf.amplitudes, _resolve_tps(sf, args.tps), truncation_tol=args.tol)
+    return _report(args, {"rank": sd.rank, "coefficients": sd.coefficients,
+                          "factorizable": sd.rank == 1})
 
 
-def cmd_qcf(args: argparse.Namespace) -> int:
+def cmd_qcf(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
     tps = _resolve_tps(sf, args.tps)
     if args.local:
@@ -150,28 +142,11 @@ def cmd_qcf(args: argparse.Namespace) -> int:
         value = qcf(obs_a, obs_b, sf.amplitudes)
         threshold = default_witness_threshold(dim)
         verdict = "not-applicable"
-    report = {
-        "manifest": _manifest(
-            args,
-            {
-                "state": args.state,
-                "obs_a": args.obs_a,
-                "obs_b": args.obs_b,
-                "local": args.local,
-                "tps": args.tps,
-                "tol": args.tol,
-            },
-        ),
-        "value": [value.real, value.imag],
-        "abs": abs(value),
-        "witness_threshold": threshold,
-        "verdict": verdict,
-    }
-    _emit(args, dump_json(report))
-    return 0
+    return _report(args, {"value": [value.real, value.imag], "abs": abs(value),
+                          "witness_threshold": threshold, "verdict": verdict})
 
 
-def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, Iterable]:
+def cmd_coords(args: argparse.Namespace) -> str:
     if args.d % 2 == 0:
         raise GridSpecError(
             f"--d must be odd for the coordinate demo (got {args.d}): the "
@@ -180,12 +155,14 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, Itera
     smax = max(args.sigma1, args.sigma2)
     grid = Grid.spanning(args.d, 8.0 * smax)
     f = gaussian_profile(grid, 0.0, args.sigma1)
-    if want_rows:
+    if args.format == "csv":
         widths = np.linspace(args.sigma1, args.sigma2, 11)
         reports = demo_sum_diff(
             [f] * widths.size, [gaussian_profile(grid, 0.0, float(s2)) for s2 in widths]
         )
-        return {}, ((s2, r.rank_ab, r.qcf_ab, r.variance_diff) for s2, r in zip(widths, reports))
+        return render_csv(["param", "rank_ab", "qcf_ab", "variance_diff"],
+                          ((s2, r.rank_ab, r.qcf_ab, r.variance_diff)
+                           for s2, r in zip(widths, reports)))
     pairs = [(f, gaussian_profile(grid, 0.0, args.sigma2))]
     grid_eq = Grid.spanning(args.d, 8.0 * args.sigma1)
     pairs.append((gaussian_profile(grid_eq, 0.0, args.sigma1),) * 2)
@@ -193,45 +170,24 @@ def _demo_coords(args: argparse.Namespace, want_rows: bool) -> tuple[dict, Itera
     pairs.append((double_gaussian_profile(grid_dg, args.sep, args.sigma1),
                   gaussian_profile(grid_dg, 0.0, args.sigma1)))
     reports = demo_sum_diff(*zip(*pairs))
-    body = {
+    return _report(args, {
         "grid": {"d": args.d, "halfwidth": 8.0 * smax},
         **{name: asdict(rep) for name, rep in
            zip(("gaussian_pair", "equal_sigma", "double_gaussian"), reports)},
-    }
-    return body, []
+    })
 
 
-def cmd_demo(args: argparse.Namespace) -> int:
-    if args.which == "coords":
-        body, rows = _demo_coords(args, args.format == "csv")
-        header = ["param", "rank_ab", "qcf_ab", "variance_diff"]
-        params = {
-            "d": args.d,
-            "sigma1": args.sigma1,
-            "sigma2": args.sigma2,
-            "sep": args.sep,
-        }
-    else:
-        if args.which == "spins":
-            report = demo_spins(samples=args.samples, seed=args.seed)
-            header = ["sample", "residual", "qcf_value"]
-            columns = (report.residuals, report.qcf_values)
-        else:
-            report = demo_bell(samples=args.samples, seed=args.seed)
-            header = ["sample", "chsh_value", "oracle_value"]
-            columns = (report.values, report.closed_forms)
-        # a sampling demo's compared report fields are its JSON body (the seed
-        # is in the manifest); its per-sample arrays are the CSV rows
-        body = {f.name: getattr(report, f.name) for f in fields(report)
-                if f.compare and f.name != "seed"}
-        rows = zip(range(args.samples), *columns)
-        params = {"samples": args.samples, "seed": args.seed}
+def cmd_sampling_demo(args: argparse.Namespace) -> str:
+    demo, header = {"spins": (demo_spins, ["sample", "residual", "qcf_value"]),
+                    "bell": (demo_bell, ["sample", "chsh_value", "oracle_value"])}[args.which]
+    report = demo(samples=args.samples, seed=args.seed)
+    # the per-sample arrays, the report's uncompared fields, are the CSV columns;
+    # the compared fields are the JSON body, less the seed that the manifest holds
     if args.format == "csv":
-        _emit(args, render_csv(header, rows))
-        return 0
-    report = {"manifest": _manifest(args, {"which": args.which, **params}), **body}
-    _emit(args, dump_json(report))
-    return 0
+        columns = [getattr(report, f.name) for f in fields(report) if not f.compare]
+        return render_csv(header, zip(range(args.samples), *columns))
+    return _report(args, {f.name: getattr(report, f.name) for f in fields(report)
+                          if f.compare and f.name != "seed"})
 
 
 def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
@@ -248,10 +204,10 @@ def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
         bij = identity_bijection(d1, d2)
     else:
         bij = load_bijection_file(spec, d1, d2)
-    return relabeled(sf.tps if sf.tps is not None else trivial_tps(d1, d2), bij)
+    return relabeled(_resolve_tps(sf, None), bij)
 
 
-def cmd_refactor(args: argparse.Namespace) -> int:
+def cmd_refactor(args: argparse.Namespace) -> None:
     sf = load_state_file(args.state)
     if args.spectrum is None:
         new_tps = _relabeled_tps(sf, args.bijection)
@@ -260,20 +216,13 @@ def cmd_refactor(args: argparse.Namespace) -> int:
         new_tps = tps_with_spectrum(sf.amplitudes, (1.0 / n,) * n, trivial_tps(sf.d1, sf.d2))
     out = StateFile(d1=sf.d1, d2=sf.d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
     save_state_file(args.out, out)
-    return 0
 
 
-def cmd_chsh(args: argparse.Namespace) -> int:
+def cmd_chsh(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
     result = chsh_max(sf.amplitudes, _resolve_tps(sf, None))
-    report = {
-        "manifest": _manifest(args, {"state": args.state}),
-        "value": result.value,
-        "closed_form": result.closed_form,
-        "settings": asdict(result.settings),
-    }
-    _emit(args, dump_json(report))
-    return 0
+    return _report(args, {"value": result.value, "closed_form": result.closed_form,
+                          "settings": asdict(result.settings)})
 
 
 def _positive_int(text: str) -> int:
@@ -332,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     demo = sub.add_parser("demo", help="run a built-in demonstration")
     demos = demo.add_subparsers(dest="which", required=True)
-    p = command(demos, "coords", cmd_demo, "product of two Gaussians under the "
+    p = command(demos, "coords", cmd_coords, "product of two Gaussians under the "
                 "modular sum/difference relabeling")
     p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
     p.add_argument("--sigma1", type=float, default=1.0)
@@ -342,7 +291,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="csv emits the rows of a sweep of the second width from sigma1 to sigma2")
     for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),
                         ("bell", "maximal CHSH values of seeded entangled two-qubit states")):
-        p = command(demos, which, cmd_demo, help)
+        p = command(demos, which, cmd_sampling_demo, help)
         p.add_argument("--samples", type=_positive_int, default=1000)
         p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
         p.add_argument("--format", choices=("json", "csv"), default="json",
@@ -370,14 +319,18 @@ def main(argv=None) -> int:
     if args.command == "qcf" and args.tol is not None and not args.local:
         parser.error("qcf --tol sets the witness threshold of --local")
     try:
-        return args.func(args)
+        text = args.func(args)
     except ToolkitError as exc:
-        for klass, code in EXIT_CODES:
-            if isinstance(exc, klass):
-                print(f"error: {exc}", file=sys.stderr)
-                return code
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
+    if text is None:  # refactor has saved its state file to --out
+        return 0
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return 0
 
 
 if __name__ == "__main__":

@@ -114,11 +114,22 @@ def _sized_list(value, length: int, what: str) -> list:
     return value
 
 
+def _refuse_unknown_keys(data: dict, known: set[str], what: str) -> None:
+    # a misspelled key would otherwise drop what it holds without a word
+    unknown = sorted(set(data) - known)
+    if unknown:
+        raise StateFileError(f"{what}: unknown key {unknown[0]!r}")
+
+
 def tps_from_dict(data) -> TensorProductStructure:
     """A TPS block: d1, d2, at most one of a dense ``unitary`` and a ``reflector``, and
-    an optional label ``map``; at least one of the three.  Other keys are ignored."""
+    an optional label ``map``; at least one of the three.  Any other key is refused,
+    except the factor labels ``label_left`` and ``label_right`` of older files, which
+    are ignored."""
     if not isinstance(data, dict):
         raise StateFileError("tps block must be an object")
+    _refuse_unknown_keys(data, {"d1", "d2", "map", "unitary", "reflector", "label_left",
+                                "label_right"}, "tps block")
     try:
         d1 = json_int(data["d1"], "tps d1")
         d2 = json_int(data["d2"], "tps d2")
@@ -227,13 +238,15 @@ def load_state_file(path: str) -> StateFile:
     """Parse and validate a state file; normalizes near-unit amplitudes with a warning.
 
     Raises:
-        StateFileError: unreadable or malformed file (with line diagnostics).
+        StateFileError: unreadable or malformed file (with line diagnostics), or a key
+            other than dims, amplitudes, tps and metadata.
         SizeLimitError: the declared dims exceed ``MAX_GLOBAL_DIM``.
         ShapeError: a list's length disagrees with the declared dims.
     """
     data = read_json(path)
     if not isinstance(data, dict):
         raise StateFileError(f"{path}: top level must be an object")
+    _refuse_unknown_keys(data, {"dims", "amplitudes", "tps", "metadata"}, path)
     try:
         dims = data["dims"]
         amps = data["amplitudes"]

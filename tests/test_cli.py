@@ -562,12 +562,6 @@ def test_reports_are_byte_identical_across_reruns(bell_file, tmp_path):
         assert out1.read_bytes() == out2.read_bytes()
 
 
-def test_cli_writes_to_stdout_by_default(bell_file, capsys):
-    assert main(["schmidt", bell_file]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["rank"] == 2
-
-
 def test_schmidt_with_tps_override_file(product_file, tmp_path):
     from tpslab.statefile import tps_to_dict
     from tpslab.tps import relabel_tps, sum_diff_bijection
@@ -766,6 +760,40 @@ def test_tps_labels_of_older_files_are_ignored(block, labels, tmp_path, capsys):
         assert main(["schmidt", str(state)]) == 0
         reports.append(capsys.readouterr().out)
     assert reports[0] == reports[1]
+
+
+UNKNOWN_KEY_RUNS = [("schmidt", "state-file"), ("chsh", "state-file"), ("schmidt", "tps-block"),
+                    ("chsh", "tps-block"), ("schmidt", "tps-file"), ("qcf", "tps-file")]
+
+
+@pytest.mark.parametrize("command,where", UNKNOWN_KEY_RUNS,
+                         ids=[f"{command}-{where}" for command, where in UNKNOWN_KEY_RUNS])
+def test_an_unknown_key_exits_2_naming_it(command, where, tmp_path, capsys):
+    # a misspelled key used to drop what it held: the run read the trivial TPS,
+    # or the map without its rotation, and exited 0
+    block = {"d1": 2, "d2": 2, "map": [0, 2, 1, 3]}
+    if where == "state-file":
+        key, typo = "tsp", {"tsp": block}
+    else:
+        key, typo = "reflecter", {"reflecter": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    state, tps = tmp_path / "state.json", tmp_path / "tps.json"
+    argv = [command, str(state)]
+    if command == "qcf":
+        argv += ["--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local"]
+    if where == "tps-file":
+        argv += ["--tps", str(tps)]
+    for extra, code in (({}, 0), (typo, 2)):
+        doc = {"dims": [2, 2], "amplitudes": HALF, **(extra if where == "state-file" else {})}
+        if where == "tps-block":
+            doc["tps"] = {**block, **extra}
+        state.write_text(json.dumps(doc))
+        tps.write_text(json.dumps({**block, **(extra if where == "tps-file" else {})}))
+        capsys.readouterr()
+        assert main(argv) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert repr(key) in captured.err
 
 
 @pytest.mark.parametrize(
@@ -1116,6 +1144,35 @@ VALID_ARGV = {
     "refactor": ["refactor", "{state}", "--bijection", "swap"],
     "chsh": ["chsh", "{state}"],
 }
+# every subcommand but refactor, whose required --out receives a state file
+REPORT_ARGV = {command: argv for command, argv in VALID_ARGV.items() if command != "refactor"}
+
+
+def test_cli_writes_to_stdout_by_default(bell_file, tmp_path, capsys):
+    # main alone writes a report: the bytes --out receives go to stdout without it
+    flags = flags_by_command(build_parser())
+    out = tmp_path / "out"
+    for command, argv in REPORT_ARGV.items():
+        formats = [["--format", "json"], ["--format", "csv"]] if "--format" in flags[command] else [[]]
+        for fmt in formats:
+            full = [a.format(state=bell_file) for a in argv] + fmt
+            assert main(full) == 0
+            printed = capsys.readouterr().out
+            assert main(full + ["--out", str(out)]) == 0
+            assert capsys.readouterr().out == ""
+            assert out.read_text(encoding="utf-8") == printed != ""
+
+
+@pytest.mark.parametrize("command", REPORT_ARGV)
+def test_the_manifest_parameters_are_the_declared_flags(command, bell_file, tmp_path):
+    # every flag but --out and --format, with the state file or the demo's name
+    declared = {flag[2:].replace("-", "_") for flag in flags_by_command(build_parser())[command]}
+    declared = declared - {"out", "format"} | {"which" if command.startswith("demo") else "state"}
+    code, out = run([a.format(state=bell_file) for a in REPORT_ARGV[command]], tmp_path)
+    assert code == 0
+    assert set(json.loads(out.read_text())["manifest"]["parameters"]) == declared
+
+
 UNREAD_BY_SAMPLING = ("--d 9", "--sigma1 1", "--sigma2 1", "--sep 1", "--tol 1", "--timestamp x")
 UNREAD_FLAGS = {
     "schmidt": ("--format csv", "--seed 7", "--timestamp x"),
