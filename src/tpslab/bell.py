@@ -133,7 +133,7 @@ class BellDemoReport:
     closed_forms: np.ndarray = field(compare=False, repr=False)
 
 
-def demo_bell(samples: int = 1000, seed: int = 42) -> BellDemoReport:
+def demo_bell(samples: int, seed: int) -> BellDemoReport:
     """Maximize CHSH over seeded entangled two-qubit states, plus the Bell state.
 
     The states are Haar draws whose smaller Schmidt coefficient is at least

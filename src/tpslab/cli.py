@@ -5,13 +5,14 @@ is a usage error.  A JSON report opens with the manifest
 ``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
 arguments: every flag the subcommand declares except ``--out`` and
 ``--format``, its positional state file, and the demo's name.  Each handler
-returns its report's text, and ``main`` alone writes it, to ``--out`` or
-stdout, or maps a toolkit error to its exit code and one ``error:`` line.
-Reports are deterministic: identical invocations (same seed, same inputs)
-produce byte-identical output.
-Exit codes: 0 ok, 2 usage error or unparseable input file, 3 dimension
-mismatch, 4 unknown observable, 5 grid constraint violated, 6 bad bijection,
-1 any other toolkit error.
+returns its text, a report or ``refactor``'s state file, and ``main`` alone
+writes it, to ``--out`` or stdout, or maps a toolkit error to its exit code
+and one ``error:`` line.  Reports are deterministic: identical invocations
+(same seed, same inputs) produce byte-identical output.
+Exit codes: 0 ok, 2 usage error, unparseable input file (including a missing
+or unknown key) or unwritable ``--out``, 3 dimension mismatch or size cap,
+4 unknown observable, 5 grid constraint violated, 6 bad bijection, 1 any
+other toolkit error.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .statefile import (
     load_state_file,
     read_json,
     render_csv,
-    save_state_file,
     tps_from_dict,
 )
 from .tps import (
@@ -108,12 +108,7 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
 
 def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
     if tps_path:
-        tps = tps_from_dict(read_json(tps_path))
-        if (tps.d1, tps.d2) != (sf.d1, sf.d2):
-            raise ShapeError(
-                f"{tps_path}: tps dims ({tps.d1}, {tps.d2}) vs state dims ({sf.d1}, {sf.d2})"
-            )
-        return tps
+        return tps_from_dict(read_json(tps_path), (sf.d1, sf.d2))
     if sf.tps is not None:
         return sf.tps
     return trivial_tps(sf.d1, sf.d2)
@@ -207,7 +202,7 @@ def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     return relabeled(_resolve_tps(sf, None), bij)
 
 
-def cmd_refactor(args: argparse.Namespace) -> None:
+def cmd_refactor(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
     if args.spectrum is None:
         new_tps = _relabeled_tps(sf, args.bijection)
@@ -215,7 +210,7 @@ def cmd_refactor(args: argparse.Namespace) -> None:
         n = 1 if args.spectrum == "product" else min(sf.d1, sf.d2)
         new_tps = tps_with_spectrum(sf.amplitudes, (1.0 / n,) * n, trivial_tps(sf.d1, sf.d2))
     out = StateFile(d1=sf.d1, d2=sf.d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
-    save_state_file(args.out, out)
+    return dump_json(out.to_dict())
 
 
 def cmd_chsh(args: argparse.Namespace) -> str:
@@ -320,16 +315,17 @@ def main(argv=None) -> int:
         parser.error("qcf --tol sets the witness threshold of --local")
     try:
         text = args.func(args)
+        if args.out is None:
+            sys.stdout.write(text)
+            return 0
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise StateFileError(f"cannot write {args.out}: {exc.strerror}") from exc
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)
-    if text is None:  # refactor has saved its state file to --out
-        return 0
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -37,7 +37,8 @@ class GridSpecError(ToolkitError):
 
 
 class StateFileError(ToolkitError):
-    """A state, bijection, or matrix file cannot be parsed."""
+    """A state, TPS, bijection or matrix file cannot be read or parsed, or ``--out``
+    cannot be written."""
 
 
 class UnknownObservableError(ToolkitError):

@@ -130,7 +130,7 @@ class SpinDemoReport:
     qcf_values: np.ndarray = field(compare=False, repr=False)
 
 
-def demo_spins(samples: int = 1000, seed: int = 42) -> SpinDemoReport:
+def demo_spins(samples: int, seed: int) -> SpinDemoReport:
     """Sample random product spin pairs and compare covariance routes.
 
     Reports the worst disagreement between the direct covariance and its

@@ -1,5 +1,7 @@
 """Every file format of the toolkit: state, TPS, bijection and matrix files in,
-JSON reports, CSV sweeps and state files out.
+JSON reports, CSV sweeps and state files rendered as text; ``cli.main`` writes them.
+
+Each input object, read by ``_object``, must hold its required keys and no other.
 
 Output goes through the standard library's JSON encoder.  It writes each float
 as ``float.__repr__`` does, the shortest decimal that reads back as the same
@@ -114,27 +116,35 @@ def _sized_list(value, length: int, what: str) -> list:
     return value
 
 
-def _refuse_unknown_keys(data: dict, known: set[str], what: str) -> None:
-    # a misspelled key would otherwise drop what it holds without a word
-    unknown = sorted(set(data) - known)
+def _object(data, required: tuple[str, ...], optional: tuple[str, ...], what: str) -> dict:
+    """A JSON object holding every required key and no key outside required and optional;
+    a misspelled key would otherwise drop what it holds without a word."""
+    if not isinstance(data, dict):
+        raise StateFileError(f"{what} must be a JSON object")
+    missing = [key for key in required if key not in data]
+    if missing:
+        raise StateFileError(f"{what}: missing required key {missing[0]!r}")
+    unknown = sorted(set(data) - set(required) - set(optional))
     if unknown:
         raise StateFileError(f"{what}: unknown key {unknown[0]!r}")
+    return data
 
 
-def tps_from_dict(data) -> TensorProductStructure:
-    """A TPS block: d1, d2, at most one of a dense ``unitary`` and a ``reflector``, and
-    an optional label ``map``; at least one of the three.  Any other key is refused,
-    except the factor labels ``label_left`` and ``label_right`` of older files, which
-    are ignored."""
-    if not isinstance(data, dict):
-        raise StateFileError("tps block must be an object")
-    _refuse_unknown_keys(data, {"d1", "d2", "map", "unitary", "reflector", "label_left",
-                                "label_right"}, "tps block")
-    try:
-        d1 = json_int(data["d1"], "tps d1")
-        d2 = json_int(data["d2"], "tps d2")
-    except KeyError as exc:
-        raise StateFileError(f"tps block is missing key {exc}") from exc
+def tps_from_dict(data, dims: tuple[int, int]) -> TensorProductStructure:
+    """A TPS block for a state of the given dims: d1, d2, at most one of a dense
+    ``unitary`` and a ``reflector``, and an optional label ``map``; at least one of the
+    three.  Any other key is refused, except the factor labels ``label_left`` and
+    ``label_right`` of older files, which are ignored.
+
+    Raises:
+        StateFileError: a malformed block.
+        SizeLimitError: the block's dims exceed ``MAX_GLOBAL_DIM``.
+        ShapeError: the block's dims are not ``dims``, or a list's length disagrees with them.
+    """
+    data = _object(data, ("d1", "d2"), ("map", "unitary", "reflector", "label_left",
+                                        "label_right"), "tps block")
+    d1 = json_int(data["d1"], "tps d1")
+    d2 = json_int(data["d2"], "tps d2")
     if "unitary" in data and "reflector" in data:
         raise StateFileError("tps block holds at most one of 'unitary' and 'reflector'")
     if not any(key in data for key in ("map", "unitary", "reflector")):
@@ -158,17 +168,20 @@ def tps_from_dict(data) -> TensorProductStructure:
     if "reflector" in blocks:
         parts["reflector"] = pairs_to_complex(blocks["reflector"], "tps reflector")
     try:
-        return TensorProductStructure(d1, d2, **parts)
+        tps = TensorProductStructure(d1, d2, **parts)
     except ContractError as exc:
         raise StateFileError(f"tps block: {exc}") from exc
+    # compared once the block is whole, so its own faults are reported first
+    if (d1, d2) != dims:
+        raise ShapeError(f"tps dims {(d1, d2)} disagree with state dims {dims}")
+    return tps
 
 
 def load_bijection_file(path: str, d1: int, d2: int) -> IndexBijection:
     """A bijection file: a 'map' list of [i, j, a, b] entries, one for each source (i, j)."""
-    data = read_json(path)
-    entries = data.get("map") if isinstance(data, dict) else None
+    entries = _object(read_json(path), ("map",), (), path)["map"]
     if not isinstance(entries, list):
-        raise StateFileError(f"{path}: bijection file needs a 'map' list")
+        raise StateFileError(f"{path}: map must be a list")
     targets = np.full(d1 * d2, -1)
     for entry in entries:
         if not (isinstance(entry, list) and len(entry) == 4):
@@ -199,9 +212,7 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
             whose Frobenius norm exceeds ``linalg.MAX_MATRIX_NORM``.
         ShapeError: n is not ``dim``, or the entries are not n*n; checked before any entry is read.
     """
-    data = read_json(path)
-    if not (isinstance(data, dict) and "dim" in data and "entries" in data):
-        raise StateFileError(f"{path}: matrix file needs 'dim' and 'entries'")
+    data = _object(read_json(path), ("dim", "entries"), (), path)
     n = json_int(data["dim"], f"{path}: dim")
     if n != dim:
         raise ShapeError(f"{path}: matrix dim {n} vs required dim {dim}")
@@ -238,32 +249,21 @@ def load_state_file(path: str) -> StateFile:
     """Parse and validate a state file; normalizes near-unit amplitudes with a warning.
 
     Raises:
-        StateFileError: unreadable or malformed file (with line diagnostics), or a key
-            other than dims, amplitudes, tps and metadata.
+        StateFileError: unreadable or malformed file (with line diagnostics), a missing
+            dims or amplitudes, or a key other than dims, amplitudes, tps and metadata.
         SizeLimitError: the declared dims exceed ``MAX_GLOBAL_DIM``.
-        ShapeError: a list's length disagrees with the declared dims.
+        ShapeError: a list's length or the TPS block's dims disagree with the declared dims.
     """
-    data = read_json(path)
-    if not isinstance(data, dict):
-        raise StateFileError(f"{path}: top level must be an object")
-    _refuse_unknown_keys(data, {"dims", "amplitudes", "tps", "metadata"}, path)
-    try:
-        dims = data["dims"]
-        amps = data["amplitudes"]
-    except KeyError as exc:
-        raise StateFileError(f"{path}: missing required key {exc}") from exc
+    data = _object(read_json(path), ("dims", "amplitudes"), ("tps", "metadata"), path)
+    dims = data["dims"]
     if not (isinstance(dims, list) and len(dims) == 2):
         raise StateFileError(f"{path}: dims must be a [d1, d2] pair")
     d1 = json_int(dims[0], f"{path}: dims[0]")
     d2 = json_int(dims[1], f"{path}: dims[1]")
     dim = d1 * d2
     check_size(dim, f"{path}: dims {d1}x{d2}")
-    amps = _sized_list(amps, dim, f"{path}: amplitudes")
-    tps = tps_from_dict(data["tps"]) if "tps" in data and data["tps"] is not None else None
-    if tps is not None and (tps.d1, tps.d2) != (d1, d2):
-        raise ShapeError(
-            f"{path}: tps dims ({tps.d1}, {tps.d2}) disagree with state dims ({d1}, {d2})"
-        )
+    amps = _sized_list(data["amplitudes"], dim, f"{path}: amplitudes")
+    tps = tps_from_dict(data["tps"], (d1, d2)) if data.get("tps") is not None else None
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     with np.errstate(over="ignore"):  # huge finite amplitudes give the refused norm inf
         n = float(np.linalg.norm(amplitudes))
@@ -284,11 +284,6 @@ def load_state_file(path: str) -> StateFile:
     except ValueError as exc:
         raise StateFileError(f"{path}: metadata holds a non-finite number") from exc
     return StateFile(d1=d1, d2=d2, amplitudes=amplitudes, tps=tps, metadata=metadata)
-
-
-def save_state_file(path: str, sf: StateFile) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dump_json(sf.to_dict()))
 
 
 def render_csv(header: list[str], rows) -> str:

@@ -377,12 +377,11 @@ def test_c11_witness_soundness():
 
 
 def test_c12_deterministic_reports(tmp_path):
-    from tpslab.statefile import StateFile, save_state_file
+    from tpslab.statefile import StateFile, dump_json
 
     bell_path = tmp_path / "bell.json"
-    save_state_file(
-        str(bell_path), StateFile(2, 2, np.array([1, 0, 0, 1], dtype=complex) / SQ2)
-    )
+    bell = StateFile(2, 2, np.array([1, 0, 0, 1], dtype=complex) / SQ2)
+    bell_path.write_text(dump_json(bell.to_dict()), encoding="utf-8")
     suites = [
         ["schmidt", str(bell_path)],
         ["qcf", str(bell_path), "--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local"],

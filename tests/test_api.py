@@ -16,8 +16,6 @@ DEFAULTED = {
         "relabeling": None,
         "reflector": None,
     },
-    "demo_bell": {"samples": 1000, "seed": 42},
-    "demo_spins": {"samples": 1000, "seed": 42},
     "demo_sum_diff": {"truncation_tol": 1e-10},
     "haar_state": {"shape": ()},
     "qcf_local": {"witness_threshold": None},
@@ -93,3 +91,32 @@ def test_every_import_is_used():
                 imported = (alias.asname or alias.name.split(".")[0] for alias in node.names)
                 unused += [f"{path.name}:{name}" for name in imported if name not in names]
     assert unused == []
+
+
+def opens_for_writing(call: ast.Call) -> bool:
+    """A call of ``open`` with a literal write, append or update mode, or of
+    ``write_text`` or ``write_bytes``."""
+    func = call.func
+    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    modes = [a.value for a in call.args + [k.value for k in call.keywords]
+             if isinstance(a, ast.Constant) and isinstance(a.value, str)
+             and a.value and set(a.value) <= set("rwaxbt+")]
+    return name == "open" and any(set(mode) & set("wax+") for mode in modes)
+
+
+def test_only_main_writes_output():
+    # one call in src/tpslab opens a file for writing, and only cli.py names the
+    # standard streams or print, so every output goes through cli.main
+    package = Path(tpslab.__file__).parent
+    writes, streams = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        writes += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                   if isinstance(node, ast.Call) and opens_for_writing(node)]
+        if path.name != "cli.py":
+            streams += [f"{path.name}:{name}" for name in sorted(named(tree) & {"print", "stdout",
+                                                                              "stderr"})]
+    assert len(writes) == 1 and writes[0].startswith("cli.py:")
+    assert streams == []

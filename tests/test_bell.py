@@ -179,4 +179,4 @@ def test_demo_bell_matches_per_sample_loop(seed, samples, rejected):
 
 def test_demo_bell_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
-        demo_bell(samples=MAX_GLOBAL_DIM + 1)
+        demo_bell(samples=MAX_GLOBAL_DIM + 1, seed=42)

@@ -17,7 +17,6 @@ from tpslab.statefile import (
     StateFile,
     dump_json,
     load_state_file,
-    save_state_file,
     tps_from_dict,
 )
 from tpslab.tps import (
@@ -32,11 +31,16 @@ from tpslab.tps import (
 SQ2 = np.sqrt(2.0)
 
 
+def write_state(path, sf: StateFile) -> None:
+    """A state file as ``refactor`` writes it: the canonical JSON of ``sf.to_dict()``."""
+    Path(path).write_text(dump_json(sf.to_dict()), encoding="utf-8")
+
+
 @pytest.fixture
 def bell_file(tmp_path):
     path = tmp_path / "bell.json"
     psi = np.array([1, 0, 0, 1], dtype=complex) / SQ2
-    save_state_file(str(path), StateFile(2, 2, psi))
+    write_state(path, StateFile(2, 2, psi))
     return str(path)
 
 
@@ -44,7 +48,7 @@ def bell_file(tmp_path):
 def product_file(tmp_path):
     path = tmp_path / "product.json"
     psi = random_product_state(3, 3, np.random.default_rng(12))
-    save_state_file(str(path), StateFile(3, 3, psi))
+    write_state(path, StateFile(3, 3, psi))
     return str(path)
 
 
@@ -304,7 +308,7 @@ def test_demo_coords_pair_grid_above_the_cap_exits_3_before_any_profile(monkeypa
 def square_state_file(tmp_path, d, tps=None):
     path = tmp_path / f"state-{d}.json"
     psi = random_product_state(d, d, np.random.default_rng(d))
-    save_state_file(str(path), StateFile(d, d, psi))
+    write_state(path, StateFile(d, d, psi))
     if tps is not None:
         doc = json.loads(path.read_text())
         path.write_text(json.dumps({**doc, "tps": tps}))
@@ -425,7 +429,7 @@ def test_chsh_wrong_dims_exits_3(product_file):
 def test_chsh_reads_the_state_files_tps(state, spectrum, wanted, tmp_path):
     # the same amplitudes give the CHSH maximum of their Schmidt spectrum in the file's TPS
     src, refactored = tmp_path / "state.json", tmp_path / "refactored.json"
-    save_state_file(str(src), StateFile(2, 2, state.astype(complex)))
+    write_state(src, StateFile(2, 2, state.astype(complex)))
     assert main(["refactor", str(src), "--spectrum", spectrum, "--out", str(refactored)]) == 0
     code, out = run(["chsh", str(refactored)], tmp_path)
     assert code == 0
@@ -506,7 +510,7 @@ def test_refactor_keeps_metadata_values(tmp_path):
     state = tmp_path / "state.json"
     metadata = {"k": [1, 2], "n": 3, "s": "v", "z": None}
     psi = random_product_state(2, 2, np.random.default_rng(0))
-    save_state_file(str(state), StateFile(2, 2, psi, metadata=metadata))
+    write_state(state, StateFile(2, 2, psi, metadata=metadata))
     out = tmp_path / "out.json"
     assert main(["refactor", str(state), "--bijection", "identity", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["metadata"] == metadata
@@ -516,7 +520,7 @@ def test_refactor_keeps_metadata_values(tmp_path):
 def test_refactor_refuses_non_finite_metadata(bad, tmp_path, capsys):
     state = tmp_path / "state.json"
     psi = random_product_state(2, 2, np.random.default_rng(0))
-    save_state_file(str(state), StateFile(2, 2, psi, metadata={"x": 0}))
+    write_state(state, StateFile(2, 2, psi, metadata={"x": 0}))
     state.write_text(state.read_text().replace('"x": 0', f'"x": {bad}'))
     out = tmp_path / "out.json"
     assert main(["refactor", str(state), "--bijection", "identity", "--out", str(out)]) == 2
@@ -528,7 +532,7 @@ def test_refactor_refuses_non_finite_metadata(bad, tmp_path, capsys):
 def test_refactor_bijection_file_with_repeats_exits_6(tmp_path):
     state = tmp_path / "state.json"
     psi = random_product_state(2, 2, np.random.default_rng(0))
-    save_state_file(str(state), StateFile(2, 2, psi))
+    write_state(state, StateFile(2, 2, psi))
     bij = tmp_path / "bij.json"
     bij.write_text(
         dump_json({"map": [[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [1, 1, 1, 1]]})
@@ -539,7 +543,7 @@ def test_refactor_bijection_file_with_repeats_exits_6(tmp_path):
 def test_refactor_bijection_file_roundtrip(tmp_path):
     state = tmp_path / "state.json"
     psi = random_product_state(2, 2, np.random.default_rng(0))
-    save_state_file(str(state), StateFile(2, 2, psi))
+    write_state(state, StateFile(2, 2, psi))
     bij = tmp_path / "bij.json"
     bij.write_text(
         dump_json({"map": [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]})
@@ -585,7 +589,7 @@ def test_schmidt_tps_override_wrong_dims_exits_3(bell_file, tmp_path):
 def test_qcf_global_position_observables(tmp_path):
     state = tmp_path / "nine.json"
     psi = random_product_state(3, 3, np.random.default_rng(5))
-    save_state_file(str(state), StateFile(3, 3, psi))
+    write_state(state, StateFile(3, 3, psi))
     code, out = run(["qcf", str(state), "--obs-a", "position", "--obs-b", "position"], tmp_path)
     assert code == 0
     report = json.loads(out.read_text())
@@ -648,7 +652,7 @@ def test_non_integer_dims_exit_2(doc, tmp_path, capsys):
 def test_refactor_sumdiff_even_square_exits_5(tmp_path):
     state = tmp_path / "even.json"
     psi = random_product_state(2, 2, np.random.default_rng(1))
-    save_state_file(str(state), StateFile(2, 2, psi))
+    write_state(state, StateFile(2, 2, psi))
     assert main(["refactor", str(state), "--bijection", "sumdiff",
                  "--out", str(tmp_path / "o.json")]) == 5
 
@@ -656,7 +660,7 @@ def test_refactor_sumdiff_even_square_exits_5(tmp_path):
 def test_refactor_swap_non_square_exits_6(tmp_path):
     state = tmp_path / "rect.json"
     psi = random_product_state(2, 3, np.random.default_rng(1))
-    save_state_file(str(state), StateFile(2, 3, psi))
+    write_state(state, StateFile(2, 3, psi))
     assert main(["refactor", str(state), "--bijection", "swap",
                  "--out", str(tmp_path / "o.json")]) == 6
 
@@ -762,8 +766,17 @@ def test_tps_labels_of_older_files_are_ignored(block, labels, tmp_path, capsys):
     assert reports[0] == reports[1]
 
 
+VALID_MAP_2x2 = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
+
+
 UNKNOWN_KEY_RUNS = [("schmidt", "state-file"), ("chsh", "state-file"), ("schmidt", "tps-block"),
-                    ("chsh", "tps-block"), ("schmidt", "tps-file"), ("qcf", "tps-file")]
+                    ("chsh", "tps-block"), ("schmidt", "tps-file"), ("qcf", "tps-file"),
+                    ("qcf", "matrix-file"), ("refactor", "bijection-file")]
+MAP_BLOCK = {"d1": 2, "d2": 2, "map": [0, 2, 1, 3]}
+REFLECTER = ("reflecter", [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]])
+# the misspelled key, and what it holds, of each input object
+TYPOS = {"state-file": ("tsp", MAP_BLOCK), "tps-block": REFLECTER, "tps-file": REFLECTER,
+         "matrix-file": ("extra", 1), "bijection-file": ("mapp", 3)}
 
 
 @pytest.mark.parametrize("command,where", UNKNOWN_KEY_RUNS,
@@ -771,23 +784,28 @@ UNKNOWN_KEY_RUNS = [("schmidt", "state-file"), ("chsh", "state-file"), ("schmidt
 def test_an_unknown_key_exits_2_naming_it(command, where, tmp_path, capsys):
     # a misspelled key used to drop what it held: the run read the trivial TPS,
     # or the map without its rotation, and exited 0
-    block = {"d1": 2, "d2": 2, "map": [0, 2, 1, 3]}
-    if where == "state-file":
-        key, typo = "tsp", {"tsp": block}
-    else:
-        key, typo = "reflecter", {"reflecter": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]}
+    key, value = TYPOS[where]
     state, tps = tmp_path / "state.json", tmp_path / "tps.json"
+    matrix, bij = tmp_path / "matrix.json", tmp_path / "bij.json"
     argv = [command, str(state)]
     if command == "qcf":
-        argv += ["--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local"]
+        obs = str(matrix) if where == "matrix-file" else "pauli-z"
+        argv += ["--obs-a", obs, "--obs-b", "pauli-z", "--local"]
     if where == "tps-file":
         argv += ["--tps", str(tps)]
-    for extra, code in (({}, 0), (typo, 2)):
+    if command == "refactor":
+        argv += ["--bijection", str(bij), "--out", str(tmp_path / "out.json")]
+    for extra, code in (({}, 0), ({key: value}, 2)):
         doc = {"dims": [2, 2], "amplitudes": HALF, **(extra if where == "state-file" else {})}
         if where == "tps-block":
-            doc["tps"] = {**block, **extra}
+            doc["tps"] = {**MAP_BLOCK, **extra}
         state.write_text(json.dumps(doc))
-        tps.write_text(json.dumps({**block, **(extra if where == "tps-file" else {})}))
+        tps.write_text(json.dumps({**MAP_BLOCK, **(extra if where == "tps-file" else {})}))
+        matrix.write_text(json.dumps({"dim": 2, "entries": [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0],
+                                                            [-1.0, 0.0]],
+                                      **(extra if where == "matrix-file" else {})}))
+        bij.write_text(json.dumps({"map": VALID_MAP_2x2,
+                                   **(extra if where == "bijection-file" else {})}))
         capsys.readouterr()
         assert main(argv) == code
     captured = capsys.readouterr()
@@ -819,9 +837,6 @@ def test_boolean_amplitude_exits_2(pair, tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
-VALID_MAP_2x2 = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
-
-
 @pytest.mark.parametrize(
     "doc",
     [
@@ -838,7 +853,7 @@ VALID_MAP_2x2 = [[0, 0, 1, 1], [0, 1, 1, 0], [1, 0, 0, 1], [1, 1, 0, 0]]
 )
 def test_malformed_bijection_file_exits_2(doc, tmp_path, capsys):
     state = tmp_path / "state.json"
-    save_state_file(str(state), StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
+    write_state(state, StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
     bij = tmp_path / "bij.json"
     bij.write_text(json.dumps(doc))
     out = tmp_path / "o.json"
@@ -853,7 +868,7 @@ def test_malformed_bijection_file_exits_2(doc, tmp_path, capsys):
 )
 def test_bijection_file_image_off_the_grid_exits_6(image, tmp_path, capsys):
     state = tmp_path / "state.json"
-    save_state_file(str(state), StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
+    write_state(state, StateFile(2, 2, random_product_state(2, 2, np.random.default_rng(0))))
     bij = tmp_path / "bij.json"
     bij.write_text(json.dumps({"map": [[0, 0, *image]] + VALID_MAP_2x2[1:]}))
     out = tmp_path / "o.json"
@@ -883,7 +898,7 @@ def test_old_dense_permutation_block_reports_like_the_map(tmp_path, monkeypatch,
         if name == "dense":
             (tmp_path / name / "state.json").write_text(dump_json(dense_doc))
         else:
-            save_state_file("plain.json", StateFile(5, 5, psi))
+            write_state("plain.json", StateFile(5, 5, psi))
             assert main(["refactor", "plain.json", "--bijection", "sumdiff",
                          "--out", "state.json"]) == 0
             tps = json.loads((tmp_path / name / "state.json").read_text())["tps"]
@@ -899,7 +914,7 @@ def test_refactor_beyond_the_old_dense_limit(tmp_path):
     d = 65
     psi = random_product_state(d, d, np.random.default_rng(65))
     state = tmp_path / "big.json"
-    save_state_file(str(state), StateFile(d, d, psi))
+    write_state(state, StateFile(d, d, psi))
     refactored = tmp_path / "big-sumdiff.json"
     assert main(["refactor", str(state), "--bijection", "sumdiff", "--out", str(refactored)]) == 0
     tps = json.loads(refactored.read_text())["tps"]
@@ -991,7 +1006,7 @@ def test_tps_from_dict_refuses_over_size_dims_before_any_entry_is_read(monkeypat
     # the route of a --tps override file
     monkeypatch.setattr("tpslab.statefile.pairs_to_complex", no_parse)
     with pytest.raises(SizeLimitError):
-        tps_from_dict({**OVER, "unitary": IDENTITY_16})
+        tps_from_dict({**OVER, "unitary": IDENTITY_16}, (2, 2))
 
 
 @pytest.mark.parametrize("spectrum", ["product", "maximal"])
@@ -1000,7 +1015,7 @@ def test_refactor_spectrum_sets_the_schmidt_coefficients(spectrum, d1, d2, tmp_p
     rng = np.random.default_rng(d1 * d2)
     state = tmp_path / "state.json"
     base = TensorProductStructure(d1, d2, relabeling=random_bijection(d1, d2, rng))
-    save_state_file(str(state), StateFile(d1, d2, haar_state(d1 * d2, rng), tps=base))
+    write_state(state, StateFile(d1, d2, haar_state(d1 * d2, rng), tps=base))
     out = tmp_path / "spectrum.json"
     assert main(["refactor", str(state), "--spectrum", spectrum, "--out", str(out)]) == 0
     assert sorted(json.loads(out.read_text())["tps"]) == ["d1", "d2", "reflector"]
@@ -1036,7 +1051,7 @@ def test_refactor_keeps_the_rotation_and_composes_the_maps(rotation, relabeled, 
         parts["relabeling"] = random_bijection(3, 4, rng)
     base = TensorProductStructure(3, 4, **parts)
     state = tmp_path / "state.json"
-    save_state_file(str(state), StateFile(3, 4, psi, tps=base))
+    write_state(state, StateFile(3, 4, psi, tps=base))
     bij = random_bijection(3, 4, rng)
     bij_file = tmp_path / "bij.json"
     bij_file.write_text(json.dumps({"map": [[*divmod(g, 4), *divmod(int(t), 4)]
@@ -1065,7 +1080,7 @@ def test_refactor_checks_a_dense_rotation_once(tmp_path, monkeypatch):
     rng = np.random.default_rng(7)
     dense = tmp_path / "dense.json"
     base = TensorProductStructure(3, 3, random_unitary(9, rng))
-    save_state_file(str(dense), StateFile(3, 3, haar_state(9, rng), tps=base))
+    write_state(dense, StateFile(3, 3, haar_state(9, rng), tps=base))
     monkeypatch.setattr(tpslab.tps, "_check_unitary", counted)
     out = tmp_path / "swapped.json"
     assert main(["refactor", str(dense), "--bijection", "swap", "--out", str(out)]) == 0
@@ -1146,6 +1161,23 @@ VALID_ARGV = {
 }
 # every subcommand but refactor, whose required --out receives a state file
 REPORT_ARGV = {command: argv for command, argv in VALID_ARGV.items() if command != "refactor"}
+
+
+@pytest.mark.parametrize("target", ["missing-dir", "directory"])
+@pytest.mark.parametrize("command", VALID_ARGV)
+def test_an_unwritable_out_exits_2_with_one_error_line(command, target, bell_file, tmp_path,
+                                                       capsys):
+    # main's one write, of a report or of refactor's state file, used to raise a traceback
+    out = tmp_path / "missing" / "out.json" if target == "missing-dir" else tmp_path / "taken"
+    if target == "directory":
+        out.mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    assert main([a.format(state=bell_file) for a in VALID_ARGV[command]] + ["--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 def test_cli_writes_to_stdout_by_default(bell_file, tmp_path, capsys):

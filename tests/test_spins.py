@@ -165,7 +165,7 @@ def test_generic_product_state_rank_two_in_chi_tps():
 
 def test_demo_spins_rejects_zero_samples():
     with pytest.raises(ContractError):
-        demo_spins(samples=0)
+        demo_spins(samples=0, seed=42)
 
 
 @pytest.mark.parametrize("seed,samples", [(42, 1000), (9, 300), (303, 10000)])
@@ -198,4 +198,4 @@ def test_stacked_haar_draws_consume_the_stream_like_single_draws():
 
 def test_demo_spins_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
-        demo_spins(samples=MAX_GLOBAL_DIM + 1)
+        demo_spins(samples=MAX_GLOBAL_DIM + 1, seed=42)

@@ -18,7 +18,6 @@ from tpslab.statefile import (
     dump_json,
     load_state_file,
     render_csv,
-    save_state_file,
     tps_from_dict,
     tps_to_dict,
 )
@@ -29,6 +28,11 @@ from tpslab.tps import (
     sum_diff_bijection,
     trivial_tps,
 )
+
+def write_state(path, sf: StateFile) -> None:
+    """A state file as the CLI writes it: the canonical JSON of ``sf.to_dict()``."""
+    Path(path).write_text(dump_json(sf.to_dict()), encoding="utf-8")
+
 
 SETTINGS = settings(derandomize=True, deadline=None, max_examples=200, database=None)
 MAX = sys.float_info.max
@@ -106,14 +110,14 @@ def test_state_file_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(1)
     psi = haar_state(6, rng)
     path = tmp_path / "state.json"
-    save_state_file(str(path), StateFile(2, 3, psi, metadata={"k": "v"}))
+    write_state(path, StateFile(2, 3, psi, metadata={"k": "v"}))
     loaded = load_state_file(str(path))
     assert np.array_equal(loaded.amplitudes, psi)
     assert (loaded.d1, loaded.d2) == (2, 3)
     assert loaded.metadata == {"k": "v"}
     # a second round trip is byte-identical
     path2 = tmp_path / "state2.json"
-    save_state_file(str(path2), loaded)
+    write_state(path2, loaded)
     assert path.read_bytes() == path2.read_bytes()
 
 
@@ -122,7 +126,7 @@ def test_state_file_with_tps_round_trip(tmp_path):
     psi = haar_state(9, rng)
     tps = relabel_tps(sum_diff_bijection(3))
     path = tmp_path / "state.json"
-    save_state_file(str(path), StateFile(3, 3, psi, tps=tps))
+    write_state(path, StateFile(3, 3, psi, tps=tps))
     loaded = load_state_file(str(path))
     assert loaded.tps is not None and loaded.tps.unitary is None
     assert np.array_equal(loaded.tps.relabeling.targets, tps.relabeling.targets)
@@ -130,11 +134,16 @@ def test_state_file_with_tps_round_trip(tmp_path):
 
 def test_tps_dict_round_trip():
     tps = trivial_tps(2, 2)
-    again = tps_from_dict(tps_to_dict(tps))
+    again = tps_from_dict(tps_to_dict(tps), (2, 2))
     assert again.unitary is None
     assert np.array_equal(again.relabeling.targets, np.arange(4))
     dense = TensorProductStructure(2, 2, np.eye(4, dtype=complex))
-    assert np.array_equal(tps_from_dict(tps_to_dict(dense)).unitary, dense.unitary)
+    assert np.array_equal(tps_from_dict(tps_to_dict(dense), (2, 2)).unitary, dense.unitary)
+
+
+def test_tps_from_dict_refuses_dims_other_than_the_states():
+    with pytest.raises(ShapeError, match=r"tps dims \(2, 2\) disagree with state dims \(1, 4\)"):
+        tps_from_dict(tps_to_dict(trivial_tps(2, 2)), (1, 4))
 
 
 def test_load_normalizes_with_warning(tmp_path):
@@ -188,13 +197,13 @@ def test_tps_with_a_rotation_and_a_map_round_trips(rotation, tmp_path):
     r = random_unitary(9, rng) if rotation == "unitary" else 2.0 * haar_state(9, rng)
     tps = TensorProductStructure(3, 3, relabeling=bij, **{rotation: r})
     path = tmp_path / "state.json"
-    save_state_file(str(path), StateFile(3, 3, haar_state(9, rng), tps=tps))
+    write_state(path, StateFile(3, 3, haar_state(9, rng), tps=tps))
     assert sorted(json.loads(path.read_text())["tps"]) == ["d1", "d2", "map", rotation]
     loaded = load_state_file(str(path)).tps
     assert np.array_equal(getattr(loaded, rotation), r)
     assert np.array_equal(loaded.relabeling.targets, bij.targets)
     again = tmp_path / "again.json"
-    save_state_file(str(again), load_state_file(str(path)))
+    write_state(again, load_state_file(str(path)))
     assert again.read_bytes() == path.read_bytes()
 
 
@@ -213,9 +222,9 @@ def test_state_file_round_trip_is_bit_exact_for_every_tps_block(d1, d2, rotation
     sf = StateFile(d1, d2, haar_state(dim, rng), tps=TensorProductStructure(d1, d2, **parts))
     with tempfile.TemporaryDirectory() as tmp:
         first, second = Path(tmp, "first.json"), Path(tmp, "second.json")
-        save_state_file(str(first), sf)
+        write_state(first, sf)
         loaded = load_state_file(str(first))
-        save_state_file(str(second), loaded)
+        write_state(second, loaded)
         assert second.read_bytes() == first.read_bytes()
     assert np.array_equal(loaded.amplitudes, sf.amplitudes)
     for name in ("unitary", "reflector"):
