@@ -21,6 +21,7 @@ import argparse
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, fields
 
 import numpy as np
@@ -123,8 +124,8 @@ def cmd_schmidt(args: argparse.Namespace) -> str:
 
 def cmd_qcf(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
-    tps = _resolve_tps(sf, args.tps)
     if args.local:
+        tps = _resolve_tps(sf, args.tps)
         obs_a = resolve_observable(args.obs_a, tps.d1)
         obs_b = resolve_observable(args.obs_b, tps.d2)
         rep = qcf_local(obs_a, obs_b, sf.amplitudes, tps, witness_threshold=args.tol)
@@ -187,14 +188,11 @@ def cmd_sampling_demo(args: argparse.Namespace) -> str:
 
 def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     d1, d2 = sf.d1, sf.d2
-    if spec == "sumdiff":
+    square = {"sumdiff": sum_diff_bijection, "swap": swap_bijection}
+    if spec in square:
         if d1 != d2:
-            raise BijectionError(f"sumdiff needs a square grid, got {d1}x{d2}")
-        bij = sum_diff_bijection(d1)
-    elif spec == "swap":
-        if d1 != d2:
-            raise BijectionError(f"swap needs a square grid, got {d1}x{d2}")
-        bij = swap_bijection(d1)
+            raise BijectionError(f"{spec} needs a square grid, got {d1}x{d2}")
+        bij = square[spec](d1)
     elif spec == "identity":
         bij = identity_bijection(d1, d2)
     else:
@@ -311,10 +309,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "qcf" and args.tol is not None and not args.local:
-        parser.error("qcf --tol sets the witness threshold of --local")
+    if args.command == "qcf" and not args.local and (args.tol is not None or args.tps is not None):
+        parser.error("qcf --tol sets the witness threshold of --local, and --tps its TPS")
     try:
-        text = args.func(args)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", UserWarning)  # every run gets its own notices
+            text = args.func(args)
+        for notice in caught:
+            print(f"warning: {notice.message}", file=sys.stderr)
         if args.out is None:
             sys.stdout.write(text)
             return 0

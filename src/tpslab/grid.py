@@ -33,11 +33,11 @@ Fourier modes stay complex.  A demo request is one stacked pass over n
 profile pairs on grids of one size d.  Pairs with a reflection parity take one
 batched SVD per parity block, built straight from the profiles; the blocks'
 sides are (d+1)/2 and (d-1)/2, so the two SVDs cost about a quarter of one
-d x d SVD.  Pairs without one are relabeled as an (n, d, d) stack and
-decomposed by one batched SVD.  Only the relabeled spectrum is computed: a product f (x) g of
-unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its x-y rank
-follows from the tolerance alone; the SVD cross-check of that rank lives in
-``tests/demo_oracle.py``, beside the joint-distribution route of the
+d x d SVD.  Pairs without one take ``schmidt.spectra`` of their products in
+the sum/difference TPS.  Only the relabeled spectrum is computed: a product
+f (x) g of unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its
+x-y rank follows from the tolerance alone; the SVD cross-check of that rank
+lives in ``tests/demo_oracle.py``, beside the joint-distribution route of the
 covariance of X1 + X2 against X1 - X2, which takes O(d) per pair here from
 the moments of the marginals |f|^2 and |g|^2.  A grid's d x d pair grid is capped at
 ``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
@@ -59,8 +59,8 @@ from .errors import (
     ShapeError,
 )
 from .linalg import check_size
-from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
-from .tps import _coefficients, relabel_tps, sum_diff_bijection
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, spectra
+from .tps import relabel_tps, sum_diff_bijection
 
 EDGE_DENSITY_TOL = 1e-12
 
@@ -289,8 +289,8 @@ def _relabeled_values(fs, gs, d: int) -> np.ndarray:
     Pairs are batched by joint reflection parity and dtype, so a stacked call
     gives every pair the bits of its single-pair call.  A pair with a parity
     takes two half-size SVDs of its parity blocks; one without (off-centre
-    profiles, Fourier modes other than 0) takes the SVD of its relabeled
-    d x d matrix.
+    profiles, Fourier modes other than 0) takes ``spectra`` of its product in
+    the sum/difference TPS.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (fk, gk) in enumerate(zip(fs, gs)):
@@ -303,8 +303,7 @@ def _relabeled_values(fs, gs, d: int) -> np.ndarray:
             v = _parity_block_values(f, g, s)
         else:
             c = (f[:, :, None] * g[:, None, :]).reshape(len(idx), d * d)
-            v = np.linalg.svd(_coefficients(c, relabel_tps(sum_diff_bijection(d))),
-                              compute_uv=False)
+            v = spectra(c, relabel_tps(sum_diff_bijection(d)))
         values[idx, : v.shape[1]] = v  # zero-padded to d
     return values
 

@@ -8,6 +8,8 @@ import numpy as np
 
 from .errors import ContractError
 from .linalg import check_size, tensor_vec
+from .schmidt import spectra
+from .tps import trivial_tps
 
 
 def check_samples(samples: int) -> None:
@@ -64,7 +66,7 @@ def random_entangled_state(
     shape: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Haar states, shaped (*shape, d1*d2), each redrawn until its second
-    Schmidt coefficient clears a floor.
+    Schmidt coefficient in the trivial TPS (``schmidt.spectra``) clears a floor.
 
     The floor keeps downstream entanglement margins bounded away from zero;
     Haar states are almost surely full rank, so rejections are rare.  Each
@@ -75,7 +77,7 @@ def random_entangled_state(
     accepted = []
     while missing:
         psi = haar_state(d1 * d2, rng, (missing,))
-        s = np.linalg.svd(psi.reshape(missing, d1, d2), compute_uv=False)
+        s = spectra(psi, trivial_tps(d1, d2))
         psi = psi[s[:, 1] >= min_alpha_ratio * s[:, 0]]
         accepted.append(psi)
         missing -= len(psi)

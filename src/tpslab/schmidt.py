@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError
-from .tps import TensorProductStructure, coefficient_matrix
+from .tps import TensorProductStructure, _coefficients, coefficient_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-10
 
@@ -42,7 +42,18 @@ class SchmidtDecomposition:
     left_basis: np.ndarray
     right_basis: np.ndarray
     rank: int
-    truncation_tol: float
+
+
+def _svd(c: np.ndarray, **kwargs):
+    try:  # the one SVD of coefficient matrices, shared by spectra and schmidt
+        return np.linalg.svd(c, **kwargs)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+        raise NumericalError(f"SVD of {c.shape} coefficients did not converge: {exc}") from exc
+
+
+def spectra(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
+    """Descending Schmidt coefficients of unchecked psi, one state or a stack on the last axis."""
+    return _svd(_coefficients(psi, tps), compute_uv=False)
 
 
 def schmidt(
@@ -50,14 +61,8 @@ def schmidt(
     tps: TensorProductStructure,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> SchmidtDecomposition:
-    """Schmidt decomposition of psi relative to the given TPS."""
-    c = coefficient_matrix(psi, tps)
-    try:
-        u, s, vh = np.linalg.svd(c, full_matrices=False)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
-        raise NumericalError(
-            f"SVD did not converge for a {tps.d1}x{tps.d2} coefficient matrix: {exc}"
-        ) from exc
+    """Schmidt decomposition of psi relative to the given TPS; ``spectra`` takes stacks."""
+    u, s, vh = _svd(coefficient_matrix(psi, tps), full_matrices=False)
     # the phase that makes each column of u real positive at its first largest-modulus
     # entry, which is never zero in a unit column; vh's rows take the opposite phase
     pivot = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
@@ -69,5 +74,4 @@ def schmidt(
         left_basis=u * phase,
         right_basis=vh.T * phase.conj(),
         rank=rank_from_singular_values(s, truncation_tol),
-        truncation_tol=truncation_tol,
     )

@@ -21,8 +21,8 @@ from .errors import ContractError
 from .linalg import _expectation, check_state, tensor_op
 from .qcf import _covariance
 from .sampling import check_samples, haar_state
-from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values
-from .tps import TensorProductStructure, _coefficients
+from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, spectra
+from .tps import TensorProductStructure
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -141,13 +141,12 @@ def demo_spins(samples: int, seed: int) -> SpinDemoReport:
 
     The z-basis states themselves sit in the measure-zero set that stays
     factorizable (all their transverse spin expectations vanish), so their
-    ranks come out 1; generic product states come out entangled.
+    ranks come out 1; generic product states come out entangled.  The samples
+    and the four basis states take one stacked ``spectra`` in the chi TPS.
     """
     check_samples(samples)
     _, _, psi, direct, closed = _spin_samples(samples, seed)
-    tps = chi_basis()
-    # the samples and the four z-product basis states, in one stacked SVD
-    vals = np.linalg.svd(_coefficients(np.concatenate([psi, np.eye(4)]), tps), compute_uv=False)
+    vals = spectra(np.concatenate([psi, np.eye(4)]), chi_basis())
     ranks = rank_from_singular_values(vals, DEFAULT_TRUNCATION_TOL)
     residuals = np.abs(direct - closed)
     return SpinDemoReport(

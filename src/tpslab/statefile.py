@@ -131,13 +131,13 @@ def _object(data, required: tuple[str, ...], optional: tuple[str, ...], what: st
 
 
 def tps_from_dict(data, dims: tuple[int, int]) -> TensorProductStructure:
-    """A TPS block for a state of the given dims: d1, d2, at most one of a dense
-    ``unitary`` and a ``reflector``, and an optional label ``map``; at least one of the
-    three.  Any other key is refused, except the factor labels ``label_left`` and
+    """A TPS block for a state of the given dims: d1, d2 and the optional parts ``map``,
+    ``unitary`` and ``reflector``, whose rules the ``TensorProductStructure`` constructor
+    checks.  Any other key is refused, except the factor labels ``label_left`` and
     ``label_right`` of older files, which are ignored.
 
     Raises:
-        StateFileError: a malformed block.
+        StateFileError: a malformed block, including one that breaks the TPS part rules.
         SizeLimitError: the block's dims exceed ``MAX_GLOBAL_DIM``.
         ShapeError: the block's dims are not ``dims``, or a list's length disagrees with them.
     """
@@ -145,10 +145,6 @@ def tps_from_dict(data, dims: tuple[int, int]) -> TensorProductStructure:
                                         "label_right"), "tps block")
     d1 = json_int(data["d1"], "tps d1")
     d2 = json_int(data["d2"], "tps d2")
-    if "unitary" in data and "reflector" in data:
-        raise StateFileError("tps block holds at most one of 'unitary' and 'reflector'")
-    if not any(key in data for key in ("map", "unitary", "reflector")):
-        raise StateFileError("tps block needs at least one of 'map', 'unitary' and 'reflector'")
     # sizes are refused from the declared dims, before any entry is parsed
     dim = d1 * d2
     check_size(dim, f"tps dims {d1}x{d2}")
@@ -267,8 +263,6 @@ def load_state_file(path: str) -> StateFile:
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     with np.errstate(over="ignore"):  # huge finite amplitudes give the refused norm inf
         n = float(np.linalg.norm(amplitudes))
-    if n == 0.0:
-        raise StateFileError(f"{path}: state has zero norm")
     if abs(n - 1.0) > 1e-8:
         raise StateFileError(f"{path}: state norm {n!r} deviates from 1 beyond 1e-8")
     # deviations at rounding scale are left untouched so write->read round-trips

@@ -133,8 +133,8 @@ class IndexBijection:
             raise BijectionError("image indices fall outside the grid")
         t = t.astype(np.intp, copy=False)
         seen = np.bincount(t, minlength=dim)
-        dup = int(np.argmax(seen))
-        if seen[dup] > 1:
+        if seen.max(initial=0) > 1:  # an empty grid has no target to count
+            dup = int(np.argmax(seen))
             raise BijectionError(
                 f"index map is not a bijection: target ({dup // self.d2}, {dup % self.d2}) "
                 f"is hit {int(seen[dup])} times"

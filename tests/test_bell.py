@@ -180,3 +180,10 @@ def test_demo_bell_matches_per_sample_loop(seed, samples, rejected):
 def test_demo_bell_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
         demo_bell(samples=MAX_GLOBAL_DIM + 1, seed=42)
+
+
+@pytest.mark.parametrize("name", ["a", "a_prime", "b", "b_prime"])
+def test_settings_require_three_vectors(name):
+    directions = {"a": Z, "a_prime": X, "b": Z, "b_prime": X, name: np.array([1.0, 0.0])}
+    with pytest.raises(ShapeError, match=name):
+        ChshSettings(**directions)

@@ -1126,6 +1126,58 @@ def test_qcf_tol_without_local_exits_2(bell_file, capsys):
     assert "--tol sets the witness threshold of --local" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("labels", [[0, 2, 1, 3], [0, 1, 1, 3]], ids=["swap", "repeated-label"])
+def test_qcf_tps_without_local_exits_2(labels, bell_file, tmp_path, capsys):
+    # the global route reads no TPS: a valid --tps changed nothing, a bad one exited 6
+    tps = tmp_path / "tps.json"
+    tps.write_text(json.dumps({"d1": 2, "d2": 2, "map": labels}))
+    with pytest.raises(SystemExit) as exc:
+        main(["qcf", bell_file, "--obs-a", "position", "--obs-b", "position", "--tps", str(tps)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tps its TPS" in captured.err
+
+
+def test_a_norm_correction_prints_one_warning_line_on_every_run(tmp_path, capsys):
+    # a Python warning printed the installed source path and line, and once per process only
+    state = tmp_path / "denorm.json"
+    psi = np.array([1, 0, 0, 1], dtype=complex) / SQ2 * (1 + 1e-9)
+    write_state(state, StateFile(2, 2, psi))
+    wanted = f"warning: {state}: normalizing state with norm {float(np.linalg.norm(psi))!r}\n"
+    for _ in range(2):
+        assert main(["schmidt", str(state)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == wanted and ".py:" not in captured.err
+        assert json.loads(captured.out)["rank"] == 2
+
+
+SIXTH = [[1 / np.sqrt(6), 0.0]] * 6
+
+
+@pytest.mark.parametrize(
+    "doc,argv,code,message",
+    [
+        ({"dims": [2, 3], "amplitudes": SIXTH}, ["refactor", "--bijection", "sumdiff"], 6,
+         "sumdiff needs a square grid, got 2x3"),
+        ({"dims": [4], "amplitudes": HALF}, ["schmidt"], 2,
+         "{state}: dims must be a [d1, d2] pair"),
+        ({"dims": 4, "amplitudes": HALF}, ["schmidt"], 2,
+         "{state}: dims must be a [d1, d2] pair"),
+        ({"dims": [2, 2], "amplitudes": HALF, "metadata": [1]}, ["schmidt"], 2,
+         "{state}: metadata must be an object"),
+    ],
+    ids=["sumdiff-non-square", "one-dim", "int-dims", "list-metadata"],
+)
+def test_refused_state_inputs_exit_with_one_error_line(doc, argv, code, message, tmp_path,
+                                                       capsys):
+    state, out = tmp_path / "state.json", tmp_path / "out.json"
+    state.write_text(json.dumps(doc))
+    assert main([argv[0], str(state), *argv[1:], "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err == f"error: {message.format(state=state)}\n"
+
+
 def flags_by_command(parser, path=""):
     """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]

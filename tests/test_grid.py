@@ -437,3 +437,15 @@ def test_identical_profiles_have_covariance_exactly_zero():
         assert math.copysign(1.0, rep.qcf_ab) == 1.0  # reports print 0.0, not -0.0
 
 
+@pytest.mark.parametrize(
+    "call,error",
+    [
+        (lambda: SampledProfile(std_grid(9), np.full(7, 1 / math.sqrt(7))), ShapeError),
+        (lambda: SampledProfile(std_grid(9), np.full(9, 0.5)), GridSpecError),
+        (lambda: gaussian_profile(std_grid(9), 0.0, 1e200), GridSpecError),
+    ],
+    ids=["sample-count", "non-unit-norm", "sigma-square-overflows"],
+)
+def test_malformed_profiles_are_refused(call, error):
+    with pytest.raises(error):
+        call()

@@ -13,6 +13,7 @@ from tpslab.errors import (
 )
 from tpslab.linalg import (
     MAX_MATRIX_NORM,
+    check_hermitian,
     expectation,
     tensor_op,
     tensor_vec,
@@ -182,3 +183,17 @@ def test_observables_above_the_norm_limit_are_refused_before_any_overflow(call):
 def test_observable_at_the_norm_limit_is_accepted():
     a = np.diag([MAX_MATRIX_NORM, 0.0])
     assert expectation(a, np.array([1.0, 0.0])) == MAX_MATRIX_NORM
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: check_hermitian(np.ones((2, 3))),
+        lambda: tensor_vec(np.ones(0), np.ones(2)),
+        lambda: expectation(np.eye(3), np.full(4, 0.5)),
+    ],
+    ids=["non-square-observable", "empty-factor", "expectation-dims"],
+)
+def test_mismatched_shapes_raise_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()

@@ -179,3 +179,16 @@ def test_qcf_local_product_in_chi_tps_vanishes():
     assert rep.verdict == INCONCLUSIVE
     vals = schmidt(psi, trivial_tps(2, 2)).coefficients
     assert vals[1] > 1e-6  # generically entangled in the computational TPS
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: qcf_local(SZ, np.eye(3), BELL, trivial_tps(2, 2)),
+        lambda: variance(np.eye(3), BELL),
+    ],
+    ids=["qcf-local-factor-dims", "variance-dims"],
+)
+def test_mismatched_dims_raise_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()

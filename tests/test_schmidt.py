@@ -1,13 +1,15 @@
 """Schmidt decomposition and rank verdicts."""
 
 import numpy as np
+import pytest
 from tps_oracle import permutation_matrix, schmidt_reconstruct
 
+from tpslab.errors import NumericalError
 from tpslab.linalg import tensor_vec
-from tpslab.sampling import haar_state, random_product_pair
-from tpslab.schmidt import schmidt
+from tpslab.sampling import haar_state, random_product_pair, random_unitary
+from tpslab.schmidt import schmidt, spectra
 from tpslab.spins import CHI_ROWS, chi_basis
-from tpslab.tps import trivial_tps
+from tpslab.tps import TensorProductStructure, random_bijection, trivial_tps
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -85,3 +87,22 @@ def test_truncation_tolerance_controls_rank():
     tight = schmidt(psi, trivial_tps(2, 2), truncation_tol=1e-10)
     assert loose.rank == 1 and tight.rank == 2
 
+
+def test_spectra_of_a_stack_are_each_states_schmidt_coefficients():
+    rng = np.random.default_rng(21)
+    tps = TensorProductStructure(2, 3, random_unitary(6, rng), random_bijection(2, 3, rng))
+    stack = haar_state(6, rng, (4, 3))
+    values = spectra(stack, tps)
+    assert values.shape == (4, 3, 2)
+    for psi, v in zip(stack.reshape(12, 6), values.reshape(12, 2)):
+        np.testing.assert_allclose(v, schmidt(psi, tps).coefficients, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(spectra(stack[0, 0], tps), values[0, 0], rtol=0, atol=1e-14)
+
+
+def test_spectra_wrap_svd_nonconvergence(monkeypatch):
+    def boom(*a, **k):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", boom)
+    with pytest.raises(NumericalError, match=r"SVD of \(5, 2, 2\) coefficients did not converge"):
+        spectra(haar_state(4, np.random.default_rng(0), (5,)), trivial_tps(2, 2))

@@ -199,3 +199,11 @@ def test_stacked_haar_draws_consume_the_stream_like_single_draws():
 def test_demo_spins_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
         demo_spins(samples=MAX_GLOBAL_DIM + 1, seed=42)
+
+
+@pytest.mark.parametrize("psi1,psi2", [(np.ones(3) / np.sqrt(3), np.array([1.0, 0.0])),
+                                       (np.array([1.0, 0.0]), np.ones(3) / np.sqrt(3))],
+                         ids=["first", "second"])
+def test_closed_form_rejects_a_state_that_is_not_one_spin(psi1, psi2):
+    with pytest.raises(ContractError, match="two single-spin states"):
+        spin_qcf_closed_form(psi1, psi2)

@@ -10,6 +10,7 @@ from tpslab.schmidt import schmidt
 from tpslab.tps import (
     IndexBijection,
     TensorProductStructure,
+    _check_unitary,
     _coefficients,
     coefficient_matrix,
     disentangling_tps,
@@ -17,6 +18,7 @@ from tpslab.tps import (
     identity_bijection,
     random_bijection,
     relabel_tps,
+    relabeled,
     sum_diff_bijection,
     swap_bijection,
     tps_with_spectrum,
@@ -335,3 +337,25 @@ def test_disentangling_tps_at_d45_stays_linear():
     sd = schmidt(psi, out)
     assert sd.rank == 1
     np.testing.assert_allclose(sd.coefficients[0], 1.0, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: _check_unitary(np.eye(4, 2)),
+        lambda: coefficient_matrix(BELL, trivial_tps(2, 3)),
+        lambda: tps_with_spectrum(BELL, (1.0,), trivial_tps(2, 3)),
+        lambda: relabeled(trivial_tps(2, 3), identity_bijection(3, 2)),
+        lambda: trivial_tps(0, 2),
+    ],
+    ids=["non-square-unitary", "coefficients-dim", "spectrum-dim", "transposed-relabeling",
+         "empty-grid"],
+)
+def test_mismatched_shapes_raise_shape_error(call):
+    with pytest.raises(ShapeError):
+        call()
+
+
+def test_an_empty_grid_is_an_empty_bijection():
+    # the duplicate count has no target to look at, so it finds no repeat
+    assert IndexBijection(0, 2, np.arange(0)).targets.size == 0
