@@ -108,7 +108,7 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
 
 
 def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
-    if tps_path:
+    if tps_path is not None:
         return tps_from_dict(read_json(tps_path), (sf.d1, sf.d2))
     if sf.tps is not None:
         return sf.tps

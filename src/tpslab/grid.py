@@ -31,10 +31,12 @@ Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
 so their coefficients and Schmidt spectra are computed in real arithmetic;
 Fourier modes stay complex.  A demo request is one stacked pass over n
 profile pairs on grids of one size d.  Pairs with a reflection parity take one
-batched SVD per parity block, built straight from the profiles; the blocks'
-sides are (d+1)/2 and (d-1)/2, so the two SVDs cost about a quarter of one
-d x d SVD.  Pairs without one take ``schmidt.spectra`` of their products in
-the sum/difference TPS.  Only the relabeled spectrum is computed: a product
+batched solve per parity block, built straight from the profiles; the blocks'
+sides are (d+1)/2 and (d-1)/2, so the two solves cost about a quarter of one
+d x d SVD.  Two even real profiles give symmetric blocks, which take a
+symmetric eigensolve; other pairs with a parity take the blocks' SVDs.
+Pairs without one take ``schmidt.spectra`` of their products in the
+sum/difference TPS.  Only the relabeled spectrum is computed: a product
 f (x) g of unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its
 x-y rank follows from the tolerance alone; the SVD cross-check of that rank
 lives in ``tests/demo_oracle.py``, beside the joint-distribution route of the
@@ -251,56 +253,66 @@ def _reflection_parity(v: np.ndarray) -> int:
     return 0
 
 
-def _parity_block_values(f: np.ndarray, g: np.ndarray, s: int) -> np.ndarray:
-    """Relabeled Schmidt coefficients of pairs f_k (x) g_k of joint reflection parity s.
+def _parity_block_values(f: np.ndarray, g: np.ndarray, pf: int, pg: int) -> np.ndarray:
+    """Relabeled Schmidt coefficients of pairs f_k (x) g_k with reflection parities pf, pg.
 
     The reflection maps a relabeled row a to -2-a and a column b to -b
     (mod d), so in each factor's parity basis the relabeled matrix splits
-    into the blocks (sigma, tau) with sigma tau = s.  Entry (a, b) of a block
-    is w_a w_b (f[i] g[j] + tau f[j] g[i]), i = (a+b)k, j = (a-b)k mod d,
-    k = (d+1)/2, with w = 1/sqrt(2) on the fixed row d-1 or column 0.
-    Returns the descending union of both blocks' singular values: d of them
-    for s = +1, d - 1 for s = -1.
+    into the blocks (sigma, tau) with sigma tau = pf pg.  Entry (a, b) of a
+    block is w_a w_b (f[i] g[j] + tau f[j] g[i]), i = (a+b)k, j = (a-b)k
+    mod d, k = (d+1)/2, with w = 1/sqrt(2) on the fixed row d-1 or column 0.
+    The row-to-column map a -> a+1 sends j to its reflection d-1-j and keeps
+    i, so block(tau, sigma) = pg block(sigma, tau)^T exactly.  For two even
+    real profiles each block is therefore real symmetric, and its singular
+    values are the moduli of its eigenvalues: one ``eigvalsh`` per block.
+    Any other pair (odd, mixed or complex) takes the blocks' SVDs.
+    Returns the descending union of both blocks' values: d of them for
+    pf pg = +1, d - 1 for pf pg = -1.
     """
     d = f.shape[1]
     h, k = (d - 1) // 2, (d + 1) // 2
+    symmetric = pf == pg == 1 and not (np.iscomplexobj(f) or np.iscomplexobj(g))
     parts = []
     for sigma in (1, -1):
-        tau = sigma * s
+        tau = sigma * pf * pg
         a = np.arange(h + (sigma > 0))[:, None]  # rows 0..h-1, then d-1 if even
         a[h:] = d - 1
         b = np.arange(1, h + 1 + (tau > 0))[None, :]  # columns 1..h, then 0 if even
         b[:, h:] = 0
         i, j = (a + b) * k % d, (a - b) * k % d
-        block = f[:, i] * g[:, j]
+        block = np.take(f, i, axis=1) * np.take(g, j, axis=1)
         if tau > 0:
-            block += f[:, j] * g[:, i]
+            block += np.take(f, j, axis=1) * np.take(g, i, axis=1)
         else:
-            block -= f[:, j] * g[:, i]
+            block -= np.take(f, j, axis=1) * np.take(g, i, axis=1)
         block[:, h:] *= math.sqrt(0.5)  # the fixed row, if any
         block[:, :, h:] *= math.sqrt(0.5)  # the fixed column, if any
-        parts.append(np.linalg.svd(block, compute_uv=False))
+        if symmetric:
+            parts.append(np.abs(np.linalg.eigvalsh(block)))
+        else:
+            parts.append(np.linalg.svd(block, compute_uv=False))
     return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
 
 
 def _relabeled_values(fs, gs, d: int) -> np.ndarray:
     """(n, d) descending Schmidt coefficients of each pair after the sum/difference relabeling.
 
-    Pairs are batched by joint reflection parity and dtype, so a stacked call
-    gives every pair the bits of its single-pair call.  A pair with a parity
-    takes two half-size SVDs of its parity blocks; one without (off-centre
-    profiles, Fourier modes other than 0) takes ``spectra`` of its product in
-    the sum/difference TPS.
+    Pairs are batched by the reflection parities of both profiles and by
+    dtype, so a stacked call gives every pair the bits of its single-pair
+    call.  A pair whose profiles both have a parity takes its two half-size
+    parity blocks; one without (off-centre profiles, Fourier modes other
+    than 0) takes ``spectra`` of its product in the sum/difference TPS.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (fk, gk) in enumerate(zip(fs, gs)):
-        s = _reflection_parity(fk.samples) * _reflection_parity(gk.samples)
-        groups.setdefault((s, np.result_type(fk.samples, gk.samples)), []).append(k)
+        key = (_reflection_parity(fk.samples), _reflection_parity(gk.samples),
+               np.result_type(fk.samples, gk.samples))
+        groups.setdefault(key, []).append(k)
     values = np.zeros((len(fs), d))
-    for (s, _), idx in groups.items():
+    for (pf, pg, _), idx in groups.items():
         f, g = np.stack([fs[k].samples for k in idx]), np.stack([gs[k].samples for k in idx])
-        if s:
-            v = _parity_block_values(f, g, s)
+        if pf and pg:
+            v = _parity_block_values(f, g, pf, pg)
         else:
             c = (f[:, :, None] * g[:, None, :]).reshape(len(idx), d * d)
             v = spectra(c, relabel_tps(sum_diff_bijection(d)))

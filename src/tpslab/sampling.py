@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ContractError, ShapeError
 from .linalg import check_size, tensor_vec
 from .schmidt import spectra
 from .tps import trivial_tps
@@ -71,10 +71,14 @@ def random_entangled_state(
     The floor keeps downstream entanglement margins bounded away from zero;
     Haar states are almost surely full rank, so rejections are rare.  Each
     block draws only as many candidates as are still missing, so the stream
-    is consumed exactly as one draw at a time would consume it.
+    is consumed exactly as one draw at a time would consume it.  A factor of
+    dimension 1 holds no entangled state and raises ``ShapeError`` before any
+    draw; a shape holding 0 returns an empty stack.
     """
+    if min(d1, d2) < 2:
+        raise ShapeError(f"factors of dimensions ({d1}, {d2}) hold no entangled state")
     missing = math.prod(shape)
-    accepted = []
+    accepted = [np.empty((0, d1 * d2), dtype=complex)]
     while missing:
         psi = haar_state(d1 * d2, rng, (missing,))
         s = spectra(psi, trivial_tps(d1, d2))

@@ -125,19 +125,24 @@ def test_only_main_writes_output():
 def test_every_schmidt_spectrum_goes_through_schmidt_py():
     # a state's Schmidt coefficients come from schmidt.spectra or schmidt.schmidt; the other
     # two SVDs read no state through a TPS: the CHSH correlation matrix and the parity
-    # blocks that grid builds straight from the profiles
+    # blocks that grid builds straight from the profiles, whose symmetric blocks take
+    # the one eigensolve
     package = Path(tpslab.__file__).parent
-    svds, coefficients = set(), set()
+    solvers = {"svd": set(), "eigvalsh": set()}
+    coefficients = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         for stmt in tree.body:
             where = path.name if path.name == "schmidt.py" else \
                 f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
-            svds |= {where for node in ast.walk(stmt) if isinstance(node, ast.Attribute)
-                     and node.attr == "svd" and getattr(node.value, "attr", None) == "linalg"}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Attribute) and node.attr in solvers \
+                        and getattr(node.value, "attr", None) == "linalg":
+                    solvers[node.attr].add(where)
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
         if "_coefficients" in named(tree) | imported:
             coefficients.add(path.name)
-    assert svds == {"schmidt.py", "bell.py:_chsh_max", "grid.py:_parity_block_values"}
+    assert solvers == {"svd": {"schmidt.py", "bell.py:_chsh_max", "grid.py:_parity_block_values"},
+                       "eigvalsh": {"grid.py:_parity_block_values"}}
     assert coefficients == {"tps.py", "schmidt.py"}

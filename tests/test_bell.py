@@ -177,6 +177,23 @@ def test_demo_bell_matches_per_sample_loop(seed, samples, rejected):
     assert abs(report.bell_state_value - TSIRELSON_BOUND) <= 1e-14
 
 
+@pytest.mark.parametrize("dims", [(1, 4), (4, 1), (1, 1)])
+def test_entangled_states_need_two_factors_of_dimension_two(dims):
+    rng = np.random.default_rng(3)
+    with pytest.raises(ShapeError, match="no entangled state"):
+        random_entangled_state(*dims, rng)
+    # refused before any draw
+    assert rng.normal() == np.random.default_rng(3).normal()
+
+
+@pytest.mark.parametrize("shape", [(0,), (3, 0), (0, 2)])
+def test_an_empty_stack_of_entangled_states_draws_nothing(shape):
+    rng = np.random.default_rng(3)
+    psi = random_entangled_state(2, 3, rng, shape=shape)
+    assert psi.shape == (*shape, 6) and psi.dtype == complex
+    assert rng.normal() == np.random.default_rng(3).normal()
+
+
 def test_demo_bell_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
         demo_bell(samples=MAX_GLOBAL_DIM + 1, seed=42)

@@ -242,28 +242,33 @@ def test_demo_coords_csv_rows_equal_single_pair_calls(tmp_path):
 
 
 @pytest.mark.parametrize("caller", ["library", "json", "csv"])
-def test_demo_coords_takes_two_half_size_svds(caller, monkeypatch, tmp_path):
+def test_demo_coords_takes_two_half_size_eigensolves(caller, monkeypatch, tmp_path):
     calls = []
-    svd = np.linalg.svd
 
-    def counting(*args, **kwargs):
-        calls.append(np.shape(args[0]))
-        return svd(*args, **kwargs)
+    def counting(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+        def call(*args, **kwargs):
+            calls.append((name, np.shape(args[0])))
+            return solver(*args, **kwargs)
+        return call
+
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counting(name))
     if caller == "library":
         # an off-centre g has no reflection parity: one SVD of the relabeled stack
         grid = Grid.spanning(33, 8.0)
         fs = [gaussian_profile(grid, 0.0, s) for s in (0.8, 1.0, 1.3)]
         gs = [gaussian_profile(grid, 0.2, s) for s in (1.1, 0.9, 1.6)]
         assert len(demo_sum_diff(fs, gs)) == 3
-        assert calls == [(3, 33, 33)]
+        assert calls == [("svd", (3, 33, 33))]
     else:
-        # centred Gaussians are even: one SVD per parity block, (d+1)/2 and (d-1)/2 square
+        # centred Gaussians are even and real: each parity block, (d+1)/2 and (d-1)/2
+        # square, is symmetric and takes one eigensolve; no SVD runs
         out = tmp_path / f"out.{caller}"
         assert main(["demo", "coords", "--d", "33", "--format", caller, "--out", str(out)]) == 0
         n = 11 if caller == "csv" else 3
-        assert calls == [(n, 17, 17), (n, 16, 16)]
+        assert calls == [("eigvalsh", (n, 17, 17)), ("eigvalsh", (n, 16, 16))]
 
 
 def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):
@@ -1136,6 +1141,18 @@ def test_qcf_tps_without_local_exits_2(labels, bell_file, tmp_path, capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--tps its TPS" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["schmidt"],
+                                  ["qcf", "--obs-a", "position", "--obs-b", "position", "--local"]],
+                         ids=["schmidt", "qcf-local"])
+def test_an_empty_tps_path_exits_2(argv, bell_file, tmp_path, capsys):
+    # an empty --tps names no file: it is refused, not read as no override
+    out = tmp_path / "out.json"
+    assert main([argv[0], bell_file, *argv[1:], "--tps", "", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
 
 
 def test_a_norm_correction_prints_one_warning_line_on_every_run(tmp_path, capsys):

@@ -29,7 +29,7 @@ from tpslab.grid import (
 from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf, qcf_local
 from tpslab.sampling import random_hermitian
-from tpslab.schmidt import schmidt
+from tpslab.schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
 from tpslab.tps import (
     TensorProductStructure,
     coefficient_matrix,
@@ -383,6 +383,42 @@ def test_parity_blocks_match_the_dense_oracle(d, kinds, source):
     want_values = want["values_ab"]
     np.testing.assert_allclose(values, want_values, rtol=0, atol=1e-12 * want_values[0])
     assert_matches_oracle(demo_sum_diff([f], [g])[0], f, g, sum_diff_targets(d))
+
+
+@pytest.mark.parametrize("kinds", [*PARITY_CLASSES[:4], ("fourier0", "even"), ("even", "fourier0")])
+@pytest.mark.parametrize("d", [3, 5, 33])
+def test_parity_blocks_are_symmetric_up_to_the_second_parity(d, kinds, monkeypatch):
+    # block(tau, sigma) = pg block(sigma, tau)^T bit for bit, so two even real profiles
+    # give symmetric blocks, whose eigenvalue moduli are their singular values
+    rng = np.random.default_rng(d)
+    grid = Grid.spanning(d, 6.0)
+    f, g = (fourier_profile(grid, 0) if kind == "fourier0" else
+            parity_profile(grid, kind, "random", rng) for kind in kinds)
+    pf, pg = (grid_module._reflection_parity(p.samples) for p in (f, g))
+    svd, blocks, solvers = np.linalg.svd, [], []
+
+    def capture(name, solver):
+        def call(block, *args, **kwargs):
+            blocks.append(block.copy())
+            solvers.append(name)
+            return solver(block, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(np.linalg, "svd", capture("svd", svd))
+    monkeypatch.setattr(np.linalg, "eigvalsh", capture("eigvalsh", np.linalg.eigvalsh))
+    values = grid_module._parity_block_values(f.samples[None], g.samples[None], pf, pg)[0]
+    monkeypatch.undo()
+    real_even = kinds == ("even", "even")
+    assert solvers == ["eigvalsh" if real_even else "svd"] * 2
+    transposed = [pg * np.swapaxes(b, 1, 2) for b in blocks]
+    if pf * pg > 0:  # the blocks (sigma, sigma)
+        assert all(np.array_equal(b, t) for b, t in zip(blocks, transposed))
+    else:  # the blocks (+, -) and (-, +)
+        assert np.array_equal(blocks[1], transposed[0])
+    want = np.sort(np.concatenate([svd(b, compute_uv=False) for b in blocks], axis=1))[0, ::-1]
+    np.testing.assert_allclose(values, want, rtol=0, atol=1e-14 * want[0])
+    assert rank_from_singular_values(values, DEFAULT_TRUNCATION_TOL) == \
+        rank_from_singular_values(want, DEFAULT_TRUNCATION_TOL)
 
 
 def test_a_stack_of_every_parity_class_equals_the_single_pair_calls():
