@@ -324,7 +324,7 @@ def main(argv=None) -> int:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:
-            raise StateFileError(f"cannot write {args.out}: {exc.strerror}") from exc
+            raise StateFileError(f"cannot write {args.out!r}: {exc.strerror}") from exc
     except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next((code for klass, code in EXIT_CODES if isinstance(exc, klass)), 1)

@@ -20,30 +20,28 @@ the state is a product inside each sector, and the shared parity bit adds one
 ebit.  Grid-periodic profiles (discrete Fourier modes) relabel exactly.
 
 Reflection parity, distinct from the wrap parity above, is the symmetry of a
-profile under x -> -x, i -> d-1-i: centred Gaussians, double Gaussians and
-Fourier mode 0 are even, odd profiles odd, off-centre profiles neither.  The
-relabeling turns the reflection of a pair into the index involutions a -> -2-a
-and b -> -b (mod d) of the new factors, so when f and g both have a
-reflection parity the relabeled matrix is block diagonal in each factor's
-parity basis, a local orthogonal change that keeps the Schmidt coefficients.
+profile under x -> -x, i -> d-1-i; centred Gaussians and double Gaussians are
+even.  The relabeling turns the reflection of a pair into the index
+involutions a -> -2-a and b -> -b (mod d) of the new factors, so for two even
+profiles the relabeled matrix is block diagonal in each factor's parity basis,
+a local orthogonal change that keeps the Schmidt coefficients.
 
 Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
 so their coefficients and Schmidt spectra are computed in real arithmetic;
 Fourier modes stay complex.  A demo request is one stacked pass over n
-profile pairs on grids of one size d.  Pairs with a reflection parity take one
-batched solve per parity block, built straight from the profiles; the blocks'
-sides are (d+1)/2 and (d-1)/2, so the two solves cost about a quarter of one
-d x d SVD.  Two even real profiles give symmetric blocks, which take a
-symmetric eigensolve; other pairs with a parity take the blocks' SVDs.
-Pairs without one take ``schmidt.spectra`` of their products in the
-sum/difference TPS.  Only the relabeled spectrum is computed: a product
-f (x) g of unit profiles has the exact x-y spectrum (1, 0, ..., 0), so its
-x-y rank follows from the tolerance alone; the SVD cross-check of that rank
-lives in ``tests/demo_oracle.py``, beside the joint-distribution route of the
-covariance of X1 + X2 against X1 - X2, which takes O(d) per pair here from
-the moments of the marginals |f|^2 and |g|^2.  A grid's d x d pair grid is capped at
-``MAX_GLOBAL_DIM`` points, so d^2 <= 2^20 is checked before any profile is
-sampled.
+profile pairs on grids of one size d, on two routes.  A pair of two even real
+profiles, every pair the CLI sends, takes two half-size symmetric eigensolves
+of its parity blocks, built straight from the profiles, of sides (d+1)/2 and
+(d-1)/2: about a quarter of one d x d SVD.  Every other pair (odd, off-centre
+or complex profiles; library callers only) takes one batched
+``schmidt.spectra`` of its products in the sum/difference TPS.  Only the
+relabeled spectrum is computed: a product f (x) g of unit profiles has the
+exact x-y spectrum (1, 0, ..., 0), so its x-y rank follows from the tolerance
+alone; the SVD cross-check of that rank lives in ``tests/demo_oracle.py``,
+beside the joint-distribution route of the covariance of X1 + X2 against
+X1 - X2, which takes O(d) per pair here from the moments of the marginals
+|f|^2 and |g|^2.  A grid's d x d pair grid is capped at ``MAX_GLOBAL_DIM``
+points, so d^2 <= 2^20 is checked before any profile is sampled.
 """
 
 from __future__ import annotations
@@ -244,79 +242,56 @@ def _sum_diff_covariance(x: np.ndarray, f: np.ndarray, g: np.ndarray) -> float:
     return (float(x * x @ pf) - float(x * x @ pg)) - (mf + mg) * (mf - mg)
 
 
-def _reflection_parity(v: np.ndarray) -> int:
-    """+1 if v is even under x -> -x (v[d-1-i] == v[i] exactly), -1 if odd, 0 if neither."""
-    if np.array_equal(v, v[::-1]):
-        return 1
-    if np.array_equal(v, -v[::-1]):
-        return -1
-    return 0
-
-
-def _parity_block_values(f: np.ndarray, g: np.ndarray, pf: int, pg: int) -> np.ndarray:
-    """Relabeled Schmidt coefficients of pairs f_k (x) g_k with reflection parities pf, pg.
+def _even_block_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """(n, d) descending relabeled Schmidt coefficients of pairs f_k (x) g_k of even real profiles.
 
     The reflection maps a relabeled row a to -2-a and a column b to -b
-    (mod d), so in each factor's parity basis the relabeled matrix splits
-    into the blocks (sigma, tau) with sigma tau = pf pg.  Entry (a, b) of a
-    block is w_a w_b (f[i] g[j] + tau f[j] g[i]), i = (a+b)k, j = (a-b)k
-    mod d, k = (d+1)/2, with w = 1/sqrt(2) on the fixed row d-1 or column 0.
-    The row-to-column map a -> a+1 sends j to its reflection d-1-j and keeps
-    i, so block(tau, sigma) = pg block(sigma, tau)^T exactly.  For two even
-    real profiles each block is therefore real symmetric, and its singular
-    values are the moduli of its eigenvalues: one ``eigvalsh`` per block.
-    Any other pair (odd, mixed or complex) takes the blocks' SVDs.
-    Returns the descending union of both blocks' values: d of them for
-    pf pg = +1, d - 1 for pf pg = -1.
+    (mod d), so in each factor's parity basis the relabeled matrix of two even
+    profiles splits into the blocks (sigma, sigma), sigma = +-1.  Entry (a, b)
+    of a block is w_a w_b (f[i] g[j] + sigma f[j] g[i]), i = (a+b)k,
+    j = (a-b)k mod d, k = (d+1)/2, with w = 1/sqrt(2) on the fixed row d-1 or
+    column 0.  The row-to-column map a -> a+1 sends j to its reflection d-1-j
+    and keeps i, so each block is real symmetric, and its singular values are
+    the moduli of its eigenvalues: one ``eigvalsh`` per block.
     """
     d = f.shape[1]
     h, k = (d - 1) // 2, (d + 1) // 2
-    symmetric = pf == pg == 1 and not (np.iscomplexobj(f) or np.iscomplexobj(g))
     parts = []
     for sigma in (1, -1):
-        tau = sigma * pf * pg
         a = np.arange(h + (sigma > 0))[:, None]  # rows 0..h-1, then d-1 if even
-        a[h:] = d - 1
-        b = np.arange(1, h + 1 + (tau > 0))[None, :]  # columns 1..h, then 0 if even
-        b[:, h:] = 0
+        b = a.T + 1  # columns 1..h, then 0 if even
+        a[h:], b[:, h:] = d - 1, 0
         i, j = (a + b) * k % d, (a - b) * k % d
         block = np.take(f, i, axis=1) * np.take(g, j, axis=1)
-        if tau > 0:
-            block += np.take(f, j, axis=1) * np.take(g, i, axis=1)
-        else:
-            block -= np.take(f, j, axis=1) * np.take(g, i, axis=1)
+        block += sigma * (np.take(f, j, axis=1) * np.take(g, i, axis=1))
         block[:, h:] *= math.sqrt(0.5)  # the fixed row, if any
         block[:, :, h:] *= math.sqrt(0.5)  # the fixed column, if any
-        if symmetric:
-            parts.append(np.abs(np.linalg.eigvalsh(block)))
-        else:
-            parts.append(np.linalg.svd(block, compute_uv=False))
+        parts.append(np.abs(np.linalg.eigvalsh(block)))
     return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
 
 
 def _relabeled_values(fs, gs, d: int) -> np.ndarray:
     """(n, d) descending Schmidt coefficients of each pair after the sum/difference relabeling.
 
-    Pairs are batched by the reflection parities of both profiles and by
-    dtype, so a stacked call gives every pair the bits of its single-pair
-    call.  A pair whose profiles both have a parity takes its two half-size
-    parity blocks; one without (off-centre profiles, Fourier modes other
-    than 0) takes ``spectra`` of its product in the sum/difference TPS.
+    Pairs are batched by whether both profiles are real and exactly even
+    (v[d-1-i] == v[i]) and by dtype, so a stacked call gives every pair the
+    bits of its single-pair call.  Even real pairs take their two half-size
+    parity blocks; every other pair takes ``spectra`` of its product in the
+    sum/difference TPS.
     """
     groups: dict[tuple, list[int]] = {}
     for k, (fk, gk) in enumerate(zip(fs, gs)):
-        key = (_reflection_parity(fk.samples), _reflection_parity(gk.samples),
-               np.result_type(fk.samples, gk.samples))
-        groups.setdefault(key, []).append(k)
-    values = np.zeros((len(fs), d))
-    for (pf, pg, _), idx in groups.items():
+        even = all(np.isrealobj(v) and np.array_equal(v, v[::-1])
+                   for v in (fk.samples, gk.samples))
+        groups.setdefault((even, np.result_type(fk.samples, gk.samples)), []).append(k)
+    values = np.empty((len(fs), d))
+    for (even, _), idx in groups.items():
         f, g = np.stack([fs[k].samples for k in idx]), np.stack([gs[k].samples for k in idx])
-        if pf and pg:
-            v = _parity_block_values(f, g, pf, pg)
+        if even:
+            values[idx] = _even_block_values(f, g)
         else:
             c = (f[:, :, None] * g[:, None, :]).reshape(len(idx), d * d)
-            v = spectra(c, relabel_tps(sum_diff_bijection(d)))
-        values[idx, : v.shape[1]] = v  # zero-padded to d
+            values[idx] = spectra(c, relabel_tps(sum_diff_bijection(d)))
     return values
 
 

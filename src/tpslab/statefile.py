@@ -85,7 +85,8 @@ def read_json(path: str):
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
-        raise StateFileError(f"cannot read {path}: {exc}") from exc
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise StateFileError(f"cannot read {path!r}: {reason}") from exc
     except RecursionError as exc:
         raise StateFileError(f"{path}: JSON nested too deeply to read") from exc
     except json.JSONDecodeError as exc:
@@ -259,7 +260,7 @@ def load_state_file(path: str) -> StateFile:
     dim = d1 * d2
     check_size(dim, f"{path}: dims {d1}x{d2}")
     amps = _sized_list(data["amplitudes"], dim, f"{path}: amplitudes")
-    tps = tps_from_dict(data["tps"], (d1, d2)) if data.get("tps") is not None else None
+    tps = tps_from_dict(data["tps"], (d1, d2)) if "tps" in data else None
     amplitudes = pairs_to_complex(amps, f"{path}: amplitudes")
     with np.errstate(over="ignore"):  # huge finite amplitudes give the refused norm inf
         n = float(np.linalg.norm(amplitudes))

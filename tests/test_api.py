@@ -56,22 +56,33 @@ def named(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
-def test_every_public_definition_is_exported_or_referenced():
-    # a public module-level function or class of src/tpslab must be exported by
-    # tpslab/__init__.py, or named (as a Name or an Attribute) by another
-    # top-level statement of the package; an import alone is not a use
+def definitions() -> list[tuple[str, str, bool]]:
+    """(module, name, used) for each module-level function or class of src/tpslab; used
+    if another top-level statement of the package names it (as a Name or an Attribute),
+    an import alone being no use."""
     package = Path(tpslab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
-    exported = {alias.asname or alias.name for node in trees["__init__.py"].body
+    statements = [(stmt, named(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [(module, stmt.name,
+             any(stmt.name in names for other, names in statements if other is not stmt))
+            for module, tree in trees.items() for stmt in tree.body
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_every_public_definition_is_exported_or_referenced():
+    # a public definition must be exported by tpslab/__init__.py or used
+    tree = ast.parse((Path(tpslab.__file__).parent / "__init__.py").read_text())
+    exported = {alias.asname or alias.name for node in tree.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    statements = [(module, stmt, named(stmt)) for module, tree in trees.items()
-                  for stmt in tree.body]
-    dead = []
-    for module, stmt, _ in statements:
-        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) and not stmt.name.startswith("_"):
-            used = any(stmt.name in names for _, other, names in statements if other is not stmt)
-            if stmt.name not in exported and not used:
-                dead.append(f"{module}:{stmt.name}")
+    dead = [f"{module}:{name}" for module, name, used in definitions()
+            if not name.startswith("_") and name not in exported and not used]
+    assert dead == []
+
+
+def test_every_private_definition_is_referenced():
+    # a private helper left behind when the route that called it is deleted must go too
+    dead = [f"{module}:{name}" for module, name, used in definitions()
+            if name.startswith("_") and not used]
     assert dead == []
 
 
@@ -123,10 +134,10 @@ def test_only_main_writes_output():
 
 
 def test_every_schmidt_spectrum_goes_through_schmidt_py():
-    # a state's Schmidt coefficients come from schmidt.spectra or schmidt.schmidt; the other
-    # two SVDs read no state through a TPS: the CHSH correlation matrix and the parity
-    # blocks that grid builds straight from the profiles, whose symmetric blocks take
-    # the one eigensolve
+    # a state's Schmidt coefficients come from schmidt.spectra or schmidt.schmidt; the
+    # other SVD reads no state through a TPS (the CHSH correlation matrix), and the one
+    # eigensolve takes the symmetric parity blocks that grid builds straight from two
+    # even real profiles
     package = Path(tpslab.__file__).parent
     solvers = {"svd": set(), "eigvalsh": set()}
     coefficients = set()
@@ -143,6 +154,6 @@ def test_every_schmidt_spectrum_goes_through_schmidt_py():
                     for alias in node.names}
         if "_coefficients" in named(tree) | imported:
             coefficients.add(path.name)
-    assert solvers == {"svd": {"schmidt.py", "bell.py:_chsh_max", "grid.py:_parity_block_values"},
-                       "eigvalsh": {"grid.py:_parity_block_values"}}
+    assert solvers == {"svd": {"schmidt.py", "bell.py:_chsh_max"},
+                       "eigvalsh": {"grid.py:_even_block_values"}}
     assert coefficients == {"tps.py", "schmidt.py"}

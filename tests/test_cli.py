@@ -90,7 +90,7 @@ def test_json_file_that_is_not_utf8_exits_2(which, bell_file, tmp_path, capsys):
             "matrix": ["qcf", bell_file, "--obs-a", str(bad), "--obs-b", "pauli-z", "--local"]}
     assert main(argv[which]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: cannot read {bad}") and err.count("\n") == 1
+    assert err.startswith(f"error: cannot read {str(bad)!r}: ") and err.count("\n") == 1
 
 
 def test_schmidt_dimension_mismatch_exits_3(tmp_path):
@@ -1152,7 +1152,7 @@ def test_an_empty_tps_path_exits_2(argv, bell_file, tmp_path, capsys):
     assert main([argv[0], bell_file, *argv[1:], "--tps", "", "--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: cannot read ") and captured.err.count("\n") == 1
+    assert captured.err == "error: cannot read '': No such file or directory\n"
 
 
 def test_a_norm_correction_prints_one_warning_line_on_every_run(tmp_path, capsys):
@@ -1182,8 +1182,14 @@ SIXTH = [[1 / np.sqrt(6), 0.0]] * 6
          "{state}: dims must be a [d1, d2] pair"),
         ({"dims": [2, 2], "amplitudes": HALF, "metadata": [1]}, ["schmidt"], 2,
          "{state}: metadata must be an object"),
+        ({"dims": [2, 2], "amplitudes": HALF, "metadata": None}, ["schmidt"], 2,
+         "{state}: metadata must be an object"),
+        # a null block was read as no TPS
+        ({"dims": [2, 2], "amplitudes": HALF, "tps": None}, ["schmidt"], 2,
+         "tps block must be a JSON object"),
     ],
-    ids=["sumdiff-non-square", "one-dim", "int-dims", "list-metadata"],
+    ids=["sumdiff-non-square", "one-dim", "int-dims", "list-metadata", "null-metadata",
+         "null-tps"],
 )
 def test_refused_state_inputs_exit_with_one_error_line(doc, argv, code, message, tmp_path,
                                                        capsys):
@@ -1244,7 +1250,7 @@ def test_an_unwritable_out_exits_2_with_one_error_line(command, target, bell_fil
     assert main([a.format(state=bell_file) for a in VALID_ARGV[command]] + ["--out", str(out)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
     assert captured.err.count("\n") == 1
     assert sorted(tmp_path.rglob("*")) == before
 

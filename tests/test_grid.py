@@ -350,6 +350,11 @@ PARITY_CLASSES = [("even", "even"), ("odd", "odd"), ("even", "odd"), ("odd", "ev
                   ("none", "even")]
 
 
+def reflection_parity(v):
+    """+1 if v is even under x -> -x (v[d-1-i] == v[i] exactly), -1 if odd, 0 if neither."""
+    return 1 if np.array_equal(v, v[::-1]) else -1 if np.array_equal(v, -v[::-1]) else 0
+
+
 def parity_profile(grid, kind, source, rng):
     """A unit profile that is even, odd or neither under x -> -x: a centred
     Gaussian, x times one, or an off-centre one; or a symmetrized random vector."""
@@ -370,12 +375,12 @@ def parity_profile(grid, kind, source, rng):
     [(1, ("even", "even"))] + [(d, kinds) for d in (3, 5, 9, 65) for kinds in PARITY_CLASSES],
 )
 def test_parity_blocks_match_the_dense_oracle(d, kinds, source):
-    # pairs with a reflection parity take two half-size block SVDs, the rest
+    # two even real profiles take two half-size block eigensolves, every other pair
     # the relabeled d x d SVD; both must give the oracle's dense spectrum
     rng = np.random.default_rng(d)
     grid = Grid(1, 1.0) if d == 1 else Grid.spanning(d, 6.0)
     f, g = (parity_profile(grid, kind, source, rng) for kind in kinds)
-    parities = [grid_module._reflection_parity(p.samples) for p in (f, g)]
+    parities = [reflection_parity(p.samples) for p in (f, g)]
     assert parities == [PARITY[k] for k in kinds]
     want = coords_pair(f.samples, g.samples, grid.points, sum_diff_targets(d))
     values = grid_module._relabeled_values([f], [g], d)[0]
@@ -385,17 +390,22 @@ def test_parity_blocks_match_the_dense_oracle(d, kinds, source):
     assert_matches_oracle(demo_sum_diff([f], [g])[0], f, g, sum_diff_targets(d))
 
 
-@pytest.mark.parametrize("kinds", [*PARITY_CLASSES[:4], ("fourier0", "even"), ("even", "fourier0")])
+# six sources of even real pairs: centred Gaussians, symmetrized random vectors, double Gaussians
+EVEN_SOURCES = [("gaussian", "gaussian"), ("random", "random"), ("gaussian", "random"),
+                ("random", "gaussian"), ("double", "gaussian"), ("gaussian", "double")]
+
+
+@pytest.mark.parametrize("kinds", EVEN_SOURCES)
 @pytest.mark.parametrize("d", [3, 5, 33])
 def test_parity_blocks_are_symmetric_up_to_the_second_parity(d, kinds, monkeypatch):
-    # block(tau, sigma) = pg block(sigma, tau)^T bit for bit, so two even real profiles
-    # give symmetric blocks, whose eigenvalue moduli are their singular values
+    # for two even real profiles block(sigma, sigma) is its own transpose bit for bit,
+    # so its eigenvalue moduli are its singular values
     rng = np.random.default_rng(d)
     grid = Grid.spanning(d, 6.0)
-    f, g = (fourier_profile(grid, 0) if kind == "fourier0" else
-            parity_profile(grid, kind, "random", rng) for kind in kinds)
-    pf, pg = (grid_module._reflection_parity(p.samples) for p in (f, g))
-    svd, blocks, solvers = np.linalg.svd, [], []
+    f, g = (double_gaussian_profile(grid, 2.0, rng.uniform(0.5, 1.5)) if source == "double"
+            else parity_profile(grid, "even", source, rng) for source in kinds)
+    assert reflection_parity(f.samples) == reflection_parity(g.samples) == 1
+    blocks, solvers = [], []
 
     def capture(name, solver):
         def call(block, *args, **kwargs):
@@ -404,18 +414,15 @@ def test_parity_blocks_are_symmetric_up_to_the_second_parity(d, kinds, monkeypat
             return solver(block, *args, **kwargs)
         return call
 
-    monkeypatch.setattr(np.linalg, "svd", capture("svd", svd))
+    monkeypatch.setattr(np.linalg, "svd", capture("svd", np.linalg.svd))
     monkeypatch.setattr(np.linalg, "eigvalsh", capture("eigvalsh", np.linalg.eigvalsh))
-    values = grid_module._parity_block_values(f.samples[None], g.samples[None], pf, pg)[0]
+    values = grid_module._even_block_values(f.samples[None], g.samples[None])[0]
     monkeypatch.undo()
-    real_even = kinds == ("even", "even")
-    assert solvers == ["eigvalsh" if real_even else "svd"] * 2
-    transposed = [pg * np.swapaxes(b, 1, 2) for b in blocks]
-    if pf * pg > 0:  # the blocks (sigma, sigma)
-        assert all(np.array_equal(b, t) for b, t in zip(blocks, transposed))
-    else:  # the blocks (+, -) and (-, +)
-        assert np.array_equal(blocks[1], transposed[0])
-    want = np.sort(np.concatenate([svd(b, compute_uv=False) for b in blocks], axis=1))[0, ::-1]
+    assert solvers == ["eigvalsh"] * 2
+    assert [b.shape for b in blocks] == [(1, (d + 1) // 2, (d + 1) // 2), (1, d // 2, d // 2)]
+    assert all(np.array_equal(b, np.swapaxes(b, 1, 2)) for b in blocks)
+    want = np.sort(np.concatenate([np.linalg.svd(b, compute_uv=False) for b in blocks],
+                                  axis=1))[0, ::-1]
     np.testing.assert_allclose(values, want, rtol=0, atol=1e-14 * want[0])
     assert rank_from_singular_values(values, DEFAULT_TRUNCATION_TOL) == \
         rank_from_singular_values(want, DEFAULT_TRUNCATION_TOL)
