@@ -16,6 +16,7 @@ from .errors import NumericalError
 from .tps import TensorProductStructure, _coefficients, coefficient_matrix
 
 DEFAULT_TRUNCATION_TOL = 1e-10
+_TINY = np.finfo(float).tiny  # the smallest normal double
 
 
 def rank_from_singular_values(vals: np.ndarray, truncation_tol: float):
@@ -51,9 +52,34 @@ def _svd(c: np.ndarray, **kwargs):
         raise NumericalError(f"SVD of {c.shape} coefficients did not converge: {exc}") from exc
 
 
+def _two_by_two(c: np.ndarray) -> np.ndarray:
+    """Singular values of 2 x 2 matrices (a stack on the leading axes) from the Gram
+    matrix g = c^dagger c, with no cancellation: s1^2 = (g11 + g22 + hypot(g11 - g22,
+    2|g12|)) / 2 and s2 = |det c| / s1.  A matrix whose s1^2 is not a normal double
+    (zero, NaN, infinite, over- or underflowed) takes the SVD instead."""
+    a, b, e, f = c[..., 0, 0], c[..., 0, 1], c[..., 1, 0], c[..., 1, 1]
+    with np.errstate(all="ignore"):  # the matrices that warn are the ones sent to the SVD
+        p = (c * c.conj()).real
+        g11, g22 = p[..., 0, 0] + p[..., 1, 0], p[..., 0, 1] + p[..., 1, 1]
+        g12 = np.abs(a.conj() * b + e.conj() * f)
+        s1_squared = (g11 + g22 + np.hypot(g11 - g22, 2.0 * g12)) / 2.0
+        s1 = np.sqrt(s1_squared)
+        det = np.abs(a * f - b * e)
+        s = np.stack((s1, np.minimum(det / s1, s1)), axis=-1)
+    bad = ~(s1_squared >= _TINY) | (s1_squared == np.inf)
+    if bad.any():
+        s[bad] = _svd(c[bad], compute_uv=False)
+    return s
+
+
 def spectra(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
-    """Descending Schmidt coefficients of unchecked psi, one state or a stack on the last axis."""
-    return _svd(_coefficients(psi, tps), compute_uv=False)
+    """Descending Schmidt coefficients of unchecked psi, one state or a stack on the last axis.
+
+    A 2 x 2 TPS takes the closed form of ``_two_by_two``, every other shape one SVD;
+    either way a NaN coefficient raises ``NumericalError``.
+    """
+    c = _coefficients(psi, tps)
+    return _two_by_two(c) if c.shape[-2:] == (2, 2) else _svd(c, compute_uv=False)
 
 
 def schmidt(

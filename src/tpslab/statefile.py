@@ -30,7 +30,7 @@ def _plain(obj):
 
 
 _JSON = json.JSONEncoder(sort_keys=True, allow_nan=False, default=_plain)
-# a CSV row is a JSON array of numbers without its brackets
+# the CSV rows are one JSON array of number arrays, split at its inner brackets
 _CSV_ROW = json.JSONEncoder(allow_nan=False, separators=(",", ":"), default=_plain)
 
 
@@ -282,11 +282,14 @@ def load_state_file(path: str) -> StateFile:
 
 
 def render_csv(header: list[str], rows) -> str:
-    """CSV text whose numeric cells read as in ``dump_json``; rows is any iterable of rows.
+    """CSV text whose cells read as in ``dump_json``; rows is any iterable of rows of numbers.
+
+    All rows go through one encoder call, and the text splits into lines at
+    ``],[``, which a number never holds; no rows give the header line alone.
 
     Raises:
         ValueError: a cell is a NaN or an infinity.
     """
-    lines = [",".join(header)]
-    lines.extend(_CSV_ROW.encode(list(row))[1:-1] for row in rows)
-    return "\n".join(lines) + "\n"
+    text = _CSV_ROW.encode(list(map(list, rows)))
+    lines = text[2:-2].split("],[") if text != "[]" else []
+    return "\n".join([",".join(header), *lines]) + "\n"

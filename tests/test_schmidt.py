@@ -7,9 +7,9 @@ from tps_oracle import permutation_matrix, schmidt_reconstruct
 from tpslab.errors import NumericalError
 from tpslab.linalg import tensor_vec
 from tpslab.sampling import haar_state, random_product_pair, random_unitary
-from tpslab.schmidt import schmidt, spectra
+from tpslab.schmidt import rank_from_singular_values, schmidt, spectra
 from tpslab.spins import CHI_ROWS, chi_basis
-from tpslab.tps import TensorProductStructure, random_bijection, trivial_tps
+from tpslab.tps import TensorProductStructure, _coefficients, random_bijection, trivial_tps
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -104,5 +104,44 @@ def test_spectra_wrap_svd_nonconvergence(monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", boom)
-    with pytest.raises(NumericalError, match=r"SVD of \(5, 2, 2\) coefficients did not converge"):
-        spectra(haar_state(4, np.random.default_rng(0), (5,)), trivial_tps(2, 2))
+    with pytest.raises(NumericalError, match=r"SVD of \(5, 2, 3\) coefficients did not converge"):
+        spectra(haar_state(6, np.random.default_rng(0), (5,)), trivial_tps(2, 3))
+
+
+@pytest.mark.parametrize("tps", [trivial_tps(2, 2), chi_basis()], ids=["trivial", "chi"])
+def test_two_by_two_spectra_refuse_a_nan_coefficient(tps):
+    stack = haar_state(4, np.random.default_rng(0), (5,))
+    stack[3, 1] = np.nan
+    for psi in (stack, stack[3]):
+        with pytest.raises(NumericalError, match="did not converge"):
+            spectra(psi, tps)
+
+
+def two_qubit_families(rng) -> np.ndarray:
+    """Haar states, products, maximally entangled states U/sqrt(2) (whose two equal
+    coefficients can round apart), the z and Bell bases, cos t|00> + sin t|11>
+    (t = pi/4 included) and the zero vector, as one (n, 4) stack."""
+    theta = np.append(np.linspace(0.0, np.pi, 101), np.pi / 4)
+    return np.concatenate([
+        haar_state(4, rng, (500,)),
+        [tensor_vec(*random_product_pair(2, 2, rng)) for _ in range(200)],
+        [random_unitary(2, rng).reshape(4) / SQ2 for _ in range(200)],
+        np.eye(4),
+        CHI_ROWS,
+        np.outer(np.cos(theta), [1, 0, 0, 0]) + np.outer(np.sin(theta), [0, 0, 0, 1]),
+        np.zeros((1, 4)),
+    ]).astype(complex)
+
+
+@pytest.mark.parametrize("tps", [trivial_tps(2, 2), chi_basis()], ids=["trivial", "chi"])
+def test_two_by_two_closed_form_matches_numpy_svd(tps):
+    # the oracle is numpy's SVD of the same coefficient matrices, which spectra
+    # no longer takes for a 2 x 2 TPS
+    psi = two_qubit_families(np.random.default_rng(24))
+    values = spectra(psi, tps)
+    oracle = np.linalg.svd(_coefficients(psi, tps), compute_uv=False)
+    assert np.abs(values - oracle).max() <= 2e-15
+    assert np.all(values[:, 0] >= values[:, 1])
+    np.testing.assert_array_equal(rank_from_singular_values(values, 1e-10),
+                                  rank_from_singular_values(oracle, 1e-10))
+    np.testing.assert_array_equal(np.array([spectra(v, tps) for v in psi]), values)

@@ -185,6 +185,29 @@ def test_load_missing_key(tmp_path):
         load_state_file(str(path))
 
 
+def per_row_csv(header, rows) -> str:
+    """The CSV text with one encoder call per row: the oracle of render_csv's one call."""
+    enc = json.JSONEncoder(allow_nan=False, separators=(",", ":"), default=lambda o: o.tolist())
+    return "\n".join([",".join(header), *(enc.encode(list(row))[1:-1] for row in rows)]) + "\n"
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[0]],
+    [(k, np.float64(x), x) for k, x in enumerate([0.5, -0.0, 5e-324, -5e-324, 1e308, -MAX])],
+    [[np.int64(-3), np.float64(1 / 3), 1 + 2**-52], [], [2, 1e-300, np.float64(-0.0)]],
+    [np.array([1.5, -0.0, 5e-324]), np.array([1e308, 2.0, 3.0])],
+], ids=["no-rows", "one-cell", "zip-like", "mixed", "arrays"])
+def test_render_csv_matches_one_encoder_call_per_row(rows):
+    header = ["sample", "a", "b"]
+    text = render_csv(header, iter(rows))
+    assert text == per_row_csv(header, rows)
+    if not rows:
+        assert text == "sample,a,b\n"
+    with pytest.raises(ValueError):
+        render_csv(header, [*rows, [0, 0.5, np.float64(math.nan)]])
+
+
 def test_render_csv_deterministic():
     text = render_csv(["a", "b"], [[1, 0.5], [2, 1.0 / 3.0]])
     assert text == "a,b\n1,0.5\n2,0.3333333333333333\n"
