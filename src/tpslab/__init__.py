@@ -30,7 +30,7 @@ from .sampling import (
     random_unitary,
 )
 from .schmidt import SchmidtDecomposition, schmidt
-from .spins import chi_basis, demo_spins, spin_operators, spin_qcf_closed_form, total_spin_squares
+from .spins import chi_basis, demo_spins, spin_qcf_closed_form
 from .tps import (
     IndexBijection,
     TensorProductStructure,

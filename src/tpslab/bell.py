@@ -123,7 +123,6 @@ class BellDemoReport:
     """
 
     samples: int
-    seed: int
     bell_state_value: float
     max_oracle_residual: float
     min_value: float
@@ -148,7 +147,6 @@ def demo_bell(samples: int, seed: int) -> BellDemoReport:
     values, bell_value, closed = values[:-1], float(values[-1]), closed[:-1]
     return BellDemoReport(
         samples=samples,
-        seed=seed,
         bell_state_value=bell_value,
         max_oracle_residual=float(np.max(np.abs(values - closed))),
         min_value=float(values.min()),

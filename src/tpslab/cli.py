@@ -136,7 +136,7 @@ def cmd_qcf(args: argparse.Namespace) -> str:
         obs_a = resolve_observable(args.obs_a, dim)
         obs_b = resolve_observable(args.obs_b, dim)
         value = qcf(obs_a, obs_b, sf.amplitudes)
-        threshold = default_witness_threshold(dim)
+        threshold = default_witness_threshold(dim, obs_a, obs_b)
         verdict = "not-applicable"
     return _report(args, {"value": [value.real, value.imag], "abs": abs(value),
                           "witness_threshold": threshold, "verdict": verdict})
@@ -178,12 +178,11 @@ def cmd_sampling_demo(args: argparse.Namespace) -> str:
                     "bell": (demo_bell, ["sample", "chsh_value", "oracle_value"])}[args.which]
     report = demo(samples=args.samples, seed=args.seed)
     # the per-sample arrays, the report's uncompared fields, are the CSV columns;
-    # the compared fields are the JSON body, less the seed that the manifest holds
+    # the compared fields are the JSON body
     if args.format == "csv":
         columns = [getattr(report, f.name) for f in fields(report) if not f.compare]
         return render_csv(header, zip(range(args.samples), *columns))
-    return _report(args, {f.name: getattr(report, f.name) for f in fields(report)
-                          if f.compare and f.name != "seed"})
+    return _report(args, {f.name: getattr(report, f.name) for f in fields(report) if f.compare})
 
 
 def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
@@ -270,7 +269,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="treat observables as acting on the two TPS factors")
     p.add_argument("--tps", help="JSON file overriding the state's TPS block")
     p.add_argument("--tol", type=_finite_float, default=None,
-                   help="witness threshold of --local (default: the global dimension times 1e-12)")
+                   help="witness threshold of --local (default: the global dimension times "
+                   "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
 
     demo = sub.add_parser("demo", help="run a built-in demonstration")
     demos = demo.add_subparsers(dest="which", required=True)

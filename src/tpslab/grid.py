@@ -127,9 +127,7 @@ class SampledProfile:
 
 def _edge_warning(samples: np.ndarray, what: str) -> str | None:
     dens = np.abs(samples) ** 2
-    peak = float(dens.max())
-    if peak == 0.0:
-        return None
+    peak = float(dens.max())  # nonzero: a zero peak means a zero norm, refused first
     edge = max(float(dens[0]), float(dens[-1])) / peak
     if edge > EDGE_DENSITY_TOL:
         return (

@@ -22,6 +22,7 @@ MAX_GLOBAL_DIM = 2**20
 HERMITIAN_TOL = 1e-9
 UNITARY_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
+# scaled by max(1, ||a||_inf) for an observable a, as the rounding of <psi, a psi> is
 EXPECTATION_IMAG_TOL = 1e-10
 
 # the largest Frobenius norm of an observable: for two such A and B and a unit state,
@@ -104,17 +105,21 @@ def check_hermitian(a) -> np.ndarray:
     return a
 
 
+def _row_sum_norm(a: np.ndarray) -> float:
+    """||a||_inf, the largest absolute row sum; it bounds the spectral norm of a Hermitian a."""
+    return float(np.abs(a).sum(axis=1).max(initial=0.0))
+
+
 def _expectation(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """<psi, a psi> on the last axis of psi (one state or a stack), real part.
 
-    Unchecked inputs; the imaginary parts must vanish to EXPECTATION_IMAG_TOL.
+    Unchecked inputs; the imaginary parts must vanish to the scaled EXPECTATION_IMAG_TOL.
     """
     val = np.vecdot(psi, psi @ a.T)
     imag = float(np.max(np.abs(val.imag)))
-    if imag > EXPECTATION_IMAG_TOL:
-        raise NumericalError(
-            f"expectation has imaginary part {imag:.3e} beyond {EXPECTATION_IMAG_TOL}"
-        )
+    tol = EXPECTATION_IMAG_TOL * max(1.0, _row_sum_norm(a))
+    if imag > tol:
+        raise NumericalError(f"expectation has imaginary part {imag:.3e} beyond {tol:.3g}")
     return val.real
 
 

@@ -14,12 +14,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, ShapeError
-from .linalg import _expectation, check_hermitian, check_state
+from .linalg import _expectation, _row_sum_norm, check_hermitian, check_state
 from .tps import TensorProductStructure, coefficient_matrix
 
 ENTANGLED_WITNESSED = "entangled-witnessed"
 INCONCLUSIVE = "inconclusive"
 
+# scaled by max(1, ||A||_inf^2) for an observable A, as the rounding of <A^2> is
 VARIANCE_FLOOR = -1e-12
 
 
@@ -54,9 +55,13 @@ def qcf(a, b, psi) -> complex:
     return complex(_covariance(a, b, psi))
 
 
-def default_witness_threshold(dim: int) -> float:
-    # rounding accumulates with the global dimension of the contractions
-    return dim * 1e-12
+def default_witness_threshold(dim: int, a: np.ndarray, b: np.ndarray) -> float:
+    """dim * 1e-12 * max(1, ||A||_inf ||B||_inf): rounding accumulates with the global
+    dimension of the contractions and with the observables, whose norms bound every
+    term of the covariance.  Multiplied left to right, it stays finite for any pair
+    that ``check_hermitian`` admits."""
+    tol = dim * 1e-12
+    return max(tol, tol * _row_sum_norm(a) * _row_sum_norm(b))
 
 
 def qcf_local(
@@ -85,9 +90,10 @@ def qcf_local(
     e_a = np.vdot(c, ac).real
     e_b = np.vdot(c, c @ b2.T).real
     value = complex(np.vdot(c, ac @ b2.T)) - e_a * e_b
-    threshold = default_witness_threshold(tps.dim) if witness_threshold is None else witness_threshold
-    verdict = ENTANGLED_WITNESSED if abs(value) > threshold else INCONCLUSIVE
-    return QcfReport(value=value, witness_threshold=threshold, verdict=verdict)
+    if witness_threshold is None:
+        witness_threshold = default_witness_threshold(tps.dim, a1, b2)
+    verdict = ENTANGLED_WITNESSED if abs(value) > witness_threshold else INCONCLUSIVE
+    return QcfReport(value=value, witness_threshold=witness_threshold, verdict=verdict)
 
 
 def variance(a, psi) -> float:
@@ -97,7 +103,8 @@ def variance(a, psi) -> float:
     if a.shape[0] != psi.size:
         raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
     val = float(_covariance(a, a, psi).real)
-    if val < VARIANCE_FLOOR:
+    norm = _row_sum_norm(a)
+    if val < VARIANCE_FLOOR * max(1.0, norm * norm):
         raise NumericalError(f"variance {val!r} below the tolerated rounding floor")
     return max(val, 0.0)
 

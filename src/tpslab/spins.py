@@ -1,19 +1,21 @@
 """Two spin-1/2 particles: total-spin-component squares and the chi basis.
 
-The squares of two orthogonal total-spin components commute and share the
-joint eigenbasis chi_{s,t}, which is the Bell basis and is written here in
-closed form (its eigen-route check lives in ``tests/tps_oracle.py``); reading
-the four-dimensional space through that basis gives a second tensor product
-structure in which a z-product state is generically entangled.  The
-covariance of the two squares on a product state has a closed form in
-single-spin expectations, evaluated here both directly and in closed form.
-Units have hbar = 1.
+The single-spin operators ``SPIN_*`` are half the Pauli matrices.  The
+squares of the z and x total-spin components, ``TOTAL_Z2`` and ``TOTAL_X2``,
+each equal I/2 + 2 S_i (x) S_i with eigenvalues 0 and 1 twice each; they
+commute and share the joint eigenbasis chi_{s,t}, which is the Bell basis and
+is written here in closed form (its eigen-route check lives in
+``tests/tps_oracle.py``).  Reading the four-dimensional space through that
+basis gives a second tensor product structure in which a z-product state is
+generically entangled.  The covariance of the two squares on a product state
+has a closed form in single-spin expectations, evaluated here both directly
+and in closed form.  The operators are module constants, built at import;
+``chi_basis()`` builds its TPS on each call.  Units have hbar = 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -27,6 +29,9 @@ from .tps import TensorProductStructure
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+SPIN_X, SPIN_Y, SPIN_Z = 0.5 * PAULI_X, 0.5 * PAULI_Y, 0.5 * PAULI_Z
+TOTAL_Z2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * tensor_op(SPIN_Z, SPIN_Z)
+TOTAL_X2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * tensor_op(SPIN_X, SPIN_X)
 
 # chi_{s,t} in row s*2+t over (up-up, up-down, down-up, down-down): the Bell states
 # Phi+, Phi-, Psi+, Psi-, with the z-square eigenvalue s and the x-square eigenvalue t
@@ -35,35 +40,6 @@ CHI_ROWS = np.array([[1, 0, 0, 1], [1, 0, 0, -1], [0, 1, 1, 0], [0, 1, -1, 0]],
 
 # a covariance above this is resolvably nonzero, witnessing entanglement in the chi TPS
 NONZERO_THRESHOLD = 1e-8
-
-
-class SpinOperators(NamedTuple):
-    x: np.ndarray
-    y: np.ndarray
-    z: np.ndarray
-
-
-class TotalSpinSquares(NamedTuple):
-    z2: np.ndarray
-    x2: np.ndarray
-
-
-def spin_operators() -> SpinOperators:
-    """Single spin-1/2 operators (half the Pauli matrices)."""
-    return SpinOperators(x=0.5 * PAULI_X, y=0.5 * PAULI_Y, z=0.5 * PAULI_Z)
-
-
-def total_spin_squares() -> TotalSpinSquares:
-    """Squares of the z and x components of total spin for two spin-1/2 particles.
-
-    Each equals I/2 + 2 S_i (x) S_i, commutes with the other, and has
-    eigenvalues 0 and 1 with multiplicity two each.
-    """
-    ops = spin_operators()
-    eye4 = np.eye(4, dtype=complex)
-    z2 = 0.5 * eye4 + 2.0 * tensor_op(ops.z, ops.z)
-    x2 = 0.5 * eye4 + 2.0 * tensor_op(ops.x, ops.x)
-    return TotalSpinSquares(z2=z2, x2=x2)
 
 
 def chi_basis() -> TensorProductStructure:
@@ -81,9 +57,8 @@ def chi_basis() -> TensorProductStructure:
 
 def _closed_form(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
     """The covariance closed form on the last axis of psi1 and psi2; unchecked inputs."""
-    ops = spin_operators()
-    x1, y1, z1 = (_expectation(op, psi1) for op in ops)
-    x2, y2, z2 = (_expectation(op, psi2) for op in ops)
+    x1, y1, z1 = (_expectation(op, psi1) for op in (SPIN_X, SPIN_Y, SPIN_Z))
+    x2, y2, z2 = (_expectation(op, psi2) for op in (SPIN_X, SPIN_Y, SPIN_Z))
     return -y1 * y2 - 4.0 * x1 * x2 * z1 * z2
 
 
@@ -107,8 +82,7 @@ def _spin_samples(samples: int, seed: int) -> tuple[np.ndarray, ...]:
     pairs = haar_state(2, np.random.default_rng(seed), (samples, 2))
     psi1, psi2 = pairs[:, 0], pairs[:, 1]
     psi = (psi1[:, :, None] * psi2[:, None, :]).reshape(samples, 4)
-    squares = total_spin_squares()
-    return psi1, psi2, psi, _covariance(squares.z2, squares.x2, psi), _closed_form(psi1, psi2)
+    return psi1, psi2, psi, _covariance(TOTAL_Z2, TOTAL_X2, psi), _closed_form(psi1, psi2)
 
 
 @dataclass(frozen=True)
@@ -120,7 +94,6 @@ class SpinDemoReport:
     """
 
     samples: int
-    seed: int
     closed_form_residual_max: float
     fraction_nonzero: float
     nonzero_threshold: float
@@ -151,7 +124,6 @@ def demo_spins(samples: int, seed: int) -> SpinDemoReport:
     residuals = np.abs(direct - closed)
     return SpinDemoReport(
         samples=samples,
-        seed=seed,
         closed_form_residual_max=float(residuals.max()),
         fraction_nonzero=int(np.count_nonzero(np.abs(direct) > NONZERO_THRESHOLD)) / samples,
         nonzero_threshold=NONZERO_THRESHOLD,

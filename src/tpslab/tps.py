@@ -100,13 +100,10 @@ def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
     psi = check_state(psi)
     if psi.size != tps.dim:
         raise ShapeError(f"state dim {psi.size} vs TPS dim {tps.dim}")
-    c = _coefficients(psi, tps)
-    fro = float(np.linalg.norm(c))
-    # a dense unitary passes its check with a defect up to UNITARY_TOL per entry
-    bound = STATE_NORM_TOL + (tps.dim * UNITARY_TOL if tps.unitary is not None else 0.0)
-    if abs(fro - 1.0) > bound:
-        raise ContractError(f"coefficient matrix norm {fro!r} deviates from 1")
-    return c
+    # no norm check: a relabeling or a reflector keeps |psi| up to rounding, and a unitary
+    # that passes _check_unitary changes it by a relative D*UNITARY_TOL/2 at most, to first
+    # order (every eigenvalue of U^dagger U lies within D*UNITARY_TOL of 1)
+    return _coefficients(psi, tps)
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from tpslab.sampling import (
     random_unitary,
 )
 from tpslab.schmidt import schmidt
-from tpslab.spins import chi_basis, demo_spins, total_spin_squares
+from tpslab.spins import TOTAL_X2, TOTAL_Z2, chi_basis, demo_spins
 from tpslab.tps import (
     TensorProductStructure,
     coefficient_matrix,
@@ -118,14 +118,13 @@ def test_c04_chi_basis_reproduction():
         ]
     ) / SQ2
     entry_defect = float(np.max(np.abs(np.abs(rows) - np.abs(expected))))
-    squares = total_spin_squares()
     eig_defect = 0.0
     for k, (s, t) in enumerate([(1, 1), (1, 0), (0, 1), (0, 0)]):
         chi = rows[k]
         eig_defect = max(
             eig_defect,
-            float(np.max(np.abs(squares.z2 @ chi - s * chi))),
-            float(np.max(np.abs(squares.x2 @ chi - t * chi))),
+            float(np.max(np.abs(TOTAL_Z2 @ chi - s * chi))),
+            float(np.max(np.abs(TOTAL_X2 @ chi - t * chi))),
         )
     ok = entry_defect <= 1e-12 and eig_defect <= 1e-12
     criterion(

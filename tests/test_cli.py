@@ -602,6 +602,20 @@ def test_qcf_global_position_observables(tmp_path):
     assert report["value"][1] == pytest.approx(0.0, abs=1e-12)
 
 
+def test_qcf_global_accepts_a_large_multiple_of_the_identity(tmp_path, capsys):
+    # the imaginary rounding of <1e8 I> reaches 1e-8, inside the tolerance scaled by |A|
+    mat = tmp_path / "big.json"
+    big = 1e8 * np.eye(4)
+    mat.write_text(dump_json({"dim": 4, "entries": [[float(x), 0.0] for x in big.ravel()]}))
+    rng = np.random.default_rng(90)
+    for n in range(6):
+        state = tmp_path / f"haar{n}.json"
+        write_state(state, StateFile(2, 2, haar_state(4, rng)))
+        code, out = run(["qcf", str(state), "--obs-a", str(mat), "--obs-b", str(mat)], tmp_path)
+        assert code == 0, capsys.readouterr().err
+        assert json.loads(out.read_text())["witness_threshold"] == 4e-12 * 1e8 * 1e8
+
+
 def test_qcf_pauli_name_at_wrong_dim_exits_3(product_file):
     assert main(["qcf", product_file, "--obs-a", "pauli-z", "--obs-b", "pauli-z"]) == 3
 

@@ -13,6 +13,8 @@ from tpslab.errors import (
 )
 from tpslab.linalg import (
     MAX_MATRIX_NORM,
+    as_matrix,
+    as_vector,
     check_hermitian,
     expectation,
     tensor_op,
@@ -159,6 +161,12 @@ def test_rejects_non_finite_entries():
         tensor_vec([1.0, np.nan], [1.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_as_matrix_rejects_non_finite_entries(bad):
+    with pytest.raises(ContractError, match="matrix contains non-finite entries"):
+        as_matrix([[1.0, bad], [0.0, 1.0]])
+
+
 BIG = np.diag([1e200, 1e200])  # Hermitian, finite, and of Frobenius norm above MAX_MATRIX_NORM
 BIG4 = np.kron(BIG, np.eye(2))
 
@@ -191,8 +199,13 @@ def test_observable_at_the_norm_limit_is_accepted():
         lambda: check_hermitian(np.ones((2, 3))),
         lambda: tensor_vec(np.ones(0), np.ones(2)),
         lambda: expectation(np.eye(3), np.full(4, 0.5)),
+        lambda: as_vector(np.ones((2, 2))),
+        lambda: as_vector(1.0),
+        lambda: as_matrix(np.ones(4)),
+        lambda: as_matrix(np.ones((2, 2, 2))),
     ],
-    ids=["non-square-observable", "empty-factor", "expectation-dims"],
+    ids=["non-square-observable", "empty-factor", "expectation-dims", "vector-of-rank-2",
+         "vector-of-rank-0", "matrix-of-rank-1", "matrix-of-rank-3"],
 )
 def test_mismatched_shapes_raise_shape_error(call):
     with pytest.raises(ShapeError):

@@ -9,6 +9,7 @@ from tpslab.linalg import tensor_op, tensor_vec
 from tpslab.qcf import (
     ENTANGLED_WITNESSED,
     INCONCLUSIVE,
+    VARIANCE_FLOOR,
     default_witness_threshold,
     qcf,
     qcf_local,
@@ -16,7 +17,8 @@ from tpslab.qcf import (
 )
 from tpslab.sampling import haar_state, random_hermitian, random_product_pair, random_unitary
 from tpslab.schmidt import schmidt
-from tpslab.tps import TensorProductStructure, trivial_tps
+from tpslab.spins import chi_basis
+from tpslab.tps import TensorProductStructure, random_bijection, relabel_tps, trivial_tps
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -89,7 +91,33 @@ def test_bell_local_zx_inconclusive():
 
 
 def test_witness_threshold_scales_with_dimension():
-    assert default_witness_threshold(4) == pytest.approx(4e-12)
+    assert default_witness_threshold(4, SZ, SX) == pytest.approx(4e-12)
+    # and with the observables' largest absolute row sums, here 3 and 2, never below 1
+    assert default_witness_threshold(4, 3.0 * SZ, SX + SZ) == pytest.approx(4e-12 * 3.0 * 2.0)
+    assert default_witness_threshold(4, 0.1 * SZ, SX) == pytest.approx(4e-12)
+
+
+def product_in(tps: TensorProductStructure, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The state whose coefficients in tps are u (x) v."""
+    c = np.kron(u, v)
+    if tps.relabeling is not None:
+        c = c[tps.relabeling.targets]
+    return c if tps.unitary is None else tps.unitary @ c
+
+
+@pytest.mark.parametrize("k", range(9))
+@pytest.mark.parametrize("which", ["trivial", "chi", "relabeling"])
+def test_product_states_are_never_witnessed_at_any_observable_scale(which, k):
+    # Q = 0 exactly on a product state; the rounding of the three traces grows as
+    # |A| |B|, and so does the default threshold
+    rng = np.random.default_rng(70 + k)
+    tps = {"trivial": trivial_tps(3, 2), "chi": chi_basis(),
+           "relabeling": relabel_tps(random_bijection(3, 3, rng))}[which]
+    for _ in range(50):
+        u, v = haar_state(tps.d1, rng), haar_state(tps.d2, rng)
+        a1, b2 = (10.0**k * random_hermitian(d, rng) for d in (tps.d1, tps.d2))
+        rep = qcf_local(a1, b2, product_in(tps, u, v), tps)
+        assert rep.verdict == INCONCLUSIVE, (rep.value, rep.witness_threshold)
 
 
 def test_witnessed_verdict_implies_rank_two():
@@ -124,6 +152,15 @@ def test_variance_trigonometric_oracle(theta):
     assert variance(SZ, psi) == pytest.approx(expected, abs=1e-12)
     if theta == np.pi / 8:
         assert variance(SZ, psi) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_variance_of_a_scaled_identity_vanishes_to_rounding(k):
+    # exactly 0; the rounding of <A^2> - <A>^2 grows as |A|^2, and so does the floor
+    s = 10.0**k
+    rng = np.random.default_rng(80 + k)
+    for _ in range(50):
+        assert 0.0 <= variance(s * np.eye(4), haar_state(4, rng)) <= -VARIANCE_FLOOR * s * s
 
 
 def test_variance_never_negative():

@@ -1,23 +1,29 @@
 """Two-spin demo: total-spin squares, the chi basis, and the covariance closed form."""
 
+import sys
+
 import numpy as np
 import pytest
 from demo_oracle import spins_loop
 from tps_oracle import chi_rows_from_eigh
 
 from tpslab.errors import ContractError, SizeLimitError
+import tpslab.linalg
 from tpslab.linalg import MAX_GLOBAL_DIM, tensor_op
 from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt
 from tpslab.spins import (
     CHI_ROWS,
+    SPIN_X,
+    SPIN_Y,
+    SPIN_Z,
+    TOTAL_X2,
+    TOTAL_Z2,
     _spin_samples,
     chi_basis,
     demo_spins,
-    spin_operators,
     spin_qcf_closed_form,
-    total_spin_squares,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -27,52 +33,46 @@ SQ2 = np.sqrt(2.0)
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_spin_operator_eigenvalues(hbar):
-    ops = spin_operators()
-    for s in ops:
+    for s in (SPIN_X, SPIN_Y, SPIN_Z):
         w = np.linalg.eigvalsh(s)
         np.testing.assert_allclose(w, [-hbar / 2, hbar / 2], atol=1e-12)
 
 
 def test_spin_squares_are_scalar():
-    ops = spin_operators()
-    np.testing.assert_allclose(ops.x @ ops.x, np.eye(2) / 4.0, atol=1e-14)
+    np.testing.assert_allclose(SPIN_X @ SPIN_X, np.eye(2) / 4.0, atol=1e-14)
 
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_spin_commutators(hbar):
-    ops = spin_operators()
     np.testing.assert_allclose(
-        ops.x @ ops.y - ops.y @ ops.x, 1j * hbar * ops.z, atol=1e-12
+        SPIN_X @ SPIN_Y - SPIN_Y @ SPIN_X, 1j * hbar * SPIN_Z, atol=1e-12
     )
     np.testing.assert_allclose(
-        ops.y @ ops.z - ops.z @ ops.y, 1j * hbar * ops.x, atol=1e-12
+        SPIN_Y @ SPIN_Z - SPIN_Z @ SPIN_Y, 1j * hbar * SPIN_X, atol=1e-12
     )
     np.testing.assert_allclose(
-        ops.z @ ops.x - ops.x @ ops.z, 1j * hbar * ops.y, atol=1e-12
+        SPIN_Z @ SPIN_X - SPIN_X @ SPIN_Z, 1j * hbar * SPIN_Y, atol=1e-12
     )
 
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_total_spin_squares_structure(hbar):
-    ops = spin_operators()
-    squares = total_spin_squares()
     np.testing.assert_allclose(
-        squares.z2,
-        hbar**2 / 2 * np.eye(4) + 2 * tensor_op(ops.z, ops.z),
+        TOTAL_Z2,
+        hbar**2 / 2 * np.eye(4) + 2 * tensor_op(SPIN_Z, SPIN_Z),
         atol=1e-14,
     )
-    assert np.max(np.abs(squares.z2 @ squares.x2 - squares.x2 @ squares.z2)) <= 1e-12
-    for sq in squares:
+    assert np.max(np.abs(TOTAL_Z2 @ TOTAL_X2 - TOTAL_X2 @ TOTAL_Z2)) <= 1e-12
+    for sq in (TOTAL_Z2, TOTAL_X2):
         w = np.sort(np.linalg.eigvalsh(sq))
         np.testing.assert_allclose(w, [0.0, 0.0, hbar**2, hbar**2], atol=1e-12)
 
 
 def test_total_spin_square_eigenstates():
-    squares = total_spin_squares()
     up_up = np.array([1, 0, 0, 0], dtype=complex)
     up_down = np.array([0, 1, 0, 0], dtype=complex)
-    np.testing.assert_allclose(squares.z2 @ up_up, up_up, atol=1e-14)
-    np.testing.assert_allclose(squares.z2 @ up_down, np.zeros(4), atol=1e-14)
+    np.testing.assert_allclose(TOTAL_Z2 @ up_up, up_up, atol=1e-14)
+    np.testing.assert_allclose(TOTAL_Z2 @ up_down, np.zeros(4), atol=1e-14)
 
 
 def test_chi_basis_matches_known_matrix():
@@ -101,13 +101,12 @@ def test_chi_basis_equals_the_eigh_oracle_bit_for_bit():
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_chi_vectors_satisfy_both_eigenvalue_equations(hbar):
-    squares = total_spin_squares()
     rows = chi_basis().unitary.T
     eigs = [(1, 1), (1, 0), (0, 1), (0, 0)]  # (s, t) per row
     for k, (s, t) in enumerate(eigs):
         chi = rows[k]
-        np.testing.assert_allclose(squares.z2 @ chi, s * hbar**2 * chi, atol=1e-12)
-        np.testing.assert_allclose(squares.x2 @ chi, t * hbar**2 * chi, atol=1e-12)
+        np.testing.assert_allclose(TOTAL_Z2 @ chi, s * hbar**2 * chi, atol=1e-12)
+        np.testing.assert_allclose(TOTAL_X2 @ chi, t * hbar**2 * chi, atol=1e-12)
 
 
 def test_closed_form_vanishes_for_both_up():
@@ -123,12 +122,11 @@ def test_closed_form_both_plus_y(hbar):
 
 
 def test_closed_form_matches_direct_covariance():
-    squares = total_spin_squares()
     rng = np.random.default_rng(0)
     worst = 0.0
     for _ in range(1000):
         psi1, psi2 = haar_state(2, rng), haar_state(2, rng)
-        direct = qcf(squares.z2, squares.x2, np.kron(psi1, psi2))
+        direct = qcf(TOTAL_Z2, TOTAL_X2, np.kron(psi1, psi2))
         closed = spin_qcf_closed_form(psi1, psi2)
         worst = max(worst, abs(direct - closed))
     assert worst <= 1e-12
@@ -137,6 +135,24 @@ def test_closed_form_matches_direct_covariance():
 def test_closed_form_rejects_unnormalized():
     with pytest.raises(ContractError):
         spin_qcf_closed_form(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
+
+
+def test_demo_spins_builds_no_spin_operator(monkeypatch):
+    # the spin operators and total-spin squares are module constants; the one matrix
+    # check left is the chi unitary's, in chi_basis()
+    calls = []
+    for name in ("tensor_op", "as_matrix"):
+        original = getattr(tpslab.linalg, name)
+
+        def counting(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        for module in [m for key, m in sys.modules.items() if key.startswith("tpslab")]:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    demo_spins(samples=3, seed=0)
+    assert calls == ["as_matrix"]
 
 
 def test_demo_spins_report():

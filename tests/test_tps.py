@@ -5,6 +5,7 @@ import pytest
 from tps_oracle import dense_unitary, permutation_matrix, reflector_matrix
 
 from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError
+from tpslab.linalg import STATE_NORM_TOL, UNITARY_TOL
 from tpslab.sampling import haar_state, random_product_state, random_unitary
 from tpslab.schmidt import schmidt
 from tpslab.tps import (
@@ -270,6 +271,38 @@ def test_tps_refuses_a_bad_combination_of_parts(parts):
 def test_tps_refuses_a_reflector_of_the_wrong_size():
     with pytest.raises(ShapeError, match="reflector dimension 3"):
         TensorProductStructure(2, 2, reflector=np.ones(3))
+
+
+def test_tps_refuses_a_relabeling_of_another_grid():
+    # 3 x 2 and 2 x 3 have the same dimension; only the grids differ
+    with pytest.raises(ShapeError, match=r"relabeling grid does not match factors \(2, 3\)"):
+        TensorProductStructure(2, 3, relabeling=identity_bijection(3, 2))
+
+
+@pytest.mark.parametrize("rotation", ["relabeling", "reflector", "unitary"])
+def test_coefficient_matrix_accepts_every_state_that_check_state_accepts(rotation):
+    # states at the edge of STATE_NORM_TOL: no TPS moves their norm beyond rounding,
+    # or beyond a relative D * UNITARY_TOL / 2 for a dense unitary
+    rng = np.random.default_rng(61)
+    edge = 0
+    for _ in range(400):
+        d1, d2 = (int(d) for d in rng.integers(2, 9, size=2))
+        dim = d1 * d2
+        psi = haar_state(dim, rng) * (1.0 + rng.choice([-1.0, 1.0]) * STATE_NORM_TOL)
+        norm = np.linalg.norm(psi)
+        if abs(norm - 1.0) > STATE_NORM_TOL:
+            continue  # check_state refuses it before any TPS is read
+        edge += 1
+        if rotation == "relabeling":
+            tps, bound = relabel_tps(random_bijection(d1, d2, rng)), 1e-15
+        elif rotation == "reflector":
+            tps, bound = TensorProductStructure(d1, d2, reflector=haar_state(dim, rng)), 1e-15
+        else:
+            tps, bound = TensorProductStructure(d1, d2, random_unitary(dim, rng)), dim * UNITARY_TOL / 2
+        c = coefficient_matrix(psi, tps)
+        assert c.shape == (d1, d2)
+        assert abs(np.linalg.norm(c) / norm - 1.0) <= bound
+    assert edge >= 50
 
 
 def _phi(alphas, d1, d2):

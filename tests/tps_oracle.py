@@ -14,7 +14,7 @@ as the Bell basis.
 import numpy as np
 
 from tpslab.qcf import qcf
-from tpslab.spins import total_spin_squares
+from tpslab.spins import TOTAL_X2, TOTAL_Z2
 
 
 def permutation_matrix(bij) -> np.ndarray:
@@ -66,8 +66,7 @@ def chi_rows_from_eigh() -> np.ndarray:
     so the ascending columns are reversed; each is then phased so that its first
     largest-modulus entry is real and positive.
     """
-    squares = total_spin_squares()
-    _, vecs = np.linalg.eigh(2.0 * squares.z2 + squares.x2)
+    _, vecs = np.linalg.eigh(2.0 * TOTAL_Z2 + TOTAL_X2)
     rows = vecs[:, ::-1].T.copy()
     for row in rows:
         pivot = row[np.argmax(np.abs(row))]
