@@ -1,14 +1,17 @@
 """CHSH values for two-qubit pure states: maximization and the demo.
 
 The maximal CHSH value is ``2 sqrt(t1^2 + t2^2)`` from the two largest
-singular values of the 3x3 spin correlation matrix, and the settings that
+singular values of the 3x3 spin correlation matrix T, and the settings that
 reach it follow in closed form from the same SVD.  chsh_max builds those
-settings and re-evaluates the value through the raw definition
-``<psi|(a.sigma) (x) (b.sigma)|psi>``.  The independent check, an iterative
-maximizer (angular grid scan, then coordinate descent) on a correlation
-matrix of its own, lives in the tests as the oracle.
+settings and evaluates the raw CHSH value at them from T itself: the
+correlation ``E(u, v) = <psi|(u.sigma) (x) (v.sigma)|psi>`` is linear in u
+and v, so ``E(u, v) = u^T T v`` and the value is one bilinear form summed
+over the four setting pairs.  The independent checks live in the tests:
+``tests/chsh_oracle.py`` keeps the raw value through four correlations of
+the state and an iterative maximizer (angular grid scan, then coordinate
+descent) on a correlation matrix of its own.
 
-Every formula works on the last axes of the 2x2 coefficient matrices C
+T is built on the last axes of the 2x2 coefficient matrices C
 (``psi.reshape(2, 2)`` in the trivial TPS), so one state and a stack of
 states run the same code: ``<psi|A (x) B|psi> = tr(C^dagger A C B^T)``.
 """
@@ -26,6 +29,7 @@ from .tps import TensorProductStructure, coefficient_matrix
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _AXES = np.eye(3)
+_CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 SETTING_NORM_TOL = 1e-12
 TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
@@ -67,13 +71,12 @@ def _correlation_matrix(c: np.ndarray) -> np.ndarray:
     return _correlation(c[..., None, None, :, :], _AXES[:, None], _AXES[None])
 
 
-def _chsh_value(c: np.ndarray, a, a_prime, b, b_prime) -> np.ndarray:
-    return (
-        _correlation(c, a, b)
-        + _correlation(c, a, b_prime)
-        + _correlation(c, a_prime, b)
-        - _correlation(c, a_prime, b_prime)
-    )
+def _chsh_value(t: np.ndarray, a, a_prime, b, b_prime) -> np.ndarray:
+    """sum_k s_k u_k^T T v_k over the pairs (u_k, v_k) = (a, b), (a, b'), (a', b),
+    (a', b') with signs s = (1, 1, 1, -1)."""
+    u = np.stack((a, a, a_prime, a_prime), axis=-2)
+    v = np.stack((b, b_prime, b, b_prime), axis=-2)
+    return np.einsum("k,...ki,...ij,...kj->...", _CHSH_SIGNS, u, t, v)
 
 
 def _chsh_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
@@ -85,11 +88,12 @@ def _chsh_max(c: np.ndarray) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, 
     right singular vectors (Horodecki, Phys. Lett. A 200, 340 (1995)).  For a
     pure state ``t1 = 1``, so the division is safe.
     """
-    u, t, vt = np.linalg.svd(_correlation_matrix(c))
+    t_mat = _correlation_matrix(c)
+    u, t, vt = np.linalg.svd(t_mat)
     h = np.hypot(t[..., 0], t[..., 1])[..., None]
     t1f1, t2f2 = t[..., :1] * vt[..., 0, :], t[..., 1:2] * vt[..., 1, :]
     settings = (u[..., :, 0], u[..., :, 1], (t1f1 + t2f2) / h, (t1f1 - t2f2) / h)
-    return _chsh_value(c, *settings), 2.0 * h[..., 0], settings
+    return _chsh_value(t_mat, *settings), 2.0 * h[..., 0], settings
 
 
 @dataclass(frozen=True)

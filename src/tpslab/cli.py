@@ -214,7 +214,7 @@ def cmd_chsh(args: argparse.Namespace) -> str:
     sf = load_state_file(args.state)
     result = chsh_max(sf.amplitudes, _resolve_tps(sf, None))
     return _report(args, {"value": result.value, "closed_form": result.closed_form,
-                          "settings": asdict(result.settings)})
+                          "settings": vars(result.settings)})
 
 
 def _positive_int(text: str) -> int:

@@ -158,7 +158,12 @@ def _real_profile(grid: Grid, amp: np.ndarray, what: str) -> SampledProfile:
     """Normalize real amplitudes into a profile carrying their edge warning."""
     n = float(np.linalg.norm(amp))
     if n == 0.0:
-        raise DegenerateInputError(f"{what}: every sample vanishes on the grid")
+        # the squares of samples below about 1e-162 underflow: scale by the peak first
+        peak = float(np.max(np.abs(amp)))
+        if peak == 0.0:
+            raise DegenerateInputError(f"{what}: every sample vanishes on the grid")
+        amp = amp / peak
+        n = float(np.linalg.norm(amp))
     return SampledProfile(grid=grid, samples=amp / n, truncation_warning=_edge_warning(amp, what))
 
 

@@ -91,6 +91,9 @@ def check_state(psi) -> np.ndarray:
 
 
 def check_hermitian(a) -> np.ndarray:
+    """Validate a square observable within ``HERMITIAN_TOL`` of Hermitian and of
+    bounded norm; return its Hermitian part (a + a^dagger)/2, which is a itself,
+    bit for bit, when a is exactly Hermitian."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
         raise ShapeError(f"observable must be square, got {a.shape}")
@@ -102,6 +105,9 @@ def check_hermitian(a) -> np.ndarray:
     if not norm <= MAX_MATRIX_NORM:
         raise ContractError(f"matrix Frobenius norm exceeds {MAX_MATRIX_NORM:.3e}, "
                             "so a covariance could overflow")
+    if defect:
+        # within the bound norm a + a^dagger cannot overflow
+        a = (a + a.conj().T) / 2
     return a
 
 

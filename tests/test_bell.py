@@ -2,7 +2,13 @@
 
 import numpy as np
 import pytest
-from chsh_oracle import bloch_direction, chsh_at, chsh_search, spin_correlation_matrix
+from chsh_oracle import (
+    bloch_direction,
+    chsh_at,
+    chsh_search,
+    raw_chsh_value,
+    spin_correlation_matrix,
+)
 from demo_oracle import bell_loop, chsh_closed_form
 
 from tpslab import bell
@@ -102,6 +108,44 @@ def test_chsh_max_agrees_with_oracle_on_random_states():
         assert chsh_at(spin_correlation_matrix(psi), res.settings) == pytest.approx(
             res.value, abs=1e-12)
         assert res.closed_form == pytest.approx(chsh_closed_form(psi), abs=1e-12)
+
+
+def _haar_and_product_states(n: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    products = [random_product_state(2, 2, rng) for _ in range(n // 2)]
+    return np.concatenate([haar_state(4, rng, (n - n // 2,)), products])
+
+
+def test_chsh_value_matches_the_raw_definition_one_state_at_a_time():
+    # u^T T v summed over the four setting pairs against four correlations
+    # read from the state itself
+    for psi in _haar_and_product_states(10_000, 7):
+        res = chsh_max(psi, trivial_tps(2, 2))
+        s = res.settings
+        raw = raw_chsh_value(psi, s.a, s.a_prime, s.b, s.b_prime)
+        assert abs(res.value - raw) <= 4.5e-15
+
+
+def test_chsh_value_matches_the_raw_definition_on_a_stack():
+    psi = _haar_and_product_states(10_000, 8)
+    values, _, settings = bell._chsh_max(psi.reshape(-1, 2, 2))
+    assert values.shape == (10_000,)
+    assert np.max(np.abs(values - raw_chsh_value(psi, *settings))) <= 4.5e-15
+
+
+def test_chsh_max_reads_the_state_once(monkeypatch):
+    # the only correlation call builds T; the value is a bilinear form on it
+    calls = []
+    correlation = bell._correlation
+
+    def counting(c, u, v):
+        calls.append(np.shape(c))
+        return correlation(c, u, v)
+
+    monkeypatch.setattr(bell, "_correlation", counting)
+    psi = _haar_and_product_states(9, 9)
+    bell._chsh_max(psi.reshape(-1, 2, 2))
+    assert calls == [(9, 1, 1, 2, 2)]
 
 
 def test_entangled_states_always_violate():

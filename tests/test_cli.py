@@ -616,6 +616,18 @@ def test_qcf_global_accepts_a_large_multiple_of_the_identity(tmp_path, capsys):
         assert json.loads(out.read_text())["witness_threshold"] == 4e-12 * 1e8 * 1e8
 
 
+def test_qcf_global_accepts_an_observable_within_the_hermitian_tolerance(tmp_path, capsys):
+    # a 9e-10 i defect passes check_hermitian; its Hermitian part is what qcf reads
+    mat = tmp_path / "near.json"
+    entries = [[0.0, 0.0]] * 16
+    entries[1] = [0.0, 9e-10]
+    mat.write_text(dump_json({"dim": 4, "entries": entries}))
+    state = tmp_path / "uniform.json"
+    write_state(state, StateFile(2, 2, np.full(4, 0.5, dtype=complex)))
+    code, _ = run(["qcf", str(state), "--obs-a", str(mat), "--obs-b", str(mat)], tmp_path)
+    assert code == 0, capsys.readouterr().err
+
+
 def test_qcf_pauli_name_at_wrong_dim_exits_3(product_file):
     assert main(["qcf", product_file, "--obs-a", "pauli-z", "--obs-b", "pauli-z"]) == 3
 

@@ -288,6 +288,25 @@ def test_tiny_widths_reach_the_zero_limit_silently(sigma):
     assert np.count_nonzero(h.samples) == 2  # the lobes at -4 and +4 sit on the edge points
 
 
+def test_a_profile_whose_norm_underflows_is_scaled_by_its_peak():
+    # samples near 7e-166 square to 0.0, so the plain norm vanishes though the peak does not
+    g = Grid.spanning(9, 1.0)
+    f = gaussian_profile(g, 40.0, 1.0)  # a unit profile: SampledProfile checks the norm
+    assert np.argmax(f.samples) == 8  # the edge point nearest the centre
+    assert "at the grid edge" in f.truncation_warning
+    amp = np.exp(-((g.points - 40.0) ** 2) / 4.0)
+    unit = amp / amp.max()
+    np.testing.assert_allclose(f.samples, unit / np.linalg.norm(unit), rtol=1e-13)
+    with pytest.raises(DegenerateInputError, match="every sample vanishes"):
+        gaussian_profile(g, 1e3, 1.0)  # every sample is exactly 0
+
+
+def test_an_ordinary_profile_keeps_its_bits():
+    g = Grid.spanning(9, 1.0)
+    amp = np.exp(-((g.points - 0.3) ** 2) / 4.0)
+    assert gaussian_profile(g, 0.3, 1.0).samples.tobytes() == (amp / np.linalg.norm(amp)).tobytes()
+
+
 def sum_diff_targets(d):
     i, j = np.divmod(np.arange(d * d), d)
     return ((i + j) % d) * d + (i - j) % d

@@ -21,7 +21,9 @@ from tpslab.linalg import (
     tensor_vec,
 )
 from tpslab.qcf import qcf, qcf_local, variance
+from tpslab.sampling import random_hermitian
 from tpslab.schmidt import schmidt
+from tpslab.spins import PAULI_X, PAULI_Y, PAULI_Z
 from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
@@ -149,6 +151,30 @@ def test_expectation_pauli_z_plus_state():
     sz = np.diag([1.0, -1.0])
     psi = np.array([1.0, 1.0]) / SQ2
     assert expectation(sz, psi) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_expectation_takes_the_hermitian_part_of_a_near_hermitian_observable():
+    # a defect inside HERMITIAN_TOL no longer trips the imaginary-part check
+    value = expectation([[0, 1e-9j], [0, 0]], np.array([1.0, 1.0]) / SQ2)
+    assert isinstance(value, float) and value == 0.0
+
+
+def test_check_hermitian_returns_the_hermitian_part():
+    a = np.array([[1.0, 2.0 + 1e-9j], [2.0, -1.0]])
+    h = check_hermitian(a)
+    assert np.array_equal(h, h.conj().T)
+    assert np.array_equal(h, (a + a.conj().T) / 2)
+
+
+def test_check_hermitian_keeps_exact_hermitian_matrices_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for dim in (1, 2, 3, 4, 9, 16):
+        for _ in range(20):
+            a = random_hermitian(dim, rng) * 10.0 ** rng.integers(-8, 9)
+            assert check_hermitian(a).tobytes() == a.tobytes()
+    # signed zeros and the Paulis too
+    for a in (np.array([[-0.0, 0.0], [0.0, complex(0.0, -0.0)]]), PAULI_X, PAULI_Y, PAULI_Z):
+        assert check_hermitian(a).tobytes() == np.asarray(a, dtype=complex).tobytes()
 
 
 def test_expectation_requires_unit_state():
