@@ -22,7 +22,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, fields
+from dataclasses import fields
 
 import numpy as np
 
@@ -168,7 +168,7 @@ def cmd_coords(args: argparse.Namespace) -> str:
     reports = demo_sum_diff(*zip(*pairs))
     return _report(args, {
         "grid": {"d": args.d, "halfwidth": 8.0 * smax},
-        **{name: asdict(rep) for name, rep in
+        **{name: vars(rep) for name, rep in
            zip(("gaussian_pair", "equal_sigma", "double_gaussian"), reports)},
     })
 

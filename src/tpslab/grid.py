@@ -256,20 +256,31 @@ def _even_block_values(f: np.ndarray, g: np.ndarray) -> np.ndarray:
     column 0.  The row-to-column map a -> a+1 sends j to its reflection d-1-j
     and keeps i, so each block is real symmetric, and its singular values are
     the moduli of its eigenvalues: one ``eigvalsh`` per block.
+
+    One gather of the sigma = +1 grid serves both blocks: rows 0..h-1 then
+    d-1, columns 1..h then 0, h = (d-1)/2, give P = f[i] g[j] and
+    Q = f[j] g[i].  The sigma = -1 grid is its leading h x h corner, so that
+    block is the corner of P - Q; P + Q, with its fixed row and column scaled
+    by w, is the sigma = +1 block.  Each entry is rounded exactly as the
+    definition's f[i] g[j] + sigma (f[j] g[i]): a product by sigma = +-1 is
+    exact, and a + (-b) = a - b, so the blocks are the definition's bit for
+    bit.
     """
     d = f.shape[1]
     h, k = (d - 1) // 2, (d + 1) // 2
-    parts = []
-    for sigma in (1, -1):
-        a = np.arange(h + (sigma > 0))[:, None]  # rows 0..h-1, then d-1 if even
-        b = a.T + 1  # columns 1..h, then 0 if even
-        a[h:], b[:, h:] = d - 1, 0
-        i, j = (a + b) * k % d, (a - b) * k % d
-        block = np.take(f, i, axis=1) * np.take(g, j, axis=1)
-        block += sigma * (np.take(f, j, axis=1) * np.take(g, i, axis=1))
-        block[:, h:] *= math.sqrt(0.5)  # the fixed row, if any
-        block[:, :, h:] *= math.sqrt(0.5)  # the fixed column, if any
-        parts.append(np.abs(np.linalg.eigvalsh(block)))
+    a = np.arange(h + 1)[:, None]  # rows 0..h-1, then d-1
+    b = a.T + 1  # columns 1..h, then 0
+    a[h:], b[:, h:] = d - 1, 0
+    i, j = (a + b) * k % d, (a - b) * k % d
+    plus = np.take(f, i, axis=1)
+    plus *= np.take(g, j, axis=1)
+    second = np.take(f, j, axis=1)
+    second *= np.take(g, i, axis=1)
+    minus = plus[:, :h, :h] - second[:, :h, :h]
+    plus += second
+    plus[:, h:] *= math.sqrt(0.5)  # the fixed row
+    plus[:, :, h:] *= math.sqrt(0.5)  # the fixed column
+    parts = [np.abs(np.linalg.eigvalsh(block)) for block in (plus, minus)]
     return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]
 
 

@@ -9,8 +9,12 @@ state is drawn with its own ``rng.normal`` calls (real parts, then imaginary
 parts; psi1 before psi2; a Bell-demo candidate is redrawn until its Schmidt
 ratio clears 0.05), and every value comes from ``np.kron``-built operators on
 that one state.  Nothing here imports tpslab, so agreement also checks the
-order in which the stacked draws consume the stream.
+order in which the stacked draws consume the stream.  ``even_blocks_per_sigma``
+keeps the earlier route of the even parity blocks, one index grid and four
+gathers per block, as the bit-for-bit reference of their one-gather build.
 """
+
+import math
 
 import numpy as np
 from chsh_oracle import spin_correlation_matrix
@@ -110,3 +114,24 @@ def coords_pair(f, g, x, targets, tol: float = 1e-10) -> dict:
         "alpha_ratio_ab": float(vals_ab[1] / vals_ab[0]) if vals_ab.size > 1 else 0.0,
         "values_ab": vals_ab,
     }
+
+
+def even_blocks_per_sigma(f, g) -> np.ndarray:
+    """(n, d) descending relabeled Schmidt coefficients of the pairs f_k (x) g_k of
+    even real profiles, one parity block sigma = +1, then -1, at a time: each block
+    rebuilds its index grid, gathers both products and adds sigma times the second
+    to the first, before its fixed row and column are scaled by 1/sqrt(2)."""
+    d = f.shape[1]
+    h, k = (d - 1) // 2, (d + 1) // 2
+    parts = []
+    for sigma in (1, -1):
+        a = np.arange(h + (sigma > 0))[:, None]  # rows 0..h-1, then d-1 if even
+        b = a.T + 1  # columns 1..h, then 0 if even
+        a[h:], b[:, h:] = d - 1, 0
+        i, j = (a + b) * k % d, (a - b) * k % d
+        block = np.take(f, i, axis=1) * np.take(g, j, axis=1)
+        block += sigma * (np.take(f, j, axis=1) * np.take(g, i, axis=1))
+        block[:, h:] *= math.sqrt(0.5)  # the fixed row, if any
+        block[:, :, h:] *= math.sqrt(0.5)  # the fixed column, if any
+        parts.append(np.abs(np.linalg.eigvalsh(block)))
+    return np.sort(np.concatenate(parts, axis=1), axis=1)[:, ::-1]

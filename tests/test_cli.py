@@ -7,8 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from demo_oracle import even_blocks_per_sigma
 
 import tpslab.statefile
+from tpslab import grid as grid_module
 from tpslab.cli import build_parser, main
 from tpslab.errors import SizeLimitError, UnknownObservableError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
@@ -269,6 +271,18 @@ def test_demo_coords_takes_two_half_size_eigensolves(caller, monkeypatch, tmp_pa
         assert main(["demo", "coords", "--d", "33", "--format", caller, "--out", str(out)]) == 0
         n = 11 if caller == "csv" else 3
         assert calls == [("eigvalsh", (n, 17, 17)), ("eigvalsh", (n, 16, 16))]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_demo_coords_bytes_equal_the_per_sigma_block_route(fmt, monkeypatch, capsys):
+    argv = ["demo", "coords", "--d", "65", "--sigma1", "0.8", "--sigma2", "2.1", "--sep", "3",
+            "--format", fmt]
+    assert main(argv) == 0
+    change = capsys.readouterr()
+    monkeypatch.setattr(grid_module, "_even_block_values", even_blocks_per_sigma)
+    assert main(argv) == 0
+    oracle = capsys.readouterr()
+    assert change.out and (change.out, change.err) == (oracle.out, oracle.err)
 
 
 def test_demo_coords_json_sections_equal_single_pair_calls(tmp_path):

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from demo_oracle import coords_pair
+from demo_oracle import coords_pair, even_blocks_per_sigma
 from tps_oracle import permutation_matrix, qcf_local_global
 
 from tpslab import grid as grid_module
@@ -445,6 +445,47 @@ def test_parity_blocks_are_symmetric_up_to_the_second_parity(d, kinds, monkeypat
     np.testing.assert_allclose(values, want, rtol=0, atol=1e-14 * want[0])
     assert rank_from_singular_values(values, DEFAULT_TRUNCATION_TOL) == \
         rank_from_singular_values(want, DEFAULT_TRUNCATION_TOL)
+
+
+def even_stack(grid, n, rng):
+    """(n, d) unit even real profiles: centred Gaussians, double Gaussians and
+    symmetrized random vectors, which have negative entries, in a seeded order."""
+    make = [lambda w: gaussian_profile(grid, 0.0, w),
+            lambda w: double_gaussian_profile(grid, rng.uniform(1.0, 3.0), w),
+            lambda w: parity_profile(grid, "even", "random", rng)]
+    return np.stack([make[m](rng.uniform(0.5, 1.5)).samples for m in rng.integers(3, size=n)])
+
+
+@pytest.mark.parametrize("n", [1, 3, 11])
+@pytest.mark.parametrize("d", [3, 5, 9, 33, 129])
+def test_even_blocks_equal_the_per_sigma_route_bit_for_bit(d, n):
+    # one gather of the sigma = +1 grid serves both blocks with the per-block route's
+    # floating-point operations, so every eigvalsh input and output keeps its bits
+    rng = np.random.default_rng(100 * d + n)
+    grid = Grid.spanning(d, 6.0)
+    f, g = even_stack(grid, n, rng), even_stack(grid, n, rng)
+    assert all(np.array_equal(v, v[::-1]) for v in np.concatenate([f, g]))
+    assert np.array_equal(grid_module._even_block_values(f, g), even_blocks_per_sigma(f, g))
+
+
+@pytest.mark.parametrize("d", [3, 9, 129])
+def test_equal_profiles_have_an_exactly_zero_odd_block(d, monkeypatch):
+    # f == g: f[i] g[j] and f[j] g[i] are one product, so P - Q is exactly 0
+    rng = np.random.default_rng(d)
+    f = even_stack(Grid.spanning(d, 6.0), 5, rng)
+    blocks, eigvalsh = [], np.linalg.eigvalsh
+
+    def capture(block, *args, **kwargs):
+        blocks.append(block.copy())
+        return eigvalsh(block, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", capture)
+    values = grid_module._even_block_values(f, f.copy())
+    monkeypatch.undo()
+    assert [b.shape for b in blocks] == [(5, (d + 1) // 2, (d + 1) // 2), (5, d // 2, d // 2)]
+    assert not blocks[1].any()
+    assert not values[:, (d + 1) // 2:].any()
+    assert np.array_equal(values, even_blocks_per_sigma(f, f))
 
 
 def test_a_stack_of_every_parity_class_equals_the_single_pair_calls():

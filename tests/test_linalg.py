@@ -13,6 +13,7 @@ from tpslab.errors import (
 )
 from tpslab.linalg import (
     MAX_MATRIX_NORM,
+    _expectation,
     as_matrix,
     as_vector,
     check_hermitian,
@@ -157,6 +158,15 @@ def test_expectation_takes_the_hermitian_part_of_a_near_hermitian_observable():
     # a defect inside HERMITIAN_TOL no longer trips the imaginary-part check
     value = expectation([[0, 1e-9j], [0, 0]], np.array([1.0, 1.0]) / SQ2)
     assert isinstance(value, float) and value == 0.0
+
+
+def test_an_imaginary_expectation_beyond_the_tolerance_is_refused():
+    # check_hermitian makes every observable that reaches the guard exactly Hermitian,
+    # so only the unchecked core shows it: <psi, [[0, 1], [0, 0]] psi> = i/2
+    psi = np.array([1.0, 1.0j]) / SQ2
+    with pytest.raises(NumericalError,
+                       match=r"^expectation has imaginary part 5\.000e-01 beyond 1e-10$"):
+        _expectation(np.array([[0.0, 1.0], [0.0, 0.0]]), psi)
 
 
 def test_check_hermitian_returns_the_hermitian_part():

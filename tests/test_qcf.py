@@ -1,10 +1,12 @@
 """Quantum covariance function: vanishing theorem, witness verdicts, variance identity."""
 
+import importlib
+
 import numpy as np
 import pytest
 from tps_oracle import qcf_local_global
 
-from tpslab.errors import ContractError, ShapeError
+from tpslab.errors import ContractError, NumericalError, ShapeError
 from tpslab.linalg import tensor_op, tensor_vec
 from tpslab.qcf import (
     ENTANGLED_WITNESSED,
@@ -20,6 +22,7 @@ from tpslab.schmidt import schmidt
 from tpslab.spins import chi_basis
 from tpslab.tps import TensorProductStructure, random_bijection, relabel_tps, trivial_tps
 
+QCF_MODULE = importlib.import_module("tpslab.qcf")  # `tpslab.qcf` names the function
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -161,6 +164,17 @@ def test_variance_of_a_scaled_identity_vanishes_to_rounding(k):
     rng = np.random.default_rng(80 + k)
     for _ in range(50):
         assert 0.0 <= variance(s * np.eye(4), haar_state(4, rng)) <= -VARIANCE_FLOOR * s * s
+
+
+def test_a_variance_below_the_scaled_floor_is_refused(monkeypatch):
+    # only rounding reaches this guard; a forged covariance stands in for it
+    a, psi = 3.0 * np.eye(2), np.array([1.0, 0.0])
+    floor = VARIANCE_FLOOR * 9.0  # ||3 I||inf^2 = 9
+    monkeypatch.setattr(QCF_MODULE, "_covariance", lambda *args: np.complex128(floor / 2))
+    assert variance(a, psi) == 0.0  # inside the floor: clamped to 0
+    monkeypatch.setattr(QCF_MODULE, "_covariance", lambda *args: np.complex128(floor * 2))
+    with pytest.raises(NumericalError, match="below the tolerated rounding floor"):
+        variance(a, psi)
 
 
 def test_variance_never_negative():
