@@ -28,7 +28,6 @@ from .spins import PAULI_X, PAULI_Y, PAULI_Z
 from .tps import TensorProductStructure, coefficient_matrix
 
 _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
-_AXES = np.eye(3)
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 SETTING_NORM_TOL = 1e-12
@@ -59,16 +58,9 @@ class ChshSettings:
             object.__setattr__(self, name, _check_direction(getattr(self, name), name))
 
 
-def _correlation(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """E(u, v) = tr(C^dagger (u.sigma) C (v.sigma)^T), directions on the last axis."""
-    a = np.einsum("...i,ijk->...jk", u, _PAULIS)
-    b = np.einsum("...i,ijk->...jk", v, _PAULIS)
-    return np.einsum("...ab,...ac,...cd,...bd->...", c.conj(), a, c, b).real
-
-
 def _correlation_matrix(c: np.ndarray) -> np.ndarray:
-    """T_ij = E(e_i, e_j), shaped (..., 3, 3)."""
-    return _correlation(c[..., None, None, :, :], _AXES[:, None], _AXES[None])
+    """T_ij = tr(C^dagger sigma_i C sigma_j^T), shaped (..., 3, 3), in one contraction."""
+    return np.einsum("...ab,iac,...cd,jbd->...ij", c.conj(), _PAULIS, c, _PAULIS).real
 
 
 def _chsh_value(t: np.ndarray, a, a_prime, b, b_prime) -> np.ndarray:
@@ -140,11 +132,11 @@ def demo_bell(samples: int, seed: int) -> BellDemoReport:
     """Maximize CHSH over seeded entangled two-qubit states, plus the Bell state.
 
     The states are Haar draws whose smaller Schmidt coefficient is at least
-    0.05 of the larger, which keeps the guaranteed violation above the 1e-3
-    margin; the Bell state, last in the same stack, should reach 2 sqrt(2).
+    ``MIN_ALPHA_RATIO`` = 0.05 of the larger, which keeps the violation above
+    the 1e-3 margin; the Bell state, last in the stack, should reach 2 sqrt(2).
     """
     check_samples(samples)
-    psi = random_entangled_state(2, 2, np.random.default_rng(seed), 0.05, (samples,))
+    psi = random_entangled_state(2, 2, np.random.default_rng(seed), (samples,))
     bell = np.array([[1, 0, 0, 1]], dtype=complex) / np.sqrt(2.0)
     values, closed, _ = _chsh_max(np.concatenate([psi, bell]).reshape(-1, 2, 2))
     margin = 1e-3

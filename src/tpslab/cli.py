@@ -5,9 +5,10 @@ is a usage error.  A JSON report opens with the manifest
 ``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
 arguments: every flag the subcommand declares except ``--out`` and
 ``--format``, its positional state file, and the demo's name.  Each handler
-returns its text, a report or ``refactor``'s state file, and ``main`` alone
-writes it, to ``--out`` or stdout, or maps a toolkit error to its exit code
-and one ``error:`` line.  Reports are deterministic: identical invocations
+takes the state file that ``main`` read (a demo None) and returns its text; ``main``
+alone writes it, to ``--out`` or stdout after a ``warning:`` line for a norm
+corrected on load, or maps a toolkit error to its exit code and one ``error:``
+line.  Reports are deterministic: identical invocations
 (same seed, same inputs) produce byte-identical output.
 Exit codes: 0 ok, 2 usage error, unparseable input file (including a missing
 or unknown key) or unwritable ``--out``, 3 dimension mismatch or size cap,
@@ -21,7 +22,6 @@ import argparse
 import math
 import os
 import sys
-import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -115,15 +115,13 @@ def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
     return trivial_tps(sf.d1, sf.d2)
 
 
-def cmd_schmidt(args: argparse.Namespace) -> str:
-    sf = load_state_file(args.state)
+def cmd_schmidt(args: argparse.Namespace, sf: StateFile) -> str:
     sd = schmidt(sf.amplitudes, _resolve_tps(sf, args.tps), truncation_tol=args.tol)
     return _report(args, {"rank": sd.rank, "coefficients": sd.coefficients,
                           "factorizable": sd.rank == 1})
 
 
-def cmd_qcf(args: argparse.Namespace) -> str:
-    sf = load_state_file(args.state)
+def cmd_qcf(args: argparse.Namespace, sf: StateFile) -> str:
     if args.local:
         tps = _resolve_tps(sf, args.tps)
         obs_a = resolve_observable(args.obs_a, tps.d1)
@@ -142,7 +140,7 @@ def cmd_qcf(args: argparse.Namespace) -> str:
                           "witness_threshold": threshold, "verdict": verdict})
 
 
-def cmd_coords(args: argparse.Namespace) -> str:
+def cmd_coords(args: argparse.Namespace, _: None) -> str:
     if args.d % 2 == 0:
         raise GridSpecError(
             f"--d must be odd for the coordinate demo (got {args.d}): the "
@@ -173,7 +171,7 @@ def cmd_coords(args: argparse.Namespace) -> str:
     })
 
 
-def cmd_sampling_demo(args: argparse.Namespace) -> str:
+def cmd_sampling_demo(args: argparse.Namespace, _: None) -> str:
     demo, header = {"spins": (demo_spins, ["sample", "residual", "qcf_value"]),
                     "bell": (demo_bell, ["sample", "chsh_value", "oracle_value"])}[args.which]
     report = demo(samples=args.samples, seed=args.seed)
@@ -199,8 +197,7 @@ def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
     return relabeled(_resolve_tps(sf, None), bij)
 
 
-def cmd_refactor(args: argparse.Namespace) -> str:
-    sf = load_state_file(args.state)
+def cmd_refactor(args: argparse.Namespace, sf: StateFile) -> str:
     if args.spectrum is None:
         new_tps = _relabeled_tps(sf, args.bijection)
     else:
@@ -210,8 +207,7 @@ def cmd_refactor(args: argparse.Namespace) -> str:
     return dump_json(out.to_dict())
 
 
-def cmd_chsh(args: argparse.Namespace) -> str:
-    sf = load_state_file(args.state)
+def cmd_chsh(args: argparse.Namespace, sf: StateFile) -> str:
     result = chsh_max(sf.amplitudes, _resolve_tps(sf, None))
     return _report(args, {"value": result.value, "closed_form": result.closed_form,
                           "settings": vars(result.settings)})
@@ -312,11 +308,11 @@ def main(argv=None) -> int:
     if args.command == "qcf" and not args.local and (args.tol is not None or args.tps is not None):
         parser.error("qcf --tol sets the witness threshold of --local, and --tps its TPS")
     try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always", UserWarning)  # every run gets its own notices
-            text = args.func(args)
-        for notice in caught:
-            print(f"warning: {notice.message}", file=sys.stderr)
+        sf = load_state_file(args.state) if "state" in args else None
+        text = args.func(args, sf)
+        if sf is not None and sf.norm_correction is not None:
+            print(f"warning: {args.state}: normalizing state with norm {sf.norm_correction!r}",
+                  file=sys.stderr)
         if args.out is None:
             sys.stdout.write(text)
             return 0

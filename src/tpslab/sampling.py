@@ -11,6 +11,10 @@ from .linalg import check_size, tensor_vec
 from .schmidt import spectra
 from .tps import trivial_tps
 
+# random_entangled_state's floor on alpha2/alpha1: at 0.05 every two-qubit draw beats
+# demo bell's 1e-3 CHSH margin, and at 1 or more no draw passes, so it is no parameter
+MIN_ALPHA_RATIO = 0.05
+
 
 def check_samples(samples: int) -> None:
     """A demo's sample count: positive, and at most MAX_GLOBAL_DIM.
@@ -62,11 +66,11 @@ def random_entangled_state(
     d1: int,
     d2: int,
     rng: np.random.Generator,
-    min_alpha_ratio: float = 1e-3,
     shape: tuple[int, ...] = (),
 ) -> np.ndarray:
     """Haar states, shaped (*shape, d1*d2), each redrawn until its second
-    Schmidt coefficient in the trivial TPS (``schmidt.spectra``) clears a floor.
+    Schmidt coefficient in the trivial TPS (``schmidt.spectra``) is at least
+    ``MIN_ALPHA_RATIO`` times its first.
 
     The floor keeps downstream entanglement margins bounded away from zero;
     Haar states are almost surely full rank, so rejections are rare.  Each
@@ -82,7 +86,7 @@ def random_entangled_state(
     while missing:
         psi = haar_state(d1 * d2, rng, (missing,))
         s = spectra(psi, trivial_tps(d1, d2))
-        psi = psi[s[:, 1] >= min_alpha_ratio * s[:, 0]]
+        psi = psi[s[:, 1] >= MIN_ALPHA_RATIO * s[:, 0]]
         accepted.append(psi)
         missing -= len(psi)
     return np.concatenate(accepted).reshape(*shape, d1 * d2)

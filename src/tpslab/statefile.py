@@ -12,7 +12,6 @@ produce identical bytes and every write->read round trip is bit-exact.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -223,13 +222,15 @@ def load_matrix_file(path: str, dim: int) -> np.ndarray:
 
 @dataclass
 class StateFile:
-    """On-disk representation of a state: dims, amplitudes, optional TPS, metadata."""
+    """On-disk representation of a state: dims, amplitudes, optional TPS, metadata, and
+    the norm ``load_state_file`` divided out, or None (``norm_correction``, not written)."""
 
     d1: int
     d2: int
     amplitudes: np.ndarray
     tps: TensorProductStructure | None = None
     metadata: dict = field(default_factory=dict)
+    norm_correction: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -243,7 +244,7 @@ class StateFile:
 
 
 def load_state_file(path: str) -> StateFile:
-    """Parse and validate a state file; normalizes near-unit amplitudes with a warning.
+    """Parse and validate a state file; divides near-unit amplitudes by their norm.
 
     Raises:
         StateFileError: unreadable or malformed file (with line diagnostics), a missing
@@ -268,8 +269,8 @@ def load_state_file(path: str) -> StateFile:
         raise StateFileError(f"{path}: state norm {n!r} deviates from 1 beyond 1e-8")
     # deviations at rounding scale are left untouched so write->read round-trips
     # reproduce the stored amplitudes bit-exactly
-    if abs(n - 1.0) > 1e-12:
-        warnings.warn(f"{path}: normalizing state with norm {n!r}", stacklevel=2)
+    correction = n if abs(n - 1.0) > 1e-12 else None
+    if correction is not None:
         amplitudes = amplitudes / n
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -278,7 +279,8 @@ def load_state_file(path: str) -> StateFile:
         dump_json(metadata)  # json.load reads NaN and Infinity, which no writer may emit
     except ValueError as exc:
         raise StateFileError(f"{path}: metadata holds a non-finite number") from exc
-    return StateFile(d1=d1, d2=d2, amplitudes=amplitudes, tps=tps, metadata=metadata)
+    return StateFile(d1=d1, d2=d2, amplitudes=amplitudes, tps=tps, metadata=metadata,
+                     norm_correction=correction)
 
 
 def render_csv(header: list[str], rows) -> str:

@@ -9,7 +9,9 @@ to about 1e-4, but it never exceeds the maximum.
 
 ``raw_chsh_value`` is the reference route for the value at given settings: four
 correlations, each read from the state through its own Pauli matrices, where
-the library takes one bilinear form on the correlation matrix.
+the library takes one bilinear form on the correlation matrix.  The same
+correlations at the coordinate axes, ``correlation_matrix_by_directions``, are
+the reference for the library's correlation matrix, built in one contraction.
 """
 
 from math import cos, sin
@@ -37,6 +39,14 @@ def _raw_correlation(c: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
     a = np.einsum("...i,ijk->...jk", u, paulis)
     b = np.einsum("...i,ijk->...jk", v, paulis)
     return np.einsum("...ab,...ac,...cd,...bd->...", c.conj(), a, c, b).real
+
+
+def correlation_matrix_by_directions(c: np.ndarray) -> np.ndarray:
+    """T_ij = E(e_i, e_j) of coefficient matrices C (a stack on the leading axes), one
+    correlation at each pair of coordinate axes: the reference route for the bits of
+    the library's one contraction."""
+    axes = np.eye(3)
+    return _raw_correlation(c[..., None, None, :, :], axes[:, None], axes[None])
 
 
 def raw_chsh_value(psi, a, a_prime, b, b_prime) -> np.ndarray:

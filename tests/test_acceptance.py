@@ -331,7 +331,7 @@ def test_c10_bell_violation_for_entangled_states():
     # minimum-entanglement floor alpha2/alpha1 >= 0.05 keeps the guaranteed
     # violation margin above 1e-3 (it vanishes as alpha2 -> 0)
     for _ in range(1000):
-        psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
+        psi = random_entangled_state(2, 2, rng)
         res = chsh_max(psi, trivial_tps(2, 2))
         searched = chsh_search(psi)
         gap = abs(res.value - searched)

@@ -19,7 +19,7 @@ DEFAULTED = {
     "demo_sum_diff": {"truncation_tol": 1e-10},
     "haar_state": {"shape": ()},
     "qcf_local": {"witness_threshold": None},
-    "random_entangled_state": {"min_alpha_ratio": 1e-3, "shape": ()},
+    "random_entangled_state": {"shape": ()},
     "schmidt": {"truncation_tol": 1e-10},
 }
 
@@ -131,6 +131,22 @@ def test_only_main_writes_output():
                                                                               "stderr"})]
     assert len(writes) == 1 and writes[0].startswith("cli.py:")
     assert streams == []
+
+
+def test_no_module_imports_warnings():
+    # a notice, such as a state's norm correction on load, is data that cli.main prints,
+    # not a Python warning whose filters are process-wide state
+    package = Path(tpslab.__file__).parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = {alias.name.split(".")[0] for node in ast.walk(tree)
+                   if isinstance(node, ast.Import) for alias in node.names}
+        modules |= {(node.module or "").split(".")[0] for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom)}
+        if "warnings" in modules:
+            importers.append(path.name)
+    assert importers == []
 
 
 def test_every_schmidt_spectrum_goes_through_schmidt_py():

@@ -1,11 +1,14 @@
 """CHSH: raw values, the closed-form settings, and the iterative search oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 from chsh_oracle import (
     bloch_direction,
     chsh_at,
     chsh_search,
+    correlation_matrix_by_directions,
     raw_chsh_value,
     spin_correlation_matrix,
 )
@@ -33,9 +36,9 @@ def test_settings_require_unit_vectors():
 
 
 def test_correlation_bell_zz():
-    c = BELL.reshape(2, 2)
-    assert bell._correlation(c, Z, Z) == pytest.approx(1.0, abs=1e-12)
-    assert bell._correlation(c, X, X) == pytest.approx(1.0, abs=1e-12)
+    t = bell._correlation_matrix(BELL.reshape(2, 2))
+    assert t[2, 2] == pytest.approx(1.0, abs=1e-12)
+    assert t[0, 0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_chsh_bell_standard_angles():
@@ -134,24 +137,37 @@ def test_chsh_value_matches_the_raw_definition_on_a_stack():
 
 
 def test_chsh_max_reads_the_state_once(monkeypatch):
-    # the only correlation call builds T; the value is a bilinear form on it
+    # the only read of the state builds T; the value is a bilinear form on it
     calls = []
-    correlation = bell._correlation
+    correlation_matrix = bell._correlation_matrix
 
-    def counting(c, u, v):
+    def counting(c):
         calls.append(np.shape(c))
-        return correlation(c, u, v)
+        return correlation_matrix(c)
 
-    monkeypatch.setattr(bell, "_correlation", counting)
+    monkeypatch.setattr(bell, "_correlation_matrix", counting)
     psi = _haar_and_product_states(9, 9)
     bell._chsh_max(psi.reshape(-1, 2, 2))
-    assert calls == [(9, 1, 1, 2, 2)]
+    assert calls == [(9, 2, 2)]
+
+
+def test_correlation_matrix_keeps_the_bits_of_the_direction_route():
+    # T in one contraction against one correlation per pair of axes, bit for bit with
+    # the sign of zero, on a stack and one state at a time; the entries from
+    # {0, +-1, +-i, 1/2, sqrt(1/2)} give exact zeros in C and in T
+    exact = np.array(list(itertools.product((0, 1, -1, 1j, -1j, 0.5, np.sqrt(0.5)), repeat=4)),
+                     dtype=complex)
+    for psi in (_haar_and_product_states(2000, 11), exact):
+        c = psi.reshape(-1, 2, 2)
+        wanted = correlation_matrix_by_directions(c)
+        for t in (bell._correlation_matrix(c), [bell._correlation_matrix(m) for m in c]):
+            assert np.array_equal(t, wanted) and np.array_equal(np.signbit(t), np.signbit(wanted))
 
 
 def test_entangled_states_always_violate():
     rng = np.random.default_rng(4)
     for _ in range(100):
-        psi = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05)
+        psi = random_entangled_state(2, 2, rng)
         vals = schmidt(psi, trivial_tps(2, 2)).coefficients
         assert vals[1] > 1e-3 * vals[0]
         assert chsh_max(psi, trivial_tps(2, 2)).value > 2.0 + 1e-3
@@ -208,7 +224,7 @@ def test_demo_bell_matches_per_sample_loop(seed, samples, rejected):
     if rejected is not None:
         assert oracle["rejected"] == rejected
     rng = np.random.default_rng(seed)
-    stacked = random_entangled_state(2, 2, rng, min_alpha_ratio=0.05, shape=(samples,))
+    stacked = random_entangled_state(2, 2, rng, shape=(samples,))
     assert np.max(np.abs(stacked - oracle["states"])) <= 1e-14
     # the stacked draws stop at the last accepted state, as the loop does
     assert rng.normal() == oracle["next_draw"]

@@ -1195,17 +1195,67 @@ def test_an_empty_tps_path_exits_2(argv, bell_file, tmp_path, capsys):
     assert captured.err == "error: cannot read '': No such file or directory\n"
 
 
-def test_a_norm_correction_prints_one_warning_line_on_every_run(tmp_path, capsys):
-    # a Python warning printed the installed source path and line, and once per process only
-    state = tmp_path / "denorm.json"
+@pytest.fixture
+def denorm_file(tmp_path):
+    """The Bell state at norm 1 + 1e-9: corrected on load, beyond the bit-exact window."""
+    path = tmp_path / "denorm.json"
     psi = np.array([1, 0, 0, 1], dtype=complex) / SQ2 * (1 + 1e-9)
-    write_state(state, StateFile(2, 2, psi))
-    wanted = f"warning: {state}: normalizing state with norm {float(np.linalg.norm(psi))!r}\n"
+    write_state(path, StateFile(2, 2, psi))
+    return str(path)
+
+
+def norm_notice(path: str) -> str:
+    """The notice of a state file: its norm as stored, before the correction."""
+    psi = np.array([complex(*pair) for pair in json.loads(Path(path).read_text())["amplitudes"]])
+    return f"warning: {path}: normalizing state with norm {float(np.linalg.norm(psi))!r}\n"
+
+
+# every subcommand that reads a state file, with --out where it writes one
+NOTICE_ARGV = {
+    "schmidt": ["schmidt"],
+    "chsh": ["chsh"],
+    "qcf-local": ["qcf", "--obs-a", "pauli-z", "--obs-b", "pauli-z", "--local"],
+    "qcf-global": ["qcf", "--obs-a", "position", "--obs-b", "position"],
+    "refactor-spectrum": ["refactor", "--spectrum", "product", "--out", "{out}"],
+    "refactor-bijection": ["refactor", "--bijection", "swap", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("argv", NOTICE_ARGV.values(), ids=NOTICE_ARGV)
+def test_a_norm_correction_prints_one_warning_line_on_every_run(argv, denorm_file, tmp_path,
+                                                               capsys):
+    # a Python warning printed the installed source path and line, and once per process only
+    out = tmp_path / "out.json"
+    argv = [argv[0], denorm_file, *(a.format(out=out) for a in argv[1:])]
     for _ in range(2):
-        assert main(["schmidt", str(state)]) == 0
+        assert main(argv) == 0
         captured = capsys.readouterr()
-        assert captured.err == wanted and ".py:" not in captured.err
-        assert json.loads(captured.out)["rank"] == 2
+        assert captured.err == norm_notice(denorm_file) and ".py:" not in captured.err
+        assert json.loads(captured.out or out.read_text())  # the report or the state file
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["schmidt", "{state}", "--tps", "{missing}"], "error: cannot read {missing!r}: "),
+    (["qcf", "{state}", "--obs-a", "nope", "--obs-b", "pauli-z", "--local"],
+     "error: unknown observable 'nope': "),
+], ids=["tps-missing", "qcf-unknown-observable"])
+def test_a_failing_run_prints_its_error_line_alone(argv, message, denorm_file, tmp_path, capsys):
+    # the state was read and corrected, but a run that fails reports its error alone
+    names = {"state": denorm_file, "missing": str(tmp_path / "missing.json")}
+    code = main([a.format(**names) for a in argv])
+    captured = capsys.readouterr()
+    assert code in (2, 4) and captured.out == ""
+    assert captured.err.startswith(message.format(**names)) and captured.err.count("\n") == 1
+
+
+def test_an_unwritable_out_prints_the_notice_then_the_error(denorm_file, tmp_path, capsys):
+    # the report was computed, so its notice comes before the failed write's error
+    out = tmp_path / "missing" / "out.json"
+    assert main(["schmidt", denorm_file, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    notice, error = captured.err.splitlines(keepends=True)
+    assert captured.out == "" and notice == norm_notice(denorm_file)
+    assert error.startswith(f"error: cannot write {str(out)!r}: ")
 
 
 SIXTH = [[1 / np.sqrt(6), 0.0]] * 6

@@ -147,13 +147,22 @@ def test_tps_from_dict_refuses_dims_other_than_the_states():
 
 
 def test_load_normalizes_with_warning(tmp_path):
+    # the correction is data on the loaded state, which cli.main prints as its warning
     psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2)
     psi *= 1.0 + 5e-10  # within 1e-8, beyond the bit-exactness window
     path = tmp_path / "state.json"
     path.write_text(dump_json(StateFile(2, 2, psi).to_dict()))
-    with pytest.warns(UserWarning, match="normalizing"):
-        loaded = load_state_file(str(path))
+    loaded = load_state_file(str(path))
+    n = float(np.linalg.norm(psi))
+    assert loaded.norm_correction == n
+    assert np.array_equal(loaded.amplitudes, psi / n)
     assert np.linalg.norm(loaded.amplitudes) == pytest.approx(1.0, abs=1e-14)
+    assert "norm_correction" not in loaded.to_dict()
+    # within 1e-12 the stored amplitudes are kept, bit for bit
+    psi = np.array([1.0, 0, 0, 1.0], dtype=complex) / np.sqrt(2) * (1.0 + 4e-13)
+    path.write_text(dump_json(StateFile(2, 2, psi).to_dict()))
+    loaded = load_state_file(str(path))
+    assert loaded.norm_correction is None and np.array_equal(loaded.amplitudes, psi)
 
 
 def test_load_rejects_bad_norm(tmp_path):
