@@ -5,11 +5,12 @@ is a usage error.  A JSON report opens with the manifest
 ``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
 arguments: every flag the subcommand declares except ``--out`` and
 ``--format``, its positional state file, and the demo's name.  Each handler
-takes the state file that ``main`` read (a demo None) and returns its text; ``main``
-alone writes it, to ``--out`` or stdout after a ``warning:`` line for a norm
-corrected on load, or maps a toolkit error to its exit code and one ``error:``
-line.  Reports are deterministic: identical invocations
-(same seed, same inputs) produce byte-identical output.
+takes the state file that ``main`` read, its ``tps`` set to the run's one TPS
+(the ``--tps`` file, else the file's block, else the trivial TPS; a demo gets
+None), and returns its text; ``main`` alone writes it, to ``--out`` or stdout
+after a ``warning:`` line for a norm corrected on load, or maps a toolkit error
+to its exit code and one ``error:`` line.  Reports are deterministic: identical
+invocations (same seed, same inputs) produce byte-identical output.
 Exit codes: 0 ok, 2 usage error, unparseable input file (including a missing
 or unknown key) or unwritable ``--out``, 3 dimension mismatch or size cap,
 4 unknown observable, 5 grid constraint violated, 6 bad bijection, 1 any
@@ -107,26 +108,17 @@ def resolve_observable(spec: str, dim: int) -> np.ndarray:
     return load_matrix_file(spec, dim)
 
 
-def _resolve_tps(sf: StateFile, tps_path: str | None) -> TensorProductStructure:
-    if tps_path is not None:
-        return tps_from_dict(read_json(tps_path), (sf.d1, sf.d2))
-    if sf.tps is not None:
-        return sf.tps
-    return trivial_tps(sf.d1, sf.d2)
-
-
 def cmd_schmidt(args: argparse.Namespace, sf: StateFile) -> str:
-    sd = schmidt(sf.amplitudes, _resolve_tps(sf, args.tps), truncation_tol=args.tol)
+    sd = schmidt(sf.amplitudes, sf.tps, truncation_tol=args.tol)
     return _report(args, {"rank": sd.rank, "coefficients": sd.coefficients,
                           "factorizable": sd.rank == 1})
 
 
 def cmd_qcf(args: argparse.Namespace, sf: StateFile) -> str:
     if args.local:
-        tps = _resolve_tps(sf, args.tps)
-        obs_a = resolve_observable(args.obs_a, tps.d1)
-        obs_b = resolve_observable(args.obs_b, tps.d2)
-        rep = qcf_local(obs_a, obs_b, sf.amplitudes, tps, witness_threshold=args.tol)
+        obs_a = resolve_observable(args.obs_a, sf.d1)
+        obs_b = resolve_observable(args.obs_b, sf.d2)
+        rep = qcf_local(obs_a, obs_b, sf.amplitudes, sf.tps, witness_threshold=args.tol)
         value, threshold, verdict = rep.value, rep.witness_threshold, rep.verdict
     else:
         dim = sf.d1 * sf.d2
@@ -194,7 +186,7 @@ def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
         bij = identity_bijection(d1, d2)
     else:
         bij = load_bijection_file(spec, d1, d2)
-    return relabeled(_resolve_tps(sf, None), bij)
+    return relabeled(sf.tps, bij)
 
 
 def cmd_refactor(args: argparse.Namespace, sf: StateFile) -> str:
@@ -208,7 +200,7 @@ def cmd_refactor(args: argparse.Namespace, sf: StateFile) -> str:
 
 
 def cmd_chsh(args: argparse.Namespace, sf: StateFile) -> str:
-    result = chsh_max(sf.amplitudes, _resolve_tps(sf, None))
+    result = chsh_max(sf.amplitudes, sf.tps)
     return _report(args, {"value": result.value, "closed_form": result.closed_form,
                           "settings": vars(result.settings)})
 
@@ -309,6 +301,10 @@ def main(argv=None) -> int:
         parser.error("qcf --tol sets the witness threshold of --local, and --tps its TPS")
     try:
         sf = load_state_file(args.state) if "state" in args else None
+        if sf is not None and getattr(args, "tps", None) is not None:
+            sf.tps = tps_from_dict(read_json(args.tps), (sf.d1, sf.d2))
+        elif sf is not None and sf.tps is None:
+            sf.tps = trivial_tps(sf.d1, sf.d2)
         text = args.func(args, sf)
         if sf is not None and sf.norm_correction is not None:
             print(f"warning: {args.state}: normalizing state with norm {sf.norm_correction!r}",

@@ -19,10 +19,10 @@ from .errors import (
 # Largest global Hilbert-space dimension tensor products may create.
 MAX_GLOBAL_DIM = 2**20
 
-HERMITIAN_TOL = 1e-9
 UNITARY_TOL = 1e-9
 STATE_NORM_TOL = 1e-10
-# scaled by max(1, ||a||_inf) for an observable a, as the rounding of <psi, a psi> is
+# scaled by max(1, ||a||_inf) for an observable a, as the rounding of a and of <psi, a psi> is
+HERMITIAN_TOL = 1e-9
 EXPECTATION_IMAG_TOL = 1e-10
 
 # the largest Frobenius norm of an observable: for two such A and B and a unit state,
@@ -91,8 +91,8 @@ def check_state(psi) -> np.ndarray:
 
 
 def check_hermitian(a) -> np.ndarray:
-    """Validate a square observable within ``HERMITIAN_TOL`` of Hermitian and of
-    bounded norm; return its Hermitian part (a + a^dagger)/2, which is a itself,
+    """Validate a square observable within the scaled ``HERMITIAN_TOL`` of Hermitian and
+    of bounded norm; return its Hermitian part (a + a^dagger)/2, which is a itself,
     bit for bit, when a is exactly Hermitian."""
     a = as_matrix(a)
     if a.shape[0] != a.shape[1]:
@@ -100,7 +100,8 @@ def check_hermitian(a) -> np.ndarray:
     with np.errstate(over="ignore"):  # huge entries: an inf defect or norm, refused
         defect = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
         norm = float(np.linalg.norm(a))
-    if not defect <= HERMITIAN_TOL:
+        tol = HERMITIAN_TOL * max(1.0, _row_sum_norm(a))
+    if not defect <= tol:
         raise ContractError(f"observable is not Hermitian: max defect {defect:.3e}")
     if not norm <= MAX_MATRIX_NORM:
         raise ContractError(f"matrix Frobenius norm exceeds {MAX_MATRIX_NORM:.3e}, "

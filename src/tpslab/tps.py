@@ -1,17 +1,17 @@
 """Tensor product structures over a global Hilbert space, and their refactorizations.
 
 A tensor product structure (TPS) is an optional rotation R of the global
-space followed by an optional index relabeling P; it has at least one of the
-two.  R is either a dense unitary U or a Householder vector w standing for
-the Hermitian reflector ``H = I - 2 w w^dagger / |w|^2`` (D numbers instead
-of D^2).  The relabeling (an ``IndexBijection``) is its flat array
-``targets``: global index ``g = i*d2 + j`` gets the product label
-``t_g = targets[g] = a*d2 + b`` of its image (a, b) = map(i, j); composing
-relabelings indexes one targets array by another.  Coefficients are the
-scatter by P of R^dagger psi, ``c[t_g] = (R^dagger psi)[g]``: the dense
-factorization unitary is R P with P[g, t_g] = 1, whose column ``k*d2 + r`` is
-the product basis vector |k, r>, but neither P nor H is ever formed.  The
-trivial TPS is the identity relabeling.  Coefficients are reshaped to d1 x d2
+space followed by an optional index relabeling P; with neither it is the
+trivial TPS, the stored factorization.  R is either a dense unitary U or a
+Householder vector w standing for the Hermitian reflector
+``H = I - 2 w w^dagger / |w|^2`` (D numbers instead of D^2).  The relabeling
+(an ``IndexBijection``) is its flat array ``targets``: global index
+``g = i*d2 + j`` gets the product label ``t_g = targets[g] = a*d2 + b`` of its
+image (a, b) = map(i, j); composing relabelings indexes one targets array by
+another.  Coefficients are the scatter by P of R^dagger psi,
+``c[t_g] = (R^dagger psi)[g]``: the dense factorization unitary is R P with
+P[g, t_g] = 1, whose column ``k*d2 + r`` is the product basis vector |k, r>,
+but neither P nor H is ever formed.  Coefficients are reshaped to d1 x d2
 (left factor slow).
 """
 
@@ -40,7 +40,7 @@ def _check_unitary(u: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class TensorProductStructure:
     """Factor dimensions, an optional rotation (dense ``unitary`` or ``reflector``) and
-    an optional ``relabeling``; at most one rotation, and at least one of the two parts."""
+    an optional ``relabeling``; at most one rotation, and no part at all is the trivial TPS."""
 
     d1: int
     d2: int
@@ -53,8 +53,6 @@ class TensorProductStructure:
             raise ShapeError(f"factor dimensions must be positive, got ({self.d1}, {self.d2})")
         if self.unitary is not None and self.reflector is not None:
             raise ContractError("a TPS rotation is a dense unitary or a reflector, not both")
-        if self.unitary is None and self.reflector is None and self.relabeling is None:
-            raise ContractError("a TPS needs a rotation, a relabeling, or both")
         bij = self.relabeling
         if bij is not None and (bij.d1, bij.d2) != (self.d1, self.d2):
             raise ShapeError(f"relabeling grid does not match factors ({self.d1}, {self.d2})")
@@ -78,7 +76,7 @@ class TensorProductStructure:
 
 
 def trivial_tps(d1: int, d2: int) -> TensorProductStructure:
-    return relabel_tps(identity_bijection(d1, d2))
+    return TensorProductStructure(d1, d2)
 
 
 def _coefficients(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
@@ -96,7 +94,8 @@ def _coefficients(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
 
 
 def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
-    """d1 x d2 coefficient matrix of psi in the given TPS (unit Frobenius norm)."""
+    """d1 x d2 coefficient matrix of psi in the given TPS (unit Frobenius norm); in the
+    trivial TPS a reshape of psi that may share its memory, so callers only read it."""
     psi = check_state(psi)
     if psi.size != tps.dim:
         raise ShapeError(f"state dim {psi.size} vs TPS dim {tps.dim}")

@@ -133,6 +133,15 @@ def test_only_main_writes_output():
     assert streams == []
 
 
+def test_only_main_reads_the_state_file_and_its_tps():
+    # each run reads one state in one TPS, chosen in one place: cli.main
+    tree = ast.parse((Path(tpslab.__file__).parent / "cli.py").read_text())
+    for name in ("load_state_file", "tps_from_dict"):
+        users = [getattr(stmt, "name", f"line {stmt.lineno}") for stmt in tree.body
+                 if not isinstance(stmt, (ast.Import, ast.ImportFrom)) and name in named(stmt)]
+        assert users == ["main"], name
+
+
 def test_no_module_imports_warnings():
     # a notice, such as a state's norm correction on load, is data that cli.main prints,
     # not a Python warning whose filters are process-wide state

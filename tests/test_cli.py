@@ -14,7 +14,9 @@ from tpslab import grid as grid_module
 from tpslab.cli import build_parser, main
 from tpslab.errors import SizeLimitError, UnknownObservableError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
+from tpslab.qcf import qcf_local
 from tpslab.sampling import haar_state, random_product_state, random_unitary
+from tpslab.spins import PAULI_Z
 from tpslab.statefile import (
     StateFile,
     dump_json,
@@ -642,6 +644,24 @@ def test_qcf_global_accepts_an_observable_within_the_hermitian_tolerance(tmp_pat
     assert code == 0, capsys.readouterr().err
 
 
+def test_qcf_local_accepts_a_rounded_observable_of_norm_1e8(tmp_path, capsys):
+    # V diag(1e8, -1e8) V^dagger leaves a defect of 4.2e-9, inside the tolerance scaled by
+    # |A|inf; an absolute 1e-9 exited 2 with "observable is not Hermitian"
+    v = random_unitary(2, np.random.default_rng(2))
+    a = (v * np.array([1e8, -1e8])) @ v.conj().T
+    assert np.max(np.abs(a - a.conj().T)) > 1e-9
+    mat = tmp_path / "rotated.json"
+    mat.write_text(dump_json({"dim": 2, "entries": [[x.real, x.imag] for x in a.ravel()]}))
+    psi = haar_state(4, np.random.default_rng(3))
+    state = tmp_path / "haar.json"
+    write_state(state, StateFile(2, 2, psi))
+    code, out = run(["qcf", str(state), "--obs-a", str(mat), "--obs-b", "pauli-z", "--local"],
+                    tmp_path)
+    assert code == 0, capsys.readouterr().err
+    value = qcf_local(a, PAULI_Z, psi, trivial_tps(2, 2)).value
+    assert json.loads(out.read_text())["value"] == [value.real, value.imag]
+
+
 def test_qcf_pauli_name_at_wrong_dim_exits_3(product_file):
     assert main(["qcf", product_file, "--obs-a", "pauli-z", "--obs-b", "pauli-z"]) == 3
 
@@ -723,7 +743,6 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
     [
         [1, 2],
         "tps",
-        {"d1": 2, "d2": 2},
         {"d1": 2, "d2": 2, "unitary": IDENTITY_16, "reflector": HALF},
         {"d1": 2, "d2": 2, "map": 5},
         {"d1": 2, "d2": 2, "map": [0, 1, 2.0, 3]},
@@ -741,7 +760,6 @@ NOT_UNITARY_16 = [[1.0, 0.0]] * 16
     ids=[
         "list-block",
         "string-block",
-        "no-map-no-unitary",
         "unitary-and-reflector",
         "int-map",
         "float-map-entry",
@@ -763,6 +781,52 @@ def test_malformed_tps_block_exits_2(tps, tmp_path, capsys):
     assert main(["schmidt", str(state)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["schmidt"],
+        ["chsh"],
+        ["qcf", "--obs-a", "pauli-x", "--obs-b", "pauli-z", "--local"],
+        ["refactor", "--bijection", "swap"],
+        ["refactor", "--spectrum", "maximal"],
+    ],
+    ids=["schmidt", "chsh", "qcf-local", "refactor-swap", "refactor-maximal"],
+)
+def test_a_bare_tps_block_reads_as_no_block(argv, tmp_path, monkeypatch, capsys):
+    # {"d1", "d2"} is the trivial TPS; both files are read as state.json in their own
+    # folder, so even the path echoed in the manifest is the same
+    psi = haar_state(4, np.random.default_rng(31))
+    runs = []
+    for name, block in (("plain", {}), ("bare", {"tps": {"d1": 2, "d2": 2}})):
+        folder = tmp_path / name
+        folder.mkdir()
+        (folder / "state.json").write_text(dump_json({**StateFile(2, 2, psi).to_dict(), **block}))
+        monkeypatch.chdir(folder)
+        code = main([argv[0], "state.json", *argv[1:], "--out", "out.json"])
+        runs.append((code, capsys.readouterr(), (folder / "out.json").read_bytes()))
+    assert runs[0][0] == 0
+    assert runs[1] == runs[0]
+
+
+def test_a_bare_tps_file_overrides_a_map_block_with_the_trivial_tps(tmp_path, capsys):
+    # a product state read through the sum/difference map is entangled; --tps with a bare
+    # block reads it as stored, as its twin without a block is read
+    psi = random_product_state(3, 3, np.random.default_rng(32))
+    mapped, plain, bare = tmp_path / "mapped.json", tmp_path / "plain.json", tmp_path / "bare.json"
+    write_state(mapped, StateFile(3, 3, psi, tps=TensorProductStructure(
+        3, 3, relabeling=sum_diff_bijection(3))))
+    write_state(plain, StateFile(3, 3, psi))
+    bare.write_text(dump_json({"d1": 3, "d2": 3}))
+    reports = []
+    for argv in ([str(mapped)], [str(mapped), "--tps", str(bare)], [str(plain)]):
+        code, out = run(["schmidt", *argv], tmp_path)
+        assert code == 0, capsys.readouterr().err
+        reports.append(json.loads(out.read_text()))
+        del reports[-1]["manifest"]
+    assert reports[0]["rank"] > 1
+    assert reports[1] == reports[2] and reports[2]["rank"] == 1
 
 
 @pytest.mark.parametrize(

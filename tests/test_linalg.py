@@ -12,6 +12,7 @@ from tpslab.errors import (
     SizeLimitError,
 )
 from tpslab.linalg import (
+    HERMITIAN_TOL,
     MAX_MATRIX_NORM,
     _expectation,
     as_matrix,
@@ -22,7 +23,7 @@ from tpslab.linalg import (
     tensor_vec,
 )
 from tpslab.qcf import qcf, qcf_local, variance
-from tpslab.sampling import random_hermitian
+from tpslab.sampling import random_hermitian, random_unitary
 from tpslab.schmidt import schmidt
 from tpslab.spins import PAULI_X, PAULI_Y, PAULI_Z
 from tpslab.tps import trivial_tps
@@ -185,6 +186,42 @@ def test_check_hermitian_keeps_exact_hermitian_matrices_bit_for_bit():
     # signed zeros and the Paulis too
     for a in (np.array([[-0.0, 0.0], [0.0, complex(0.0, -0.0)]]), PAULI_X, PAULI_Y, PAULI_Z):
         assert check_hermitian(a).tobytes() == np.asarray(a, dtype=complex).tobytes()
+
+
+def rotated_spectrum(rng, k: int) -> np.ndarray:
+    """V diag(l) V^dagger for a Haar V of size 2 to 8 and eigenvalues of size 10^k; its
+    rounding leaves a Hermiticity defect near 1e-16 times 10^k."""
+    n = int(rng.integers(2, 9))
+    v = random_unitary(n, rng)
+    return (v * rng.uniform(-1.0, 1.0, n) * 10.0**k) @ v.conj().T
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_rounded_observables_pass_the_hermitian_check_at_every_scale(k):
+    # an absolute 1e-9 refused most of these at 10^8, whose defects reach 1.5e-8
+    rng = np.random.default_rng(700 + k)
+    for _ in range(200):
+        a = rotated_spectrum(rng, k)
+        np.testing.assert_array_equal(check_hermitian(a), (a + a.conj().T) / 2)
+
+
+@pytest.mark.parametrize("k", range(9))
+def test_a_relative_hermitian_defect_of_1e_6_is_refused_at_every_scale(k):
+    rng = np.random.default_rng(710 + k)
+    for _ in range(50):
+        a = rotated_spectrum(rng, k)
+        a = (a + a.conj().T) / 2
+        a[0, 1] += 1e-6 * max(1.0, float(np.abs(a).sum(axis=1).max()))
+        with pytest.raises(ContractError, match="observable is not Hermitian"):
+            check_hermitian(a)
+
+
+def test_the_hermitian_tolerance_is_absolute_below_unit_norm():
+    # max(1, |a|inf) keeps small observables at the plain 1e-9
+    a = np.array([[0.0, 1e-3 + 2 * HERMITIAN_TOL], [1e-3, 0.0]])
+    with pytest.raises(ContractError, match="observable is not Hermitian"):
+        check_hermitian(a)
+    check_hermitian(np.array([[0.0, 1e-3 + HERMITIAN_TOL / 2], [1e-3, 0.0]]))
 
 
 def test_expectation_requires_unit_state():

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from tps_oracle import permutation_matrix, schmidt_reconstruct
+from tps_oracle import dense_unitary, schmidt_reconstruct
 
 from tpslab.errors import NumericalError
 from tpslab.linalg import tensor_vec
@@ -49,7 +49,7 @@ def test_reconstruction_matches_mapped_state():
         psi = haar_state(d1 * d2, rng)
         tps = trivial_tps(d1, d2)
         sd = schmidt(psi, tps)
-        mapped = permutation_matrix(tps.relabeling).conj().T @ psi
+        mapped = dense_unitary(tps).conj().T @ psi
         assert np.linalg.norm(schmidt_reconstruct(sd) - mapped) <= 1e-9
 
 

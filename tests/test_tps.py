@@ -254,18 +254,30 @@ def test_coefficients_match_the_dense_route(rotation, relabeled, d1, d2):
 @pytest.mark.parametrize(
     "parts",
     [
-        {},
         {"unitary": np.eye(4), "reflector": np.ones(4)},
         {"reflector": np.zeros(4)},
         {"reflector": np.full(4, 1e-160)},
         {"reflector": np.full(4, 1e160)},
     ],
-    ids=["no-part", "two-rotations", "zero-reflector", "underflowing-reflector",
+    ids=["two-rotations", "zero-reflector", "underflowing-reflector",
          "overflowing-reflector"],
 )
 def test_tps_refuses_a_bad_combination_of_parts(parts):
     with pytest.raises(ContractError):
         TensorProductStructure(2, 2, **parts)
+
+
+@pytest.mark.parametrize("d1,d2", [(1, 4), (2, 2), (2, 3), (3, 3)])
+def test_the_tps_with_no_parts_reads_states_as_a_reshape(d1, d2):
+    # the trivial TPS is the one with no rotation and no relabeling
+    tps = TensorProductStructure(d1, d2)
+    assert trivial_tps(d1, d2) == tps
+    rng = np.random.default_rng(62)
+    psi = haar_state(d1 * d2, rng)
+    assert coefficient_matrix(psi, tps).tobytes() == psi.reshape(d1, d2).tobytes()
+    stack = np.stack([haar_state(d1 * d2, rng) for _ in range(5)])
+    c = _coefficients(stack, tps)
+    assert c.shape == (5, d1, d2) and c.tobytes() == stack.reshape(5, d1, d2).tobytes()
 
 
 def test_tps_refuses_a_reflector_of_the_wrong_size():
