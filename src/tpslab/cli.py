@@ -226,6 +226,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _rank_cut(text: str) -> float:
+    value = float(text)
+    if not 0 <= value < 1:  # at 1 or more no coefficient lies above the cut, not even the largest
+        raise argparse.ArgumentTypeError(f"must be a number in [0, 1), got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tpslab",
@@ -245,8 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file")
     p.add_argument("state")
     p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-    p.add_argument("--tol", type=_finite_float, default=DEFAULT_TRUNCATION_TOL,
-                   help="rank cut: count the coefficients above tol times the largest")
+    p.add_argument("--tol", type=_rank_cut, default=DEFAULT_TRUNCATION_TOL,
+                   help="rank cut, 0 <= tol < 1: count the coefficients above tol times the "
+                   "largest")
 
     p = command(sub, "qcf", cmd_qcf, "quantum covariance of two observables")
     p.add_argument("state")

@@ -2,8 +2,9 @@
 
 A unit state psi, read through a TPS, decomposes as
 ``sum_k alpha_k u_k (x) v_k`` with descending nonnegative coefficients and
-orthonormal factor bases.  The state is factorizable in that TPS exactly when
-the numerical rank is 1; rank >= 2 means entangled.
+orthonormal factor bases.  The verdict needs only the coefficients: the state
+is factorizable in that TPS exactly when the numerical rank is 1; rank >= 2
+means entangled.
 """
 
 from __future__ import annotations
@@ -31,24 +32,16 @@ def rank_from_singular_values(vals: np.ndarray, truncation_tol: float):
 
 @dataclass(frozen=True)
 class SchmidtDecomposition:
-    """Descending coefficients with matching orthonormal factor bases.
-
-    ``left_basis``/``right_basis`` hold one factor vector per column;
-    ``sum_k coefficients[k] * left[:,k] (x) right[:,k]`` reconstructs the
-    state in the TPS product coordinates.  Each left column's first
-    largest-modulus entry is real positive, so repeated calls are bit-identical.
-    """
+    """Descending Schmidt coefficients and their numerical rank."""
 
     coefficients: np.ndarray
-    left_basis: np.ndarray
-    right_basis: np.ndarray
     rank: int
 
 
-def _svd(c: np.ndarray, **kwargs):
-    try:  # the one SVD of coefficient matrices, shared by spectra and schmidt
-        return np.linalg.svd(c, **kwargs)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - numpy rarely fails
+def _svd(c: np.ndarray) -> np.ndarray:
+    try:  # the one SVD of coefficient matrices, which the 2 x 2 closed form falls back on
+        return np.linalg.svd(c, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
         raise NumericalError(f"SVD of {c.shape} coefficients did not converge: {exc}") from exc
 
 
@@ -68,18 +61,20 @@ def _two_by_two(c: np.ndarray) -> np.ndarray:
         s = np.stack((s1, np.minimum(det / s1, s1)), axis=-1)
     bad = ~(s1_squared >= _TINY) | (s1_squared == np.inf)
     if bad.any():
-        s[bad] = _svd(c[bad], compute_uv=False)
+        s[bad] = _svd(c[bad])
     return s
 
 
-def spectra(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
-    """Descending Schmidt coefficients of unchecked psi, one state or a stack on the last axis.
+def _values(c: np.ndarray) -> np.ndarray:
+    """Descending singular values of coefficient matrices, one or a stack on the leading
+    axes: a 2 x 2 matrix takes the closed form of ``_two_by_two``, every other shape one
+    SVD; either way a NaN coefficient raises ``NumericalError``."""
+    return _two_by_two(c) if c.shape[-2:] == (2, 2) else _svd(c)
 
-    A 2 x 2 TPS takes the closed form of ``_two_by_two``, every other shape one SVD;
-    either way a NaN coefficient raises ``NumericalError``.
-    """
-    c = _coefficients(psi, tps)
-    return _two_by_two(c) if c.shape[-2:] == (2, 2) else _svd(c, compute_uv=False)
+
+def spectra(psi: np.ndarray, tps: TensorProductStructure) -> np.ndarray:
+    """Descending Schmidt coefficients of unchecked psi, one state or a stack on the last axis."""
+    return _values(_coefficients(psi, tps))
 
 
 def schmidt(
@@ -87,17 +82,7 @@ def schmidt(
     tps: TensorProductStructure,
     truncation_tol: float = DEFAULT_TRUNCATION_TOL,
 ) -> SchmidtDecomposition:
-    """Schmidt decomposition of psi relative to the given TPS; ``spectra`` takes stacks."""
-    u, s, vh = _svd(coefficient_matrix(psi, tps), full_matrices=False)
-    # the phase that makes each column of u real positive at its first largest-modulus
-    # entry, which is never zero in a unit column; vh's rows take the opposite phase
-    pivot = u[np.argmax(np.abs(u), axis=0), np.arange(s.size)]
-    phase = np.conj(pivot) / np.abs(pivot)
-    # right Schmidt vectors are the rows of vh, not conjugated, so the
-    # reconstruction reads as a plain (not conjugated) tensor sum
-    return SchmidtDecomposition(
-        coefficients=s,
-        left_basis=u * phase,
-        right_basis=vh.T * phase.conj(),
-        rank=rank_from_singular_values(s, truncation_tol),
-    )
+    """Schmidt coefficients and rank of a checked state psi relative to the given TPS;
+    ``spectra`` takes unchecked stacks through the same route."""
+    s = _values(coefficient_matrix(psi, tps))
+    return SchmidtDecomposition(coefficients=s, rank=rank_from_singular_values(s, truncation_tol))

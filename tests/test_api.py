@@ -159,26 +159,40 @@ def test_no_module_imports_warnings():
 
 
 def test_every_schmidt_spectrum_goes_through_schmidt_py():
-    # a state's Schmidt coefficients come from schmidt.spectra or schmidt.schmidt; the
-    # other SVD reads no state through a TPS (the CHSH correlation matrix), and the one
-    # eigensolve takes the symmetric parity blocks that grid builds straight from two
-    # even real profiles
+    # a state's Schmidt coefficients come from the one coefficient SVD, schmidt._svd,
+    # which takes singular values only, or from the 2 x 2 closed form that falls back on
+    # it; the other SVD reads no state through a TPS (the CHSH correlation matrix), and
+    # the one eigensolve takes the symmetric parity blocks that grid builds straight from
+    # two even real profiles
     package = Path(tpslab.__file__).parent
     solvers = {"svd": set(), "eigvalsh": set()}
+    svd_calls = []
     coefficients = set()
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text())
         for stmt in tree.body:
-            where = path.name if path.name == "schmidt.py" else \
-                f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
+            where = f"{path.name}:{getattr(stmt, 'name', stmt.lineno)}"
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Attribute) and node.attr in solvers \
                         and getattr(node.value, "attr", None) == "linalg":
                     solvers[node.attr].add(where)
+                if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "svd":
+                    svd_calls.append((where, len(node.args),
+                                      {k.arg: ast.literal_eval(k.value) for k in node.keywords}))
         imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                     for alias in node.names}
         if "_coefficients" in named(tree) | imported:
             coefficients.add(path.name)
-    assert solvers == {"svd": {"schmidt.py", "bell.py:_chsh_max"},
+    assert solvers == {"svd": {"schmidt.py:_svd", "bell.py:_chsh_max"},
                        "eigvalsh": {"grid.py:_even_block_values"}}
+    assert [call for call in svd_calls if call[0].startswith("schmidt.py")] == \
+        [("schmidt.py:_svd", 1, {"compute_uv": False})]
     assert coefficients == {"tps.py", "schmidt.py"}
+
+
+def test_the_readme_library_surface_runs():
+    # a name that the README's library example uses and the package renamed or removed
+    # fails here
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

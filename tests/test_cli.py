@@ -678,11 +678,14 @@ def test_qcf_local_tol_overrides_witness_threshold(bell_file, tmp_path):
     assert report["verdict"] == "inconclusive"
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-def test_non_finite_tol_rejected_at_parse(bell_file, tol):
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1", "2"])
+def test_non_finite_tol_rejected_at_parse(bell_file, tol, capsys):
+    # a rank cut of 1 or more counts no coefficient, so a product state would read rank 0
     with pytest.raises(SystemExit) as exc:
         main(["schmidt", bell_file, "--tol", tol])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"--tol: must be a number in [0, 1), got {tol}" in err
 
 
 @pytest.mark.parametrize("which", ["spins", "bell"])

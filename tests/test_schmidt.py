@@ -2,14 +2,21 @@
 
 import numpy as np
 import pytest
-from tps_oracle import dense_unitary, schmidt_reconstruct
+from tps_oracle import dense_unitary
 
 from tpslab.errors import NumericalError
 from tpslab.linalg import tensor_vec
 from tpslab.sampling import haar_state, random_product_pair, random_unitary
 from tpslab.schmidt import rank_from_singular_values, schmidt, spectra
 from tpslab.spins import CHI_ROWS, chi_basis
-from tpslab.tps import TensorProductStructure, _coefficients, random_bijection, trivial_tps
+from tpslab.tps import (
+    TensorProductStructure,
+    _coefficients,
+    coefficient_matrix,
+    random_bijection,
+    relabel_tps,
+    trivial_tps,
+)
 
 SQ2 = np.sqrt(2.0)
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
@@ -43,14 +50,35 @@ def test_spin_basis_state_in_chi_tps():
     assert sd.rank == 1
 
 
-def test_reconstruction_matches_mapped_state():
-    rng = np.random.default_rng(1)
-    for d1, d2 in [(2, 2), (3, 2), (3, 3)]:
-        psi = haar_state(d1 * d2, rng)
-        tps = trivial_tps(d1, d2)
-        sd = schmidt(psi, tps)
-        mapped = dense_unitary(tps).conj().T @ psi
-        assert np.linalg.norm(schmidt_reconstruct(sd) - mapped) <= 1e-9
+def tps_of_kind(kind: str, d1: int, d2: int, rng) -> TensorProductStructure:
+    """The trivial TPS, a relabeling, a reflector, or a dense unitary followed by a
+    relabeling, on d1 x d2 factors."""
+    dim = d1 * d2
+    if kind == "relabeled":
+        return relabel_tps(random_bijection(d1, d2, rng))
+    if kind == "reflector":
+        return TensorProductStructure(d1, d2, reflector=haar_state(dim, rng))
+    if kind == "unitary":
+        return TensorProductStructure(d1, d2, random_unitary(dim, rng),
+                                      random_bijection(d1, d2, rng))
+    return trivial_tps(d1, d2)
+
+
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 2), (3, 3), (4, 4), (5, 3), (3, 7), (32, 32)])
+@pytest.mark.parametrize("kind", ["trivial", "relabeled", "reflector", "unitary"])
+def test_the_tps_reads_the_dense_route(kind, d1, d2):
+    # the oracle maps psi through the dense factorization unitary R P and reshapes it;
+    # numpy's SVD of that matrix gives the coefficients
+    rng = np.random.default_rng(100 * d1 + d2)
+    tps = tps_of_kind(kind, d1, d2, rng)
+    u = dense_unitary(tps)
+    for psi in haar_state(d1 * d2, rng, (3,)):
+        mapped = (u.conj().T @ psi).reshape(d1, d2)
+        np.testing.assert_allclose(coefficient_matrix(psi, tps), mapped, rtol=0, atol=1e-12)
+        values = schmidt(psi, tps).coefficients
+        oracle = np.linalg.svd(mapped, compute_uv=False)
+        np.testing.assert_allclose(values, oracle, rtol=0, atol=1e-12)
+        assert np.all(np.diff(values) <= 0.0)
 
 
 def test_rank_bounded_by_min_factor_dimension():
@@ -60,23 +88,21 @@ def test_rank_bounded_by_min_factor_dimension():
             sd = schmidt(haar_state(d1 * d2, rng), trivial_tps(d1, d2))
             assert sd.rank <= min(d1, d2)
             np.testing.assert_allclose(np.sum(sd.coefficients**2), 1.0, atol=1e-10)
-            # bases orthonormal
-            k = sd.coefficients.size
-            np.testing.assert_allclose(
-                sd.left_basis.conj().T @ sd.left_basis, np.eye(k), atol=1e-10
-            )
-            np.testing.assert_allclose(
-                sd.right_basis.conj().T @ sd.right_basis, np.eye(k), atol=1e-10
-            )
 
 
-def test_decomposition_idempotent_on_reconstruction():
-    rng = np.random.default_rng(3)
-    psi = haar_state(12, rng)
-    tps = trivial_tps(3, 4)
-    sd = schmidt(psi, tps)
-    again = schmidt(schmidt_reconstruct(sd), tps)
-    np.testing.assert_allclose(again.coefficients, sd.coefficients, atol=1e-10)
+@pytest.mark.parametrize("d1,d2", [(2, 2), (3, 4)])
+@pytest.mark.parametrize("kind", ["trivial", "relabeled"])
+def test_a_state_gives_the_same_coefficients_alone_repeated_and_in_a_stack(kind, d1, d2):
+    # schmidt and spectra share one route, so a TPS that reads states without arithmetic
+    # gives each state's coefficients bit for bit however it is asked
+    rng = np.random.default_rng(7)
+    tps = tps_of_kind(kind, d1, d2, rng)
+    stack = haar_state(d1 * d2, rng, (5,))
+    values = spectra(stack, tps)
+    for psi, v in zip(stack, values):
+        np.testing.assert_array_equal(schmidt(psi, tps).coefficients, v)
+        np.testing.assert_array_equal(schmidt(psi.copy(), tps).coefficients, v)
+        np.testing.assert_array_equal(spectra(psi, tps), v)
 
 
 def test_truncation_tolerance_controls_rank():

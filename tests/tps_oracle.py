@@ -5,10 +5,9 @@ A TPS never forms its permutation matrix or its Householder reflector, and
 matrix.  The routes here do all three with D x D matrices instead: the
 permutation unitary is built from the bijection's targets, the
 reflector from its vector, and the local observables are lifted to global
-operators before the plain covariance is taken.  The reconstruction of a
-Schmidt decomposition from its factors lives here as well, and so does the
-eigen-route to the chi basis, which ``spins.chi_basis`` writes in closed form
-as the Bell basis.
+operators before the plain covariance is taken.  The eigen-route to the chi
+basis, which ``spins.chi_basis`` writes in closed form as the Bell basis,
+lives here as well.
 """
 
 import numpy as np
@@ -48,15 +47,6 @@ def qcf_local_global(a1, b2, psi, u) -> complex:
     a_global = u @ np.kron(a1, np.eye(b2.shape[0])) @ u.conj().T
     b_global = u @ np.kron(np.eye(a1.shape[0]), b2) @ u.conj().T
     return qcf(a_global, b_global, psi)
-
-
-def schmidt_reconstruct(sd) -> np.ndarray:
-    """sum_k alpha_k left[:, k] (x) right[:, k], in the TPS product coordinates."""
-    terms = sd.left_basis * sd.coefficients
-    out = np.zeros(sd.left_basis.shape[0] * sd.right_basis.shape[0], dtype=complex)
-    for k in range(sd.coefficients.size):
-        out += np.kron(terms[:, k], sd.right_basis[:, k])
-    return out
 
 
 def chi_rows_from_eigh() -> np.ndarray:
