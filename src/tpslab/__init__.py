@@ -15,22 +15,13 @@ from .grid import (
     SampledProfile,
     demo_sum_diff,
     double_gaussian_profile,
-    fourier_profile,
     gaussian_profile,
-    odd_profile,
     position_operator,
 )
-from .linalg import expectation, tensor_op, tensor_vec
-from .qcf import QcfReport, qcf, qcf_local, variance
-from .sampling import (
-    haar_state,
-    random_entangled_state,
-    random_hermitian,
-    random_product_state,
-    random_unitary,
-)
+from .qcf import QcfReport, qcf, qcf_local
+from .sampling import haar_state, random_entangled_state
 from .schmidt import SchmidtDecomposition, schmidt
-from .spins import chi_basis, demo_spins, spin_qcf_closed_form
+from .spins import chi_basis, demo_spins
 from .tps import (
     IndexBijection,
     TensorProductStructure,
@@ -39,7 +30,6 @@ from .tps import (
     factor_local_bijection,
     identity_bijection,
     random_bijection,
-    relabel_tps,
     relabeled,
     sum_diff_bijection,
     swap_bijection,

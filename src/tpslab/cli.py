@@ -275,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
     p.add_argument("--sigma1", type=float, default=1.0)
     p.add_argument("--sigma2", type=float, default=2.0)
-    p.add_argument("--sep", type=float, default=4.0, help="double-gaussian lobe separation")
+    p.add_argument("--sep", type=_finite_float, default=4.0, help="double-gaussian lobe separation")
     p.add_argument("--format", choices=("json", "csv"), default="json",
                    help="csv emits the rows of a sweep of the second width from sigma1 to sigma2")
     for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),

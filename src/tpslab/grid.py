@@ -26,14 +26,15 @@ involutions a -> -2-a and b -> -b (mod d) of the new factors, so for two even
 profiles the relabeled matrix is block diagonal in each factor's parity basis,
 a local orthogonal change that keeps the Schmidt coefficients.
 
-Real profiles (Gaussians, double Gaussians, odd profiles) keep a real dtype,
-so their coefficients and Schmidt spectra are computed in real arithmetic;
-Fourier modes stay complex.  A demo request is one stacked pass over n
-profile pairs on grids of one size d, on two routes.  A pair of two even real
-profiles, every pair the CLI sends, takes two half-size symmetric eigensolves
-of its parity blocks, built straight from the profiles, of sides (d+1)/2 and
-(d-1)/2: about a quarter of one d x d SVD.  Every other pair (odd, off-centre
-or complex profiles; library callers only) takes one batched
+Real profiles (Gaussians, double Gaussians, real caller-built
+``SampledProfile``s) keep a real dtype, so their coefficients and Schmidt
+spectra are computed in real arithmetic; complex samples stay complex.  A
+demo request is one stacked pass over n profile pairs on grids of one size d,
+on two routes.  A pair of two even real profiles, every pair the CLI sends,
+takes two half-size symmetric eigensolves of its parity blocks, built
+straight from the profiles, of sides (d+1)/2 and (d-1)/2: about a quarter of
+one d x d SVD.  Every other pair (off-centre Gaussians, or caller-built
+profiles that are odd or complex; library callers only) takes one batched
 ``schmidt.spectra`` of its products in the sum/difference TPS.  Only the
 relabeled spectrum is computed: a product f (x) g of unit profiles has the
 exact x-y spectrum (1, 0, ..., 0), so its x-y rank follows from the tolerance
@@ -60,7 +61,7 @@ from .errors import (
 )
 from .linalg import check_size
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, spectra
-from .tps import relabel_tps, sum_diff_bijection
+from .tps import TensorProductStructure, sum_diff_bijection
 
 EDGE_DENSITY_TOL = 1e-12
 
@@ -182,22 +183,6 @@ def double_gaussian_profile(grid: Grid, separation: float, sigma: float) -> Samp
     return _real_profile(grid, amp, f"double_gaussian(separation={separation}, sigma={sigma})")
 
 
-def fourier_profile(grid: Grid, mode: int) -> SampledProfile:
-    """Discrete Fourier mode exp(2 pi i m k / d) / sqrt(d); exactly grid-periodic."""
-    if not (0 <= mode < grid.d):
-        raise GridSpecError(f"mode must satisfy 0 <= m < {grid.d}, got {mode}")
-    k = np.arange(grid.d)
-    samples = np.exp(2j * np.pi * mode * k / grid.d) / np.sqrt(grid.d)
-    return SampledProfile(grid=grid, samples=samples)
-
-
-def odd_profile(grid: Grid, sigma: float) -> SampledProfile:
-    """Antisymmetric profile x exp(-x^2 / (4 sigma^2)); vanishes at the origin."""
-    den = _four_sigma_squared(sigma)
-    x = grid.points
-    return _real_profile(grid, x * _gaussian(x, 0.0, den), f"odd(sigma={sigma})")
-
-
 def position_operator(points) -> np.ndarray:
     """The diagonal position observable diag(x_i) of sample points x_i."""
     return np.diag(points).astype(complex)
@@ -305,7 +290,7 @@ def _relabeled_values(fs, gs, d: int) -> np.ndarray:
             values[idx] = _even_block_values(f, g)
         else:
             c = (f[:, :, None] * g[:, None, :]).reshape(len(idx), d * d)
-            values[idx] = spectra(c, relabel_tps(sum_diff_bijection(d)))
+            values[idx] = spectra(c, TensorProductStructure(d, d, relabeling=sum_diff_bijection(d)))
     return values
 
 

@@ -1,8 +1,7 @@
-"""Dense complex linear algebra kernels with deterministic conventions.
+"""Dense complex input checks and the expectation kernel.
 
-Thin wrappers around numpy that pin down the index convention (left factor is
-the slow, row-major index), the tolerances, and the size and norm limits that
-every input is checked against.
+Thin wrappers around numpy that pin down the tolerances, and the size and
+norm limits that every input is checked against.
 """
 
 from __future__ import annotations
@@ -59,28 +58,6 @@ def check_size(n: int, what: str) -> None:
         raise SizeLimitError(f"{what}: {count} entries exceed the configured maximum {MAX_GLOBAL_DIM}")
 
 
-def tensor_vec(u, v) -> np.ndarray:
-    """Tensor product of two vectors, left factor slow: out[i*dv + j] = u[i]v[j]."""
-    u = as_vector(u)
-    v = as_vector(v)
-    if u.size < 1 or v.size < 1:
-        raise ShapeError("tensor factors must have dimension >= 1")
-    check_size(u.size * v.size, f"tensor product {u.size}x{v.size}")
-    return np.kron(u, v)
-
-
-def tensor_op(a, b) -> np.ndarray:
-    """Kronecker product of square operators, matching the tensor_vec convention.
-
-    Satisfies (a (x) b)(u (x) v) = (a u) (x) (b v).
-    """
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[0] != a.shape[1] or b.shape[0] != b.shape[1]:
-        raise ShapeError(f"tensor_op needs square factors, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
-
-
 def check_state(psi) -> np.ndarray:
     """Validate that psi is a unit vector within ``STATE_NORM_TOL`` and return it."""
     psi = as_vector(psi)
@@ -128,13 +105,4 @@ def _expectation(a: np.ndarray, psi: np.ndarray) -> np.ndarray:
     if imag > tol:
         raise NumericalError(f"expectation has imaginary part {imag:.3e} beyond {tol:.3g}")
     return val.real
-
-
-def expectation(a, psi) -> float:
-    """Real expectation value <psi, a psi> of a Hermitian observable."""
-    a = check_hermitian(a)
-    psi = check_state(psi)
-    if a.shape[0] != psi.size:
-        raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
-    return float(_expectation(a, psi))
 

@@ -13,15 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError, ShapeError
+from .errors import ShapeError
 from .linalg import _expectation, _row_sum_norm, check_hermitian, check_state
 from .tps import TensorProductStructure, coefficient_matrix
 
 ENTANGLED_WITNESSED = "entangled-witnessed"
 INCONCLUSIVE = "inconclusive"
-
-# scaled by max(1, ||A||_inf^2) for an observable A, as the rounding of <A^2> is
-VARIANCE_FLOOR = -1e-12
 
 
 @dataclass(frozen=True)
@@ -31,10 +28,6 @@ class QcfReport:
     value: complex
     witness_threshold: float
     verdict: str
-
-    @property
-    def witnessed(self) -> bool:
-        return self.verdict == ENTANGLED_WITNESSED
 
 
 def _covariance(a: np.ndarray, b: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -94,17 +87,4 @@ def qcf_local(
         witness_threshold = default_witness_threshold(tps.dim, a1, b2)
     verdict = ENTANGLED_WITNESSED if abs(value) > witness_threshold else INCONCLUSIVE
     return QcfReport(value=value, witness_threshold=witness_threshold, verdict=verdict)
-
-
-def variance(a, psi) -> float:
-    """<A^2> - <A>^2, clamped to be nonnegative."""
-    a = check_hermitian(a)
-    psi = check_state(psi)
-    if a.shape[0] != psi.size:
-        raise ShapeError(f"observable dim {a.shape[0]} vs state dim {psi.size}")
-    val = float(_covariance(a, a, psi).real)
-    norm = _row_sum_norm(a)
-    if val < VARIANCE_FLOOR * max(1.0, norm * norm):
-        raise NumericalError(f"variance {val!r} below the tolerated rounding floor")
-    return max(val, 0.0)
 

@@ -1,4 +1,4 @@
-"""Seeded random states and operators for demos and property tests."""
+"""Seeded random states for the demos: Haar states, and entangled states above a Schmidt floor."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .linalg import check_size, tensor_vec
+from .linalg import check_size
 from .schmidt import spectra
 from .tps import trivial_tps
 
@@ -38,28 +38,6 @@ def haar_state(dim: int, rng: np.random.Generator, shape: tuple[int, ...] = ()) 
     # np.linalg.norm's formula for one vector, so stacked and single draws agree bit for bit
     n = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
     return v / n[..., None]
-
-
-def random_product_pair(d1: int, d2: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    return haar_state(d1, rng), haar_state(d2, rng)
-
-
-def random_product_state(d1: int, d2: int, rng: np.random.Generator) -> np.ndarray:
-    u, v = random_product_pair(d1, d2, rng)
-    return tensor_vec(u, v)
-
-
-def random_hermitian(dim: int, rng: np.random.Generator) -> np.ndarray:
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2.0
-
-
-def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR with the standard phase correction."""
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(m)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
 
 
 def random_entangled_state(

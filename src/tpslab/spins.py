@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError
-from .linalg import _expectation, check_state, tensor_op
+from .linalg import _expectation
 from .qcf import _covariance
 from .sampling import check_samples, haar_state
 from .schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, spectra
@@ -30,8 +29,8 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 SPIN_X, SPIN_Y, SPIN_Z = 0.5 * PAULI_X, 0.5 * PAULI_Y, 0.5 * PAULI_Z
-TOTAL_Z2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * tensor_op(SPIN_Z, SPIN_Z)
-TOTAL_X2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * tensor_op(SPIN_X, SPIN_X)
+TOTAL_Z2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * np.kron(SPIN_Z, SPIN_Z)
+TOTAL_X2 = 0.5 * np.eye(4, dtype=complex) + 2.0 * np.kron(SPIN_X, SPIN_X)
 
 # chi_{s,t} in row s*2+t over (up-up, up-down, down-up, down-down): the Bell states
 # Phi+, Phi-, Psi+, Psi-, with the z-square eigenvalue s and the x-square eigenvalue t
@@ -56,23 +55,12 @@ def chi_basis() -> TensorProductStructure:
 
 
 def _closed_form(psi1: np.ndarray, psi2: np.ndarray) -> np.ndarray:
-    """The covariance closed form on the last axis of psi1 and psi2; unchecked inputs."""
+    """The covariance of the two total-spin squares on the product psi1 (x) psi2,
+    ``-<S_y>_1 <S_y>_2 - 4 <S_x>_1 <S_x>_2 <S_z>_1 <S_z>_2`` with the expectations
+    taken in the single-spin factors, on the last axis of psi1 and psi2; unchecked inputs."""
     x1, y1, z1 = (_expectation(op, psi1) for op in (SPIN_X, SPIN_Y, SPIN_Z))
     x2, y2, z2 = (_expectation(op, psi2) for op in (SPIN_X, SPIN_Y, SPIN_Z))
     return -y1 * y2 - 4.0 * x1 * x2 * z1 * z2
-
-
-def spin_qcf_closed_form(psi1, psi2) -> float:
-    """Closed form for the covariance of the two total-spin squares on a product state.
-
-    Equals ``-<S_y>_1 <S_y>_2 - 4 <S_x>_1 <S_x>_2 <S_z>_1 <S_z>_2``
-    where the expectations are taken in the single-spin factors.
-    """
-    psi1 = check_state(psi1)
-    psi2 = check_state(psi2)
-    if psi1.size != 2 or psi2.size != 2:
-        raise ContractError("closed form is defined for two single-spin states")
-    return float(_closed_form(psi1, psi2))
 
 
 def _spin_samples(samples: int, seed: int) -> tuple[np.ndarray, ...]:

@@ -149,8 +149,15 @@ def swap_bijection(d: int) -> IndexBijection:
 
 def factor_local_bijection(perm1, perm2) -> IndexBijection:
     """(i, j) -> (perm1[i], perm2[j]); never mixes the factors."""
-    p1 = np.asarray(perm1, dtype=int)
-    p2 = np.asarray(perm2, dtype=int)
+    p1, p2 = np.asarray(perm1), np.asarray(perm2)
+    if p1.ndim != 1 or p2.ndim != 1 or not (p1.size and p2.size):
+        raise ShapeError("factor permutations must be nonempty vectors, "
+                         f"got shapes {p1.shape} and {p2.shape}")
+    # a float would be truncated and a bool or a string read as an index
+    if p1.dtype.kind not in "iu" or p2.dtype.kind not in "iu":
+        raise BijectionError("permutation entries must be integers, "
+                             f"got dtypes {p1.dtype} and {p2.dtype}")
+    p1, p2 = p1.astype(np.intp), p2.astype(np.intp)
     # negative images could still add up to valid targets, as perm1 - k and perm2 + k*d2 do
     if min(p1.min(), p2.min()) < 0:
         raise BijectionError("image indices fall outside the grid")
@@ -175,15 +182,6 @@ def sum_diff_bijection(d: int) -> IndexBijection:
         )
     i, j = np.meshgrid(np.arange(d), np.arange(d), indexing="ij")
     return IndexBijection(d, d, ((i + j) % d * d + (i - j) % d).ravel())
-
-
-def relabel_tps(bij: IndexBijection) -> TensorProductStructure:
-    """TPS whose product labels are the bijection's images of the trivial labels.
-
-    The coefficient of a state at new label map(i, j) equals its coefficient
-    at (i, j) in the trivial TPS.
-    """
-    return TensorProductStructure(bij.d1, bij.d2, relabeling=bij)
 
 
 def relabeled(tps: TensorProductStructure, bij: IndexBijection) -> TensorProductStructure:

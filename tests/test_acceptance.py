@@ -9,25 +9,19 @@ import math
 import numpy as np
 import pytest
 from chsh_oracle import chsh_search
-
-from tpslab.bell import chsh_max
-from tpslab.cli import main
-from tpslab.grid import (
-    Grid,
-    demo_sum_diff,
+from samplers import (
     fourier_profile,
-    gaussian_profile,
     odd_profile,
-)
-from tpslab.linalg import tensor_vec
-from tpslab.qcf import qcf, qcf_local, variance
-from tpslab.sampling import (
-    haar_state,
-    random_entangled_state,
     random_hermitian,
     random_product_pair,
     random_unitary,
 )
+
+from tpslab.bell import chsh_max
+from tpslab.cli import main
+from tpslab.grid import Grid, demo_sum_diff, gaussian_profile
+from tpslab.qcf import ENTANGLED_WITNESSED, qcf, qcf_local
+from tpslab.sampling import haar_state, random_entangled_state
 from tpslab.schmidt import schmidt
 from tpslab.spins import TOTAL_X2, TOTAL_Z2, chi_basis, demo_spins
 from tpslab.tps import (
@@ -35,7 +29,6 @@ from tpslab.tps import (
     coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
-    relabel_tps,
     sum_diff_bijection,
     trivial_tps,
 )
@@ -59,7 +52,7 @@ def test_c01_product_state_covariance_vanishes():
         for _ in range(1000):
             u, v = random_product_pair(d1, d2, rng)
             rep = qcf_local(
-                random_hermitian(d1, rng), random_hermitian(d2, rng), tensor_vec(u, v), tps
+                random_hermitian(d1, rng), random_hermitian(d2, rng), np.kron(u, v), tps
             )
             total += 1
             worst = max(worst, abs(rep.value) / threshold)
@@ -84,7 +77,7 @@ def test_c02_variance_identity():
             psi1, psi2 = haar_state(d1, rng), haar_state(d2, rng)
             a, b = np.kron(a1, np.eye(d2)), np.kron(np.eye(d1), b2)
             lhs = qcf(a + b, a - b, np.kron(psi1, psi2)).real
-            rhs = variance(a1, psi1) - variance(b2, psi2)
+            rhs = (qcf(a1, a1, psi1) - qcf(b2, b2, psi2)).real  # Var(A) = Q(A, A)
             worst = max(worst, abs(lhs - rhs))
             failures += abs(lhs - rhs) > 1e-10
     criterion(
@@ -167,7 +160,7 @@ def _parity_sectors(f, g):
     d = f.grid.d
     c = (d - 1) // 2
     psi = np.outer(f.samples, g.samples).ravel()
-    m = coefficient_matrix(psi, relabel_tps(sum_diff_bijection(d)))
+    m = coefficient_matrix(psi, TensorProductStructure(d, d, relabeling=sum_diff_bijection(d)))
     labels = np.arange(d)
     parity_a = ((labels - (d - 1) + c) % d - c) % 2
     parity_b = ((labels + c) % d - c) % 2
@@ -254,7 +247,7 @@ def test_c06_plane_waves_relabel_exactly():
     for m1 in range(d):
         for m2 in range(d):
             c = np.outer(fourier_profile(grid, m1).samples, fourier_profile(grid, m2).samples)
-            vals = schmidt(c.ravel(), relabel_tps(bij)).coefficients
+            vals = schmidt(c.ravel(), TensorProductStructure(d, d, relabeling=bij)).coefficients
             worst = max(worst, float(vals[1]))
     criterion(
         6,
@@ -284,14 +277,14 @@ def test_c08_tps_invariance_under_local_maps():
         tps = trivial_tps(d1, d2)
         for _ in range(334):
             u, v = random_product_pair(d1, d2, rng)
-            psi = tensor_vec(u, v)
+            psi = np.kron(u, v)
             base = schmidt(psi, tps).coefficients
             rotated = TensorProductStructure(
                 d1, d2, np.kron(random_unitary(d1, rng), random_unitary(d2, rng))
             )
             diff = float(np.max(np.abs(schmidt(psi, rotated).coefficients - base)))
-            relabeled = relabel_tps(
-                factor_local_bijection(rng.permutation(d1), rng.permutation(d2))
+            relabeled = TensorProductStructure(
+                d1, d2, relabeling=factor_local_bijection(rng.permutation(d1), rng.permutation(d2))
             )
             diff = max(diff, float(np.max(np.abs(schmidt(psi, relabeled).coefficients - base))))
             worst = max(worst, diff)
@@ -358,11 +351,11 @@ def test_c11_witness_soundness():
         for k in range(334):
             if k % 2 == 0:
                 u, v = random_product_pair(d1, d2, rng)
-                psi = tensor_vec(u, v)
+                psi = np.kron(u, v)
             else:
                 psi = haar_state(d1 * d2, rng)
             rep = qcf_local(random_hermitian(d1, rng), random_hermitian(d2, rng), psi, tps)
-            if rep.witnessed:
+            if rep.verdict == ENTANGLED_WITNESSED:
                 witnessed_total += 1
                 vals = schmidt(psi, tps).coefficients
                 if vals[1] <= 1e-10 * vals[0]:

@@ -1,5 +1,6 @@
 """The exported API: each settable default is listed here, so a new knob is a visible edit,
-and each public definition is exported or used, so dead API cannot accumulate."""
+each public definition is exported or used, and each exported name has a caller outside
+the tests, so dead API cannot accumulate."""
 
 import ast
 import inspect
@@ -69,14 +70,44 @@ def definitions() -> list[tuple[str, str, bool]]:
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
 
 
+def exported_names() -> set[str]:
+    """Every name that tpslab/__init__.py imports from its modules."""
+    tree = ast.parse((Path(tpslab.__file__).parent / "__init__.py").read_text())
+    return {alias.asname or alias.name for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+
 def test_every_public_definition_is_exported_or_referenced():
     # a public definition must be exported by tpslab/__init__.py or used
-    tree = ast.parse((Path(tpslab.__file__).parent / "__init__.py").read_text())
-    exported = {alias.asname or alias.name for node in tree.body
-                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    exported = exported_names()
     dead = [f"{module}:{name}" for module, name, used in definitions()
             if not name.startswith("_") and name not in exported and not used]
     assert dead == []
+
+
+def readme_example() -> str:
+    """The Python block of the README's "Library surface" section."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+
+
+# exported names with no caller yet, kept for the entangling-power demo (ROADMAP item 4)
+AWAITING_A_CALLER = {"factor_local_bijection", "random_bijection"}
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    # an exported name must be named by a statement of src/tpslab other than an import
+    # and its own definition, by the README's library example, or by the benchmark
+    named_in_src = set()
+    for path in Path(tpslab.__file__).parent.glob("*.py"):
+        for stmt in ast.parse(path.read_text()).body:
+            if not isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                named_in_src |= named(stmt) - {getattr(stmt, "name", None)}
+    # a name in a string, such as a span name of the benchmark's tracer, calls nothing
+    named_outside = named(ast.parse(readme_example()))
+    for path in (Path(__file__).parents[1] / "bench").glob("*.py"):
+        named_outside |= named(ast.parse(path.read_text()))
+    assert exported_names() - named_in_src - named_outside == AWAITING_A_CALLER
 
 
 def test_every_private_definition_is_referenced():
@@ -193,6 +224,4 @@ def test_every_schmidt_spectrum_goes_through_schmidt_py():
 def test_the_readme_library_surface_runs():
     # a name that the README's library example uses and the package renamed or removed
     # fails here
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
-    block = readme.split("## Library surface", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    exec(compile(block, "README.md", "exec"), {})
+    exec(compile(readme_example(), "README.md", "exec"), {})

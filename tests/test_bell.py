@@ -13,12 +13,13 @@ from chsh_oracle import (
     spin_correlation_matrix,
 )
 from demo_oracle import bell_loop, chsh_closed_form
+from samplers import random_product_state
 
 from tpslab import bell
 from tpslab.bell import TSIRELSON_BOUND, ChshSettings, chsh_max, demo_bell
 from tpslab.errors import ContractError, ShapeError, SizeLimitError
 from tpslab.linalg import MAX_GLOBAL_DIM
-from tpslab.sampling import haar_state, random_entangled_state, random_product_state
+from tpslab.sampling import haar_state, random_entangled_state
 from tpslab.schmidt import schmidt
 from tpslab.tps import trivial_tps
 

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from demo_oracle import even_blocks_per_sigma
+from samplers import random_product_state, random_unitary
 
 import tpslab.statefile
 from tpslab import grid as grid_module
@@ -15,7 +16,7 @@ from tpslab.cli import build_parser, main
 from tpslab.errors import SizeLimitError, UnknownObservableError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
 from tpslab.qcf import qcf_local
-from tpslab.sampling import haar_state, random_product_state, random_unitary
+from tpslab.sampling import haar_state
 from tpslab.spins import PAULI_Z
 from tpslab.statefile import (
     StateFile,
@@ -589,10 +590,10 @@ def test_reports_are_byte_identical_across_reruns(bell_file, tmp_path):
 
 def test_schmidt_with_tps_override_file(product_file, tmp_path):
     from tpslab.statefile import tps_to_dict
-    from tpslab.tps import relabel_tps, sum_diff_bijection
 
+    tps = TensorProductStructure(3, 3, relabeling=sum_diff_bijection(3))
     tps_file = tmp_path / "tps.json"
-    tps_file.write_text(dump_json(tps_to_dict(relabel_tps(sum_diff_bijection(3)))))
+    tps_file.write_text(dump_json(tps_to_dict(tps)))
     code, out = run(["schmidt", product_file, "--tps", str(tps_file)], tmp_path)
     assert code == 0
     assert json.loads(out.read_text())["rank"] >= 2
@@ -686,6 +687,16 @@ def test_non_finite_tol_rejected_at_parse(bell_file, tol, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"--tol: must be a number in [0, 1), got {tol}" in err
+
+
+@pytest.mark.parametrize("sep", ["-4", "-20", "nan", "inf"])
+def test_negative_or_non_finite_sep_rejected_at_parse(sep, capsys):
+    # the double-Gaussian grid spans sep + 8 sigma1 on each side: a negative sep shrank
+    # it around lobes that sit at +-|sep|, and -20, nan and inf failed the grid check
+    with pytest.raises(SystemExit) as exc:
+        main(["demo", "coords", "--d", "33", f"--sep={sep}"])
+    assert exc.value.code == 2
+    assert f"--sep: must be a finite non-negative number, got {sep}" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("which", ["spins", "bell"])

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from demo_oracle import coords_pair, even_blocks_per_sigma
+from samplers import fourier_profile, odd_profile, random_hermitian
 from tps_oracle import permutation_matrix, qcf_local_global
 
 from tpslab import grid as grid_module
@@ -21,21 +22,16 @@ from tpslab.grid import (
     SampledProfile,
     demo_sum_diff,
     double_gaussian_profile,
-    fourier_profile,
     gaussian_profile,
-    odd_profile,
     position_operator,
 )
-from tpslab.linalg import tensor_vec
 from tpslab.qcf import qcf, qcf_local
-from tpslab.sampling import random_hermitian
 from tpslab.schmidt import DEFAULT_TRUNCATION_TOL, rank_from_singular_values, schmidt
 from tpslab.tps import (
     TensorProductStructure,
     coefficient_matrix,
     factor_local_bijection,
     random_bijection,
-    relabel_tps,
     sum_diff_bijection,
     swap_bijection,
 )
@@ -103,11 +99,6 @@ def test_fourier_modes_orthogonal():
             assert abs(ov) <= 1e-12
 
 
-def test_fourier_mode_out_of_range():
-    with pytest.raises(GridSpecError):
-        fourier_profile(std_grid(9), 9)
-
-
 @pytest.mark.parametrize(
     "bij",
     [
@@ -123,7 +114,7 @@ def test_relabeling_tps_matches_dense_permutation_tps(bij):
     rng = np.random.default_rng(bij.d1 * bij.d2)
     psi = rng.normal(size=bij.d1 * bij.d2) + 1j * rng.normal(size=bij.d1 * bij.d2)
     psi /= np.linalg.norm(psi)
-    relabeled = relabel_tps(bij)
+    relabeled = TensorProductStructure(bij.d1, bij.d2, relabeling=bij)
     dense = TensorProductStructure(bij.d1, bij.d2, permutation_matrix(bij))
     assert relabeled.unitary is None
     np.testing.assert_array_equal(
@@ -146,7 +137,7 @@ def test_demo_qcf_matches_dense_operator_route():
     eye = np.eye(d, dtype=complex)
     a = np.kron(x, eye) + np.kron(eye, x)
     b = np.kron(x, eye) - np.kron(eye, x)
-    psi = tensor_vec(f.samples, h.samples)
+    psi = np.kron(f.samples, h.samples)
     dense = qcf(a, b, psi)
     assert report.qcf_ab == pytest.approx(dense.real, abs=1e-10)
     assert abs(dense.imag) <= 1e-12
@@ -224,7 +215,7 @@ def test_fourier_products_relabel_exactly(d):
             f = fourier_profile(g, m1)
             h = fourier_profile(g, m2)
             c = np.outer(f.samples, h.samples)
-            relabeled = coefficient_matrix(c.ravel(), relabel_tps(bij))
+            relabeled = coefficient_matrix(c.ravel(), TensorProductStructure(d, d, relabeling=bij))
             vals = np.linalg.svd(relabeled, compute_uv=False)
             assert vals[1] <= 1e-12
             mu, mv = (inv2 * (m1 + m2)) % d, (inv2 * (m1 - m2)) % d
@@ -242,7 +233,7 @@ def test_factor_local_relabeling_preserves_the_schmidt_coefficients():
     bij = factor_local_bijection(rng.permutation(d), rng.permutation(d))
     c = np.outer(f.samples, h.samples)
     base = np.linalg.svd(c, compute_uv=False)
-    moved = schmidt(c.ravel(), relabel_tps(bij)).coefficients
+    moved = schmidt(c.ravel(), TensorProductStructure(d, d, relabeling=bij)).coefficients
     np.testing.assert_allclose(moved, base, atol=1e-10)
 
 

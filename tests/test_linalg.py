@@ -1,15 +1,12 @@
-"""Core linear-algebra kernels: tensor products, expectations, the observable limits,
+"""Core linear-algebra kernels: expectations, the observable limits,
 and the SVD contracts of ``schmidt``: coefficients, rank, a wrapped non-convergence."""
 
 import numpy as np
 import pytest
 
-from tpslab.errors import (
-    ContractError,
-    NumericalError,
-    ShapeError,
-    SizeLimitError,
-)
+from samplers import random_hermitian, random_unitary
+
+from tpslab.errors import ContractError, NumericalError, ShapeError
 from tpslab.linalg import (
     HERMITIAN_TOL,
     MAX_MATRIX_NORM,
@@ -17,74 +14,13 @@ from tpslab.linalg import (
     as_matrix,
     as_vector,
     check_hermitian,
-    expectation,
-    tensor_op,
-    tensor_vec,
 )
-from tpslab.qcf import qcf, qcf_local, variance
-from tpslab.sampling import random_hermitian, random_unitary
+from tpslab.qcf import qcf, qcf_local
 from tpslab.schmidt import schmidt
 from tpslab.spins import PAULI_X, PAULI_Y, PAULI_Z
 from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
-
-
-def test_tensor_vec_basis_product():
-    out = tensor_vec([1, 0], [1, 0])
-    np.testing.assert_array_equal(out, [1, 0, 0, 0])
-
-
-def test_tensor_vec_scalar_case():
-    out = tensor_vec([2 + 1j], [3 - 1j])
-    np.testing.assert_allclose(out, [(2 + 1j) * (3 - 1j)])
-
-
-def test_tensor_vec_hand_expansion():
-    u = np.array([1, 1]) / SQ2
-    v = np.array([1, -1]) / SQ2
-    np.testing.assert_allclose(tensor_vec(u, v), np.array([1, -1, 1, -1]) / 2, atol=1e-15)
-
-
-def test_tensor_vec_index_convention():
-    # left factor is the slow index: entry (i*dv + j) = u[i] v[j]
-    u = np.array([1.0, 2.0])
-    v = np.array([10.0, 20.0, 30.0])
-    out = tensor_vec(u, v)
-    assert out[1 * 3 + 2] == u[1] * v[2]
-
-
-def test_tensor_vec_size_limit():
-    with pytest.raises(SizeLimitError):
-        tensor_vec(np.ones(2049), np.ones(1025))
-
-
-def test_tensor_op_identity():
-    np.testing.assert_array_equal(tensor_op(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_tensor_op_diagonal():
-    out = tensor_op(np.diag([1.0, -1.0]), np.eye(2))
-    np.testing.assert_array_equal(out, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-
-def test_tensor_op_rejects_non_square():
-    with pytest.raises(ShapeError):
-        tensor_op(np.ones((2, 3)), np.eye(2))
-
-
-@pytest.mark.parametrize("da,db", [(2, 2), (2, 3), (3, 4), (8, 5)])
-def test_tensor_product_compatibility(da, db):
-    # (A (x) B)(u (x) v) = (A u) (x) (B v)
-    rng = np.random.default_rng(11 * da + db)
-    for _ in range(20):
-        a = rng.normal(size=(da, da)) + 1j * rng.normal(size=(da, da))
-        b = rng.normal(size=(db, db)) + 1j * rng.normal(size=(db, db))
-        u = rng.normal(size=da) + 1j * rng.normal(size=da)
-        v = rng.normal(size=db) + 1j * rng.normal(size=db)
-        lhs = tensor_op(a, b) @ tensor_vec(u, v)
-        rhs = tensor_vec(a @ u, b @ v)
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
 def unit(mat) -> np.ndarray:
@@ -119,19 +55,19 @@ def test_svd_nonconvergence_wrapped(monkeypatch):
 
 def test_expectation_identity():
     psi = np.array([1, 1j, -1, 1]) / 2.0
-    assert expectation(np.eye(4), psi) == pytest.approx(1.0, abs=1e-12)
+    assert _expectation(np.eye(4), psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_expectation_pauli_z_plus_state():
     sz = np.diag([1.0, -1.0])
     psi = np.array([1.0, 1.0]) / SQ2
-    assert expectation(sz, psi) == pytest.approx(0.0, abs=1e-12)
+    assert _expectation(sz, psi) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_expectation_takes_the_hermitian_part_of_a_near_hermitian_observable():
     # a defect inside HERMITIAN_TOL no longer trips the imaginary-part check
-    value = expectation([[0, 1e-9j], [0, 0]], np.array([1.0, 1.0]) / SQ2)
-    assert isinstance(value, float) and value == 0.0
+    a = check_hermitian([[0, 1e-9j], [0, 0]])
+    assert _expectation(a, np.array([1.0, 1.0]) / SQ2) == 0.0
 
 
 def test_an_imaginary_expectation_beyond_the_tolerance_is_refused():
@@ -198,13 +134,14 @@ def test_the_hermitian_tolerance_is_absolute_below_unit_norm():
 
 
 def test_expectation_requires_unit_state():
-    with pytest.raises(ContractError):
-        expectation(np.eye(2), np.array([1.0, 1.0]))
+    # the covariance is the checked route to the expectations
+    with pytest.raises(ContractError, match="state norm"):
+        qcf(np.eye(2), np.eye(2), np.array([1.0, 1.0]))
 
 
 def test_rejects_non_finite_entries():
-    with pytest.raises(ContractError):
-        tensor_vec([1.0, np.nan], [1.0])
+    with pytest.raises(ContractError, match="vector contains non-finite entries"):
+        as_vector([1.0, np.nan])
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
@@ -222,10 +159,8 @@ BIG4 = np.kron(BIG, np.eye(2))
     [
         lambda psi: qcf(BIG4, BIG4, psi),
         lambda psi: qcf_local(BIG, BIG, psi, trivial_tps(2, 2)),
-        lambda psi: expectation(BIG4, psi),
-        lambda psi: variance(BIG4, psi),
     ],
-    ids=["qcf", "qcf_local", "expectation", "variance"],
+    ids=["qcf", "qcf_local"],
 )
 def test_observables_above_the_norm_limit_are_refused_before_any_overflow(call):
     # without the limit <A B> reaches 1e400 and overflows to inf with a RuntimeWarning
@@ -235,22 +170,20 @@ def test_observables_above_the_norm_limit_are_refused_before_any_overflow(call):
 
 
 def test_observable_at_the_norm_limit_is_accepted():
-    a = np.diag([MAX_MATRIX_NORM, 0.0])
-    assert expectation(a, np.array([1.0, 0.0])) == MAX_MATRIX_NORM
+    a = check_hermitian(np.diag([MAX_MATRIX_NORM, 0.0]))
+    assert _expectation(a, np.array([1.0, 0.0])) == MAX_MATRIX_NORM
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: check_hermitian(np.ones((2, 3))),
-        lambda: tensor_vec(np.ones(0), np.ones(2)),
-        lambda: expectation(np.eye(3), np.full(4, 0.5)),
         lambda: as_vector(np.ones((2, 2))),
         lambda: as_vector(1.0),
         lambda: as_matrix(np.ones(4)),
         lambda: as_matrix(np.ones((2, 2, 2))),
     ],
-    ids=["non-square-observable", "empty-factor", "expectation-dims", "vector-of-rank-2",
+    ids=["non-square-observable", "vector-of-rank-2",
          "vector-of-rank-0", "matrix-of-rank-1", "matrix-of-rank-3"],
 )
 def test_mismatched_shapes_raise_shape_error(call):

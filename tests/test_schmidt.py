@@ -2,11 +2,11 @@
 
 import numpy as np
 import pytest
+from samplers import random_product_pair, random_unitary
 from tps_oracle import dense_unitary
 
 from tpslab.errors import NumericalError
-from tpslab.linalg import tensor_vec
-from tpslab.sampling import haar_state, random_product_pair, random_unitary
+from tpslab.sampling import haar_state
 from tpslab.schmidt import rank_from_singular_values, schmidt, spectra
 from tpslab.spins import CHI_ROWS, chi_basis
 from tpslab.tps import (
@@ -14,7 +14,6 @@ from tpslab.tps import (
     _coefficients,
     coefficient_matrix,
     random_bijection,
-    relabel_tps,
     trivial_tps,
 )
 
@@ -25,7 +24,7 @@ BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
 def test_product_state_rank_one():
     rng = np.random.default_rng(0)
     u, v = random_product_pair(3, 4, rng)
-    sd = schmidt(tensor_vec(u, v), trivial_tps(3, 4))
+    sd = schmidt(np.kron(u, v), trivial_tps(3, 4))
     assert sd.rank == 1
     np.testing.assert_allclose(sd.coefficients[0], 1.0, atol=1e-12)
 
@@ -55,7 +54,7 @@ def tps_of_kind(kind: str, d1: int, d2: int, rng) -> TensorProductStructure:
     relabeling, on d1 x d2 factors."""
     dim = d1 * d2
     if kind == "relabeled":
-        return relabel_tps(random_bijection(d1, d2, rng))
+        return TensorProductStructure(d1, d2, relabeling=random_bijection(d1, d2, rng))
     if kind == "reflector":
         return TensorProductStructure(d1, d2, reflector=haar_state(dim, rng))
     if kind == "unitary":
@@ -150,7 +149,7 @@ def two_qubit_families(rng) -> np.ndarray:
     theta = np.append(np.linspace(0.0, np.pi, 101), np.pi / 4)
     return np.concatenate([
         haar_state(4, rng, (500,)),
-        [tensor_vec(*random_product_pair(2, 2, rng)) for _ in range(200)],
+        [np.kron(*random_product_pair(2, 2, rng)) for _ in range(200)],
         [random_unitary(2, rng).reshape(4) / SQ2 for _ in range(200)],
         np.eye(4),
         CHI_ROWS,

@@ -9,7 +9,7 @@ from tps_oracle import chi_rows_from_eigh
 
 from tpslab.errors import ContractError, SizeLimitError
 import tpslab.linalg
-from tpslab.linalg import MAX_GLOBAL_DIM, tensor_op
+from tpslab.linalg import MAX_GLOBAL_DIM
 from tpslab.qcf import qcf
 from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt
@@ -20,10 +20,10 @@ from tpslab.spins import (
     SPIN_Z,
     TOTAL_X2,
     TOTAL_Z2,
+    _closed_form,
     _spin_samples,
     chi_basis,
     demo_spins,
-    spin_qcf_closed_form,
 )
 
 SQ2 = np.sqrt(2.0)
@@ -59,7 +59,7 @@ def test_spin_commutators(hbar):
 def test_total_spin_squares_structure(hbar):
     np.testing.assert_allclose(
         TOTAL_Z2,
-        hbar**2 / 2 * np.eye(4) + 2 * tensor_op(SPIN_Z, SPIN_Z),
+        hbar**2 / 2 * np.eye(4) + 2 * np.kron(SPIN_Z, SPIN_Z),
         atol=1e-14,
     )
     assert np.max(np.abs(TOTAL_Z2 @ TOTAL_X2 - TOTAL_X2 @ TOTAL_Z2)) <= 1e-12
@@ -111,13 +111,13 @@ def test_chi_vectors_satisfy_both_eigenvalue_equations(hbar):
 
 def test_closed_form_vanishes_for_both_up():
     up = np.array([1.0, 0.0], dtype=complex)
-    assert spin_qcf_closed_form(up, up) == pytest.approx(0.0, abs=1e-14)
+    assert _closed_form(up, up) == pytest.approx(0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("hbar", [1.0])
 def test_closed_form_both_plus_y(hbar):
     plus_y = np.array([1.0, 1j]) / SQ2
-    val = spin_qcf_closed_form(plus_y, plus_y)
+    val = _closed_form(plus_y, plus_y)
     assert val == pytest.approx(-(hbar**4) / 4.0, abs=1e-12)
 
 
@@ -127,28 +127,25 @@ def test_closed_form_matches_direct_covariance():
     for _ in range(1000):
         psi1, psi2 = haar_state(2, rng), haar_state(2, rng)
         direct = qcf(TOTAL_Z2, TOTAL_X2, np.kron(psi1, psi2))
-        closed = spin_qcf_closed_form(psi1, psi2)
+        closed = _closed_form(psi1, psi2)
         worst = max(worst, abs(direct - closed))
     assert worst <= 1e-12
 
 
-def test_closed_form_rejects_unnormalized():
-    with pytest.raises(ContractError):
-        spin_qcf_closed_form(np.array([1.0, 1.0]), np.array([1.0, 0.0]))
-
-
 def test_demo_spins_builds_no_spin_operator(monkeypatch):
-    # the spin operators and total-spin squares are module constants; the one matrix
-    # check left is the chi unitary's, in chi_basis()
+    # the spin operators and total-spin squares are module constants, their Kronecker
+    # products taken once at import; the one matrix check left is the chi unitary's,
+    # in chi_basis()
     calls = []
-    for name in ("tensor_op", "as_matrix"):
-        original = getattr(tpslab.linalg, name)
+    for owners, name in (([np], "kron"), ([tpslab.linalg], "as_matrix")):
+        original = getattr(owners[0], name)
 
         def counting(*args, _name=name, _original=original, **kwargs):
             calls.append(_name)
             return _original(*args, **kwargs)
 
-        for module in [m for key, m in sys.modules.items() if key.startswith("tpslab")]:
+        owners += [m for key, m in sys.modules.items() if key.startswith("tpslab")]
+        for module in owners:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
     demo_spins(samples=3, seed=0)
@@ -215,11 +212,3 @@ def test_stacked_haar_draws_consume_the_stream_like_single_draws():
 def test_demo_spins_rejects_more_samples_than_the_cap():
     with pytest.raises(SizeLimitError):
         demo_spins(samples=MAX_GLOBAL_DIM + 1, seed=42)
-
-
-@pytest.mark.parametrize("psi1,psi2", [(np.ones(3) / np.sqrt(3), np.array([1.0, 0.0])),
-                                       (np.array([1.0, 0.0]), np.ones(3) / np.sqrt(3))],
-                         ids=["first", "second"])
-def test_closed_form_rejects_a_state_that_is_not_one_spin(psi1, psi2):
-    with pytest.raises(ContractError, match="two single-spin states"):
-        spin_qcf_closed_form(psi1, psi2)

@@ -10,9 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from samplers import random_unitary
 
 from tpslab.errors import ShapeError, StateFileError
-from tpslab.sampling import haar_state, random_unitary
+from tpslab.sampling import haar_state
 from tpslab.statefile import (
     StateFile,
     dump_json,
@@ -24,7 +25,6 @@ from tpslab.statefile import (
 from tpslab.tps import (
     TensorProductStructure,
     random_bijection,
-    relabel_tps,
     sum_diff_bijection,
     trivial_tps,
 )
@@ -124,7 +124,7 @@ def test_state_file_round_trip_bit_exact(tmp_path):
 def test_state_file_with_tps_round_trip(tmp_path):
     rng = np.random.default_rng(2)
     psi = haar_state(9, rng)
-    tps = relabel_tps(sum_diff_bijection(3))
+    tps = TensorProductStructure(3, 3, relabeling=sum_diff_bijection(3))
     path = tmp_path / "state.json"
     write_state(path, StateFile(3, 3, psi, tps=tps))
     loaded = load_state_file(str(path))

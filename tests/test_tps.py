@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from samplers import random_product_state, random_unitary
 from tps_oracle import dense_unitary, permutation_matrix, reflector_matrix
 
 from tpslab.errors import BijectionError, ContractError, GridSpecError, ShapeError
 from tpslab.linalg import STATE_NORM_TOL, UNITARY_TOL
-from tpslab.sampling import haar_state, random_product_state, random_unitary
+from tpslab.sampling import haar_state
 from tpslab.schmidt import schmidt
 from tpslab.tps import (
     IndexBijection,
@@ -18,7 +19,6 @@ from tpslab.tps import (
     factor_local_bijection,
     identity_bijection,
     random_bijection,
-    relabel_tps,
     relabeled,
     sum_diff_bijection,
     swap_bijection,
@@ -71,6 +71,25 @@ def test_factor_local_bijection_refuses_images_off_the_grid():
         factor_local_bijection([-1, 0], [2, 3])
 
 
+@pytest.mark.parametrize(
+    "perm,error,match",
+    [
+        ([0.7, 1.2], BijectionError, "must be integers"),  # int() would truncate to [0, 1]
+        ([True, False], BijectionError, "must be integers"),
+        (["1", "0"], BijectionError, "must be integers"),
+        ([], ShapeError, "nonempty vectors"),
+        ([[0], [1]], ShapeError, "nonempty vectors"),
+    ],
+    ids=["floats", "bools", "strings", "empty", "column"],
+)
+@pytest.mark.parametrize("side", ["first", "second"])
+def test_factor_local_bijection_refuses_a_permutation_that_is_not_integer_indices(
+        perm, error, match, side):
+    perms = (perm, [0, 1]) if side == "first" else ([0, 1], perm)
+    with pytest.raises(error, match=match):
+        factor_local_bijection(*perms)
+
+
 def test_index_bijection_inverse_tables():
     bij = sum_diff_bijection(5)
     inverse = np.argsort(bij.targets)
@@ -79,13 +98,13 @@ def test_index_bijection_inverse_tables():
 
 
 def test_relabel_identity_is_identity_matrix():
-    tps = relabel_tps(identity_bijection(2, 2))
+    tps = TensorProductStructure(2, 2, relabeling=identity_bijection(2, 2))
     assert tps.unitary is None
     np.testing.assert_array_equal(permutation_matrix(tps.relabeling), np.eye(4))
 
 
 def test_relabel_swap_is_swap_matrix():
-    tps = relabel_tps(swap_bijection(2))
+    tps = TensorProductStructure(2, 2, relabeling=swap_bijection(2))
     swap = np.zeros((4, 4))
     swap[0, 0] = swap[3, 3] = swap[1, 2] = swap[2, 1] = 1.0
     np.testing.assert_array_equal(permutation_matrix(tps.relabeling).real, swap)
@@ -94,7 +113,7 @@ def test_relabel_swap_is_swap_matrix():
 def test_relabel_permutation_structure():
     # exactly one unit entry per row and column
     for bij in (sum_diff_bijection(3), random_bijection(3, 4, np.random.default_rng(0))):
-        u = permutation_matrix(relabel_tps(bij).relabeling)
+        u = permutation_matrix(bij)
         assert np.count_nonzero(u) == u.shape[0]
         np.testing.assert_array_equal(np.sort(np.nonzero(u)[0]), np.arange(u.shape[0]))
         np.testing.assert_array_equal(np.sort(np.nonzero(u)[1]), np.arange(u.shape[0]))
@@ -108,7 +127,7 @@ def test_relabel_moves_coefficients_forward():
     rng = np.random.default_rng(1)
     psi = haar_state(d * d, rng)
     c_old = coefficient_matrix(psi, trivial_tps(d, d))
-    c_new = coefficient_matrix(psi, relabel_tps(bij))
+    c_new = coefficient_matrix(psi, TensorProductStructure(d, d, relabeling=bij))
     for i in range(d):
         for j in range(d):
             a, b = divmod(int(bij.targets[i * d + j]), d)
@@ -176,7 +195,7 @@ def test_factor_local_bijection_never_mixes():
     rng = np.random.default_rng(9)
     bij = factor_local_bijection(rng.permutation(3), rng.permutation(4))
     psi = random_product_state(3, 4, rng)
-    vals = schmidt(psi, relabel_tps(bij)).coefficients
+    vals = schmidt(psi, TensorProductStructure(3, 4, relabeling=bij)).coefficients
     assert vals[1] <= 1e-10 * vals[0]
 
 
@@ -214,7 +233,7 @@ def test_disentangling_tps_unitarity_near_basis_states():
 
 def test_relabel_random_bijection_roundtrip_dimension():
     bij = random_bijection(3, 5, np.random.default_rng(4))
-    tps = relabel_tps(bij)
+    tps = TensorProductStructure(3, 5, relabeling=bij)
     assert (tps.d1, tps.d2, tps.dim) == (3, 5, 15)
 
 
@@ -306,7 +325,8 @@ def test_coefficient_matrix_accepts_every_state_that_check_state_accepts(rotatio
             continue  # check_state refuses it before any TPS is read
         edge += 1
         if rotation == "relabeling":
-            tps, bound = relabel_tps(random_bijection(d1, d2, rng)), 1e-15
+            bij = random_bijection(d1, d2, rng)
+            tps, bound = TensorProductStructure(d1, d2, relabeling=bij), 1e-15
         elif rotation == "reflector":
             tps, bound = TensorProductStructure(d1, d2, reflector=haar_state(dim, rng)), 1e-15
         else:

@@ -17,7 +17,7 @@ from tpslab.spins import TOTAL_X2, TOTAL_Z2
 
 
 def permutation_matrix(bij) -> np.ndarray:
-    """Dense unitary of ``relabel_tps(bij)``: P[i*d2 + j, map(i, j)] = 1."""
+    """Dense unitary of the relabeling TPS of bij: P[i*d2 + j, map(i, j)] = 1."""
     dim = bij.d1 * bij.d2
     p = np.zeros((dim, dim), dtype=complex)
     p[np.arange(dim), bij.targets] = 1.0
