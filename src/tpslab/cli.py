@@ -1,7 +1,10 @@
 """Command-line interface: schmidt | qcf | demo coords|spins|bell | refactor | chsh.
 
 Each subcommand accepts ``--out`` and only the flags it reads; any other flag
-is a usage error.  A JSON report opens with the manifest
+is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which a
+subcommand gets its arguments only when a token of argv names it
+(``build_parser()`` is the full parser); this is exact, as argparse enters a
+subparser only on an argv token equal to its name.  A JSON report opens with the manifest
 ``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
 arguments: every flag the subcommand declares except ``--out`` and
 ``--format``, its positional state file, and the demo's name.  Each handler
@@ -233,7 +236,10 @@ def _rank_cut(text: str) -> float:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """Every subcommand's name and help, but the arguments only of those named by a token of
+    argv, which is exact: argparse enters a subparser only on an argv token equal to its
+    name.  ``build_parser()`` is the full parser."""
     parser = argparse.ArgumentParser(
         prog="tpslab",
         description="Tensor-product-structure toolkit: Schmidt decompositions, "
@@ -245,65 +251,71 @@ def build_parser() -> argparse.ArgumentParser:
     def command(parent, name: str, func, help: str, required: bool = False,
                 out: str = "write the report to this path instead of stdout"):
         p = parent.add_parser(name, help=help)
+        if argv is not None and name not in argv:
+            return None
         p.add_argument("--out", required=required, help=out)
         p.set_defaults(func=func)
         return p
 
-    p = command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file")
-    p.add_argument("state")
-    p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-    p.add_argument("--tol", type=_rank_cut, default=DEFAULT_TRUNCATION_TOL,
-                   help="rank cut, 0 <= tol < 1: count the coefficients above tol times the "
-                   "largest")
+    if p := command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file"):
+        p.add_argument("state")
+        p.add_argument("--tps", help="JSON file overriding the state's TPS block")
+        p.add_argument("--tol", type=_rank_cut, default=DEFAULT_TRUNCATION_TOL,
+                       help="rank cut, 0 <= tol < 1: count the coefficients above tol times "
+                       "the largest")
 
-    p = command(sub, "qcf", cmd_qcf, "quantum covariance of two observables")
-    p.add_argument("state")
-    p.add_argument("--obs-a", required=True,
-                   help=f"{'|'.join(OBSERVABLE_NAMES)} or a JSON matrix file")
-    p.add_argument("--obs-b", required=True)
-    p.add_argument("--local", action="store_true",
-                   help="treat observables as acting on the two TPS factors")
-    p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-    p.add_argument("--tol", type=_finite_float, default=None,
-                   help="witness threshold of --local (default: the global dimension times "
-                   "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
+    if p := command(sub, "qcf", cmd_qcf, "quantum covariance of two observables"):
+        p.add_argument("state")
+        p.add_argument("--obs-a", required=True,
+                       help=f"{'|'.join(OBSERVABLE_NAMES)} or a JSON matrix file")
+        p.add_argument("--obs-b", required=True)
+        p.add_argument("--local", action="store_true",
+                       help="treat observables as acting on the two TPS factors")
+        p.add_argument("--tps", help="JSON file overriding the state's TPS block")
+        p.add_argument("--tol", type=_finite_float, default=None,
+                       help="witness threshold of --local (default: the global dimension times "
+                       "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
 
     demo = sub.add_parser("demo", help="run a built-in demonstration")
-    demos = demo.add_subparsers(dest="which", required=True)
-    p = command(demos, "coords", cmd_coords, "product of two Gaussians under the "
-                "modular sum/difference relabeling")
-    p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
-    p.add_argument("--sigma1", type=float, default=1.0)
-    p.add_argument("--sigma2", type=float, default=2.0)
-    p.add_argument("--sep", type=_finite_float, default=4.0, help="double-gaussian lobe separation")
-    p.add_argument("--format", choices=("json", "csv"), default="json",
-                   help="csv emits the rows of a sweep of the second width from sigma1 to sigma2")
-    for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),
-                        ("bell", "maximal CHSH values of seeded entangled two-qubit states")):
-        p = command(demos, which, cmd_sampling_demo, help)
-        p.add_argument("--samples", type=_positive_int, default=1000)
-        p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
-        p.add_argument("--format", choices=("json", "csv"), default="json",
-                       help="csv emits one row per sample")
+    if argv is None or "demo" in argv:
+        demos = demo.add_subparsers(dest="which", required=True)
+        if p := command(demos, "coords", cmd_coords, "product of two Gaussians under the "
+                        "modular sum/difference relabeling"):
+            p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
+            p.add_argument("--sigma1", type=float, default=1.0)
+            p.add_argument("--sigma2", type=float, default=2.0)
+            p.add_argument("--sep", type=_finite_float, default=4.0,
+                           help="double-gaussian lobe separation")
+            p.add_argument("--format", choices=("json", "csv"), default="json",
+                           help="csv emits the rows of a sweep of the second width from "
+                           "sigma1 to sigma2")
+        for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),
+                            ("bell", "maximal CHSH values of seeded entangled two-qubit states")):
+            if p := command(demos, which, cmd_sampling_demo, help):
+                p.add_argument("--samples", type=_positive_int, default=1000)
+                p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
+                p.add_argument("--format", choices=("json", "csv"), default="json",
+                               help="csv emits one row per sample")
 
-    p = command(sub, "refactor", cmd_refactor, "rewrite a state file with a relabeled TPS, "
-                "or with one in which the state has a given Schmidt spectrum",
-                required=True, out="write the rewritten state file to this path")
-    p.add_argument("state")
-    target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--bijection",
-                        help="sumdiff | swap | identity | path to a JSON bijection file")
-    target.add_argument("--spectrum", choices=("product", "maximal"),
-                        help="a reflector TPS in which the state is a product, or "
-                        "maximally entangled over min(d1, d2) terms")
+    if p := command(sub, "refactor", cmd_refactor, "rewrite a state file with a relabeled TPS, "
+                    "or with one in which the state has a given Schmidt spectrum",
+                    required=True, out="write the rewritten state file to this path"):
+        p.add_argument("state")
+        target = p.add_mutually_exclusive_group(required=True)
+        target.add_argument("--bijection",
+                            help="sumdiff | swap | identity | path to a JSON bijection file")
+        target.add_argument("--spectrum", choices=("product", "maximal"),
+                            help="a reflector TPS in which the state is a product, or "
+                            "maximally entangled over min(d1, d2) terms")
 
-    p = command(sub, "chsh", cmd_chsh, "maximal CHSH value of a two-qubit state file")
-    p.add_argument("state")
+    if p := command(sub, "chsh", cmd_chsh, "maximal CHSH value of a two-qubit state file"):
+        p.add_argument("state")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     args = parser.parse_args(argv)
     if args.command == "qcf" and not args.local and (args.tol is not None or args.tps is not None):
         parser.error("qcf --tol sets the witness threshold of --local, and --tps its TPS")

@@ -2,6 +2,9 @@
 
 import argparse
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -1497,3 +1500,69 @@ def test_the_manifest_records_what_the_run_read(argv, recorded, bell_file, tmp_p
     assert sorted(manifest) == ["parameters", "subcommand", "version"]
     assert manifest["subcommand"] == argv[0]
     assert recorded.items() <= manifest["parameters"].items()
+
+
+def parse_outcome(parser, argv, capsys):
+    """(exit code, vars of the namespace or None, stdout, stderr) of one parse."""
+    try:
+        code, parsed = 0, vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        code, parsed = exc.code, None
+    return (code, parsed, *capsys.readouterr())
+
+
+def _corpus():
+    valid = [[a.format(state="state.json") for a in argv] for argv in VALID_ARGV.values()]
+    unread = [argv + flag.split() for command, argv in zip(VALID_ARGV, valid)
+              for flag in UNREAD_FLAGS[command]]
+    helps = [["-h"]] + [[command, "-h"] for command in ("schmidt", "qcf", "demo", "refactor",
+                                                         "chsh")]
+    helps += [["demo", which, "-h"] for which in ("coords", "spins", "bell")]
+    odd = [["--version"], [], ["demo"], ["sch"], ["demo", "bel"], ["coords"], ["bell"],
+           ["schmidt", "chsh"], ["chsh", "demo"], ["schmidt", "demo", "--tol", "0.5"],
+           ["demo", "bell", "--out", "spins"], ["--bogus", "chsh", "s.json"]]
+    return valid + unread + helps + odd
+
+
+@pytest.mark.parametrize("argv", _corpus(), ids=" ".join)
+def test_the_parser_built_for_argv_parses_it_as_the_full_parser_does(argv, capsys):
+    # exit code, namespace, stdout and stderr, -h text and usage errors included
+    assert parse_outcome(build_parser(argv), argv, capsys) == parse_outcome(build_parser(), argv,
+                                                                            capsys)
+
+
+@pytest.mark.parametrize("command", VALID_ARGV)
+def test_the_parser_built_for_argv_declares_only_the_named_commands_flags(command):
+    # a request builds the arguments of its own subcommand, not the whole tree
+    flags = flags_by_command(build_parser([a.format(state="s.json") for a in VALID_ARGV[command]]))
+    assert flags[command] == flags_by_command(build_parser())[command] != set()
+    assert not any(v for k, v in flags.items() if k != command)
+
+
+def test_main_reads_argv_from_any_iterable(bell_file, capsys):
+    # build_parser and parse_args both read it, so an iterator is listed once
+    assert main(iter(["chsh", bell_file])) == 0
+    printed = capsys.readouterr()
+    assert main(["chsh", bell_file]) == 0
+    assert capsys.readouterr() == printed
+
+
+@pytest.mark.parametrize("module", ["tpslab", "tpslab.cli"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["chsh", "{state}"], ["demo", "bell", "--samples", "2", "--seed", "1"],
+     ["demo", "-h"]],
+    ids=" ".join,
+)
+def test_python_m_matches_main_in_process(module, argv, bell_file, monkeypatch, capsys):
+    # the argv=None path: main reads sys.argv[1:]
+    argv = [a.format(state=bell_file) for a in argv]
+    monkeypatch.setenv("COLUMNS", "100")  # the -h width, in this process and the child
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-m", module, *argv], capture_output=True, text=True,
+                          env=env, check=False)
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, *capsys.readouterr())
