@@ -1,10 +1,11 @@
 """Command-line interface: schmidt | qcf | demo coords|spins|bell | refactor | chsh.
 
 Each subcommand accepts ``--out`` and only the flags it reads; any other flag
-is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which a
-subcommand gets its arguments only when a token of argv names it
-(``build_parser()`` is the full parser); this is exact, as argparse enters a
-subparser only on an argv token equal to its name.  A JSON report opens with the manifest
+is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which only
+the subcommands that a token of argv names get a parser; the others keep
+their name and help, with None for a parser (``build_parser()`` is the full
+parser).  This is exact, as argparse reads a choice's parser only on an argv
+token equal to its name.  A JSON report opens with the manifest
 ``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
 arguments: every flag the subcommand declares except ``--out`` and
 ``--format``, its positional state file, and the demo's name.  Each handler
@@ -237,24 +238,29 @@ def _rank_cut(text: str) -> float:
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but the arguments only of those named by a token of
-    argv, which is exact: argparse enters a subparser only on an argv token equal to its
-    name.  ``build_parser()`` is the full parser."""
+    """Every subcommand's name and help, but a parser only for those named by a token of argv
+    (None in the choices map for the rest), which is exact: argparse reads a choice's parser
+    only on an argv token equal to its name.  ``build_parser()`` is the full parser."""
+    def parser_class(prog: str, **kwargs):
+        # prog is "tpslab NAME" or "tpslab demo NAME"; kwargs is the rest of what add_parser
+        # passes, which grows with the Python version (3.14 adds color=)
+        if argv is None or prog.rsplit(" ", 1)[-1] in argv:
+            return argparse.ArgumentParser(prog=prog, **kwargs)
+        return None
+
     parser = argparse.ArgumentParser(
         prog="tpslab",
         description="Tensor-product-structure toolkit: Schmidt decompositions, "
         "quantum covariance, relabelings, and CHSH checks.",
     )
     parser.add_argument("--version", action="version", version=f"tpslab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
 
     def command(parent, name: str, func, help: str, required: bool = False,
                 out: str = "write the report to this path instead of stdout"):
-        p = parent.add_parser(name, help=help)
-        if argv is not None and name not in argv:
-            return None
-        p.add_argument("--out", required=required, help=out)
-        p.set_defaults(func=func)
+        if p := parent.add_parser(name, help=help):
+            p.add_argument("--out", required=required, help=out)
+            p.set_defaults(func=func)
         return p
 
     if p := command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file"):
@@ -276,9 +282,8 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                        help="witness threshold of --local (default: the global dimension times "
                        "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
 
-    demo = sub.add_parser("demo", help="run a built-in demonstration")
-    if argv is None or "demo" in argv:
-        demos = demo.add_subparsers(dest="which", required=True)
+    if demo := sub.add_parser("demo", help="run a built-in demonstration"):
+        demos = demo.add_subparsers(dest="which", required=True, parser_class=parser_class)
         if p := command(demos, "coords", cmd_coords, "product of two Gaussians under the "
                         "modular sum/difference relabeling"):
             p.add_argument("--d", type=int, default=129, help="grid points per coordinate")

@@ -123,7 +123,7 @@ class IndexBijection:
         t = np.asarray(self.targets)
         if t.shape != (dim,):
             raise ShapeError(f"targets must have length {dim}, got shape {t.shape}")
-        if t.dtype.kind not in "biu":  # numpy reads a bool as the integer 0 or 1
+        if t.dtype.kind not in "iu":  # a bool would be read as the index 0 or 1
             raise BijectionError(f"targets must be integers, got dtype {t.dtype}")
         if np.any((t < 0) | (t >= dim)):
             raise BijectionError("image indices fall outside the grid")

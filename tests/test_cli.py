@@ -1373,7 +1373,10 @@ def test_refused_state_inputs_exit_with_one_error_line(doc, argv, code, message,
 
 
 def flags_by_command(parser, path=""):
-    """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts."""
+    """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts; a None
+    choice is a subcommand that was not built, which accepts none."""
+    if parser is None:
+        return {path: set()}
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
         return {path: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}}
@@ -1531,12 +1534,32 @@ def test_the_parser_built_for_argv_parses_it_as_the_full_parser_does(argv, capsy
                                                                             capsys)
 
 
+def parsers_by_path(parser, path=""):
+    """{"schmidt": parser or None, "demo coords": parser or None, ...}: every choice reached."""
+    out = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                here = f"{path} {name}".lstrip()
+                out[here] = sub
+                if sub is not None:
+                    out |= parsers_by_path(sub, here)
+    return out
+
+
 @pytest.mark.parametrize("command", VALID_ARGV)
 def test_the_parser_built_for_argv_declares_only_the_named_commands_flags(command):
-    # a request builds the arguments of its own subcommand, not the whole tree
-    flags = flags_by_command(build_parser([a.format(state="s.json") for a in VALID_ARGV[command]]))
+    # a request builds the parsers on its own argv path, not the whole tree
+    parser = build_parser([a.format(state="s.json") for a in VALID_ARGV[command]])
+    flags = flags_by_command(parser)
     assert flags[command] == flags_by_command(build_parser())[command] != set()
     assert not any(v for k, v in flags.items() if k != command)
+    # every name stays a choice, at both levels, but those off the argv path hold None
+    parsers, full = parsers_by_path(parser), parsers_by_path(build_parser())
+    on_path = {" ".join(command.split()[:n]) for n in (1, 2)}
+    assert set(parsers) == {path for path in full if " " not in path or path.split()[0] in on_path}
+    assert {path for path, p in parsers.items() if p is not None} == on_path
+    assert None not in full.values()
 
 
 def test_main_reads_argv_from_any_iterable(bell_file, capsys):

@@ -65,6 +65,12 @@ def test_index_bijection_rejects_repeats():
         IndexBijection(2, 2, [0, 0, 3, 3])
 
 
+def test_index_bijection_refuses_bools():
+    # as factor_local_bijection does: [True, False] would read as the swap of a 1 x 2 grid
+    with pytest.raises(BijectionError, match="must be integers"):
+        IndexBijection(1, 2, [True, False])
+
+
 def test_factor_local_bijection_refuses_images_off_the_grid():
     # (i, j) -> (i - 1, j + 2) has the targets 0..3 of a 2 x 2 grid, but no image on it
     with pytest.raises(BijectionError, match="outside the grid"):
