@@ -1,20 +1,21 @@
 """Command-line interface: schmidt | qcf | demo coords|spins|bell | refactor | chsh.
 
 Each subcommand accepts ``--out`` and only the flags it reads; any other flag
-is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which only
-the subcommands that a token of argv names get a parser; the others keep
-their name and help, with None for a parser (``build_parser()`` is the full
-parser).  This is exact, as argparse reads a choice's parser only on an argv
-token equal to its name.  A JSON report opens with the manifest
-``{"subcommand", "parameters", "version"}``, whose parameters are the parsed
-arguments: every flag the subcommand declares except ``--out`` and
-``--format``, its positional state file, and the demo's name.  Each handler
-takes the state file that ``main`` read, its ``tps`` set to the run's one TPS
-(the ``--tps`` file, else the file's block, else the trivial TPS; a demo gets
-None), and returns its text; ``main`` alone writes it, to ``--out`` or stdout
-after a ``warning:`` line for a norm corrected on load, or maps a toolkit error
-to its exit code and one ``error:`` line.  Reports are deterministic: identical
-invocations (same seed, same inputs) produce byte-identical output.
+is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which
+only the subcommands that a token of argv names get a parser of their own; the
+others keep their name and help but share one empty placeholder parser
+(``build_parser()`` is the full parser).  This is exact, as argparse parses
+with a choice's parser only on an argv token equal to its name.  A JSON report
+opens with the manifest ``{"subcommand", "parameters", "version"}``, whose
+parameters are the parsed arguments: every flag the subcommand declares except
+``--out`` and ``--format``, its positional state file, and the demo's name.
+Each handler takes the state file that ``main`` read, its ``tps`` set to the
+run's one TPS (the ``--tps`` file, else the file's block, else the trivial TPS;
+a demo gets None), and returns its text; ``main`` alone writes it, to ``--out``
+or stdout after a ``warning:`` line for a norm corrected on load, or maps a
+toolkit error to its exit code and one ``error:`` line.  Reports are
+deterministic: identical invocations (same seed, same inputs) produce
+byte-identical output.
 Exit codes: 0 ok, 2 usage error, unparseable input file (including a missing
 or unknown key) or unwritable ``--out``, 3 dimension mismatch or size cap,
 4 unknown observable, 5 grid constraint violated, 6 bad bijection, 1 any
@@ -238,15 +239,19 @@ def _rank_cut(text: str) -> float:
 
 
 def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but a parser only for those named by a token of argv
-    (None in the choices map for the rest), which is exact: argparse reads a choice's parser
-    only on an argv token equal to its name.  ``build_parser()`` is the full parser."""
+    """Every subcommand's name and help, but a parser of its own only for those named by a
+    token of argv; the rest share one empty placeholder parser, which is exact: argparse
+    parses with a choice's parser only on an argv token equal to its name.
+    ``build_parser()`` is the full parser."""
+    stub = argparse.ArgumentParser(add_help=False)
+
     def parser_class(prog: str, **kwargs):
         # prog is "tpslab NAME" or "tpslab demo NAME"; kwargs is the rest of what add_parser
-        # passes, which grows with the Python version (3.14 adds color=)
+        # passes, which grows with the Python version (3.14 adds color=).  add_parser may call
+        # methods of what this returns, so an off-path name gets the stub, never None.
         if argv is None or prog.rsplit(" ", 1)[-1] in argv:
             return argparse.ArgumentParser(prog=prog, **kwargs)
-        return None
+        return stub
 
     parser = argparse.ArgumentParser(
         prog="tpslab",
@@ -258,9 +263,10 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
 
     def command(parent, name: str, func, help: str, required: bool = False,
                 out: str = "write the report to this path instead of stdout"):
-        if p := parent.add_parser(name, help=help):
-            p.add_argument("--out", required=required, help=out)
-            p.set_defaults(func=func)
+        if (p := parent.add_parser(name, help=help)) is stub:
+            return None
+        p.add_argument("--out", required=required, help=out)
+        p.set_defaults(func=func)
         return p
 
     if p := command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file"):
@@ -282,7 +288,7 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
                        help="witness threshold of --local (default: the global dimension times "
                        "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
 
-    if demo := sub.add_parser("demo", help="run a built-in demonstration"):
+    if (demo := sub.add_parser("demo", help="run a built-in demonstration")) is not stub:
         demos = demo.add_subparsers(dest="which", required=True, parser_class=parser_class)
         if p := command(demos, "coords", cmd_coords, "product of two Gaussians under the "
                         "modular sum/difference relabeling"):

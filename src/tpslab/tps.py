@@ -105,6 +105,17 @@ def coefficient_matrix(psi, tps: TensorProductStructure) -> np.ndarray:
     return _coefficients(psi, tps)
 
 
+def _not_integers(values, array: np.ndarray) -> str | None:
+    """What array, numpy's reading of the index list values, holds instead of integers, or
+    None.  A float would be truncated and a string or a bool read as an index; numpy stores a
+    bool among integers as 0 or 1, so the entries of a list are looked at too."""
+    if array.dtype.kind not in "iu":
+        return f"dtype {array.dtype}"
+    if array is not values and not {bool, np.bool_}.isdisjoint(map(type, values)):
+        return "a bool"
+    return None
+
+
 @dataclass(frozen=True)
 class IndexBijection:
     """A bijection of the d1 x d2 product index grid onto itself.
@@ -123,8 +134,8 @@ class IndexBijection:
         t = np.asarray(self.targets)
         if t.shape != (dim,):
             raise ShapeError(f"targets must have length {dim}, got shape {t.shape}")
-        if t.dtype.kind not in "iu":  # a bool would be read as the index 0 or 1
-            raise BijectionError(f"targets must be integers, got dtype {t.dtype}")
+        if held := _not_integers(self.targets, t):
+            raise BijectionError(f"targets must be integers, got {held}")
         if np.any((t < 0) | (t >= dim)):
             raise BijectionError("image indices fall outside the grid")
         t = t.astype(np.intp, copy=False)
@@ -153,10 +164,8 @@ def factor_local_bijection(perm1, perm2) -> IndexBijection:
     if p1.ndim != 1 or p2.ndim != 1 or not (p1.size and p2.size):
         raise ShapeError("factor permutations must be nonempty vectors, "
                          f"got shapes {p1.shape} and {p2.shape}")
-    # a float would be truncated and a bool or a string read as an index
-    if p1.dtype.kind not in "iu" or p2.dtype.kind not in "iu":
-        raise BijectionError("permutation entries must be integers, "
-                             f"got dtypes {p1.dtype} and {p2.dtype}")
+    if held := _not_integers(perm1, p1) or _not_integers(perm2, p2):
+        raise BijectionError(f"permutation entries must be integers, got {held}")
     p1, p2 = p1.astype(np.intp), p2.astype(np.intp)
     # negative images could still add up to valid targets, as perm1 - k and perm2 + k*d2 do
     if min(p1.min(), p2.min()) < 0:

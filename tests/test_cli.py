@@ -1373,10 +1373,7 @@ def test_refused_state_inputs_exit_with_one_error_line(doc, argv, code, message,
 
 
 def flags_by_command(parser, path=""):
-    """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts; a None
-    choice is a subcommand that was not built, which accepts none."""
-    if parser is None:
-        return {path: set()}
+    """{"demo coords": {"--d", ...}, ...}: the options each leaf subcommand accepts."""
     subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not subs:
         return {path: {s for a in parser._actions for s in a.option_strings} - {"-h", "--help"}}
@@ -1535,15 +1532,14 @@ def test_the_parser_built_for_argv_parses_it_as_the_full_parser_does(argv, capsy
 
 
 def parsers_by_path(parser, path=""):
-    """{"schmidt": parser or None, "demo coords": parser or None, ...}: every choice reached."""
+    """{"schmidt": parser, "demo coords": parser, ...}: every choice reached."""
     out = {}
     for action in parser._actions:
         if isinstance(action, argparse._SubParsersAction):
             for name, sub in action.choices.items():
                 here = f"{path} {name}".lstrip()
                 out[here] = sub
-                if sub is not None:
-                    out |= parsers_by_path(sub, here)
+                out |= parsers_by_path(sub, here)
     return out
 
 
@@ -1554,12 +1550,16 @@ def test_the_parser_built_for_argv_declares_only_the_named_commands_flags(comman
     flags = flags_by_command(parser)
     assert flags[command] == flags_by_command(build_parser())[command] != set()
     assert not any(v for k, v in flags.items() if k != command)
-    # every name stays a choice, at both levels, but those off the argv path hold None
+    # every name stays a choice, at both levels, but those off the argv path share one empty
+    # placeholder parser, and build_parser() has a parser of its own for each
     parsers, full = parsers_by_path(parser), parsers_by_path(build_parser())
     on_path = {" ".join(command.split()[:n]) for n in (1, 2)}
     assert set(parsers) == {path for path in full if " " not in path or path.split()[0] in on_path}
-    assert {path for path, p in parsers.items() if p is not None} == on_path
-    assert None not in full.values()
+    off_path = [p for path, p in parsers.items() if path not in on_path]
+    assert off_path and all(p is off_path[0] for p in off_path) and off_path[0]._actions == []
+    assert all(parsers[path]._actions for path in on_path)
+    assert len({id(p) for p in full.values()}) == len(full)
+    assert all(p._actions for p in full.values())
 
 
 def test_main_reads_argv_from_any_iterable(bell_file, capsys):

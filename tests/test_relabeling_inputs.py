@@ -142,10 +142,8 @@ def check_outcome(code: int, err: str, expected: np.ndarray | None, psi, case, r
 def test_index_bijection_accepts_exactly_the_permutations(case):
     dim = case.d1 * case.d2
     targets = mutate(case.targets, case.k, case.mutation, dim, case.flag)
-    # numpy reads a bool among integers as the integer 0 or 1, and so does this check
-    expected = as_permutation(targets, dim, lambda x: isinstance(x, int))
-    if all(isinstance(x, bool) for x in targets):  # a bool dtype, which the constructor refuses
-        expected = None
+    # a bool is refused, even among integers, where numpy would store it as 0 or 1
+    expected = as_permutation(targets, dim, json_integer)
     try:
         bij = IndexBijection(case.d1, case.d2, targets)
     except (BijectionError, ShapeError):

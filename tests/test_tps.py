@@ -65,10 +65,12 @@ def test_index_bijection_rejects_repeats():
         IndexBijection(2, 2, [0, 0, 3, 3])
 
 
-def test_index_bijection_refuses_bools():
-    # as factor_local_bijection does: [True, False] would read as the swap of a 1 x 2 grid
+@pytest.mark.parametrize("targets", [[True, False], [True, 0], [np.True_, 0]],
+                         ids=["bools", "bool-among-ints", "numpy-bool-among-ints"])
+def test_index_bijection_refuses_bools(targets):
+    # as factor_local_bijection does: each would read as the swap of a 1 x 2 grid
     with pytest.raises(BijectionError, match="must be integers"):
-        IndexBijection(1, 2, [True, False])
+        IndexBijection(1, 2, targets)
 
 
 def test_factor_local_bijection_refuses_images_off_the_grid():
@@ -82,11 +84,12 @@ def test_factor_local_bijection_refuses_images_off_the_grid():
     [
         ([0.7, 1.2], BijectionError, "must be integers"),  # int() would truncate to [0, 1]
         ([True, False], BijectionError, "must be integers"),
+        ([True, 0], BijectionError, "must be integers"),  # numpy would store [1, 0]
         (["1", "0"], BijectionError, "must be integers"),
         ([], ShapeError, "nonempty vectors"),
         ([[0], [1]], ShapeError, "nonempty vectors"),
     ],
-    ids=["floats", "bools", "strings", "empty", "column"],
+    ids=["floats", "bools", "bool-among-ints", "strings", "empty", "column"],
 )
 @pytest.mark.parametrize("side", ["first", "second"])
 def test_factor_local_bijection_refuses_a_permutation_that_is_not_integer_indices(
