@@ -1,19 +1,18 @@
 """Command-line interface: schmidt | qcf | demo coords|spins|bell | refactor | chsh.
 
 Each subcommand accepts ``--out`` and only the flags it reads; any other flag
-is a usage error.  ``main`` parses argv with ``build_parser(argv)``, in which
-only the subcommands that a token of argv names get a parser of their own; the
-others keep their name and help but share one empty placeholder parser
-(``build_parser()`` is the full parser).  This is exact, as argparse parses
-with a choice's parser only on an argv token equal to its name.  A JSON report
-opens with the manifest ``{"subcommand", "parameters", "version"}``, whose
-parameters are the parsed arguments: every flag the subcommand declares except
-``--out`` and ``--format``, its positional state file, and the demo's name.
-Each handler takes the state file that ``main`` read, its ``tps`` set to the
-run's one TPS (the ``--tps`` file, else the file's block, else the trivial TPS;
-a demo gets None), and returns its text; ``main`` alone writes it, to ``--out``
-or stdout after a ``warning:`` line for a norm corrected on load, or maps a
-toolkit error to its exit code and one ``error:`` line.  Reports are
+is a usage error.  ``build_parser()`` builds the full parser from one table of
+the seven leaf subcommands; ``main`` parses an argv whose first word (first two
+for ``demo``) names a leaf with that leaf's parser alone, and any other argv
+with the full parser, so argparse prints its own usage and errors.  A JSON
+report opens with the manifest ``{"subcommand", "parameters", "version"}``,
+whose parameters are the parsed arguments: every flag the subcommand declares
+except ``--out`` and ``--format``, its positional state file, and the demo's
+name.  Each handler takes the state file that ``main`` read, its ``tps`` set to
+the run's one TPS (the ``--tps`` file, else the file's block, else the trivial
+TPS; a demo gets None), and returns its text; ``main`` alone writes it, to
+``--out`` or stdout after a ``warning:`` line for a norm corrected on load, or
+maps a toolkit error to its exit code and one ``error:`` line.  Reports are
 deterministic: identical invocations (same seed, same inputs) produce
 byte-identical output.
 Exit codes: 0 ok, 2 usage error, unparseable input file (including a missing
@@ -238,98 +237,132 @@ def _rank_cut(text: str) -> float:
     return value
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """Every subcommand's name and help, but a parser of its own only for those named by a
-    token of argv; the rest share one empty placeholder parser, which is exact: argparse
-    parses with a choice's parser only on an argv token equal to its name.
-    ``build_parser()`` is the full parser."""
-    stub = argparse.ArgumentParser(add_help=False)
+_REPORT_OUT = "write the report to this path instead of stdout"
+_TPS_HELP = "JSON file overriding the state's TPS block"
 
-    def parser_class(prog: str, **kwargs):
-        # prog is "tpslab NAME" or "tpslab demo NAME"; kwargs is the rest of what add_parser
-        # passes, which grows with the Python version (3.14 adds color=).  add_parser may call
-        # methods of what this returns, so an off-path name gets the stub, never None.
-        if argv is None or prog.rsplit(" ", 1)[-1] in argv:
-            return argparse.ArgumentParser(prog=prog, **kwargs)
-        return stub
 
+def _schmidt_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help=_REPORT_OUT)
+    p.add_argument("state")
+    p.add_argument("--tps", help=_TPS_HELP)
+    p.add_argument("--tol", type=_rank_cut, default=DEFAULT_TRUNCATION_TOL,
+                   help="rank cut, 0 <= tol < 1: count the coefficients above tol times the "
+                   "largest")
+
+
+def _qcf_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help=_REPORT_OUT)
+    p.add_argument("state")
+    p.add_argument("--obs-a", required=True,
+                   help=f"{'|'.join(OBSERVABLE_NAMES)} or a JSON matrix file")
+    p.add_argument("--obs-b", required=True)
+    p.add_argument("--local", action="store_true",
+                   help="treat observables as acting on the two TPS factors")
+    p.add_argument("--tps", help=_TPS_HELP)
+    p.add_argument("--tol", type=_finite_float, default=None,
+                   help="witness threshold of --local (default: the global dimension times "
+                   "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
+
+
+def _coords_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help=_REPORT_OUT)
+    p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
+    p.add_argument("--sigma1", type=float, default=1.0)
+    p.add_argument("--sigma2", type=float, default=2.0)
+    p.add_argument("--sep", type=_finite_float, default=4.0,
+                   help="double-gaussian lobe separation")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv emits the rows of a sweep of the second width from sigma1 to sigma2")
+
+
+def _sampling_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help=_REPORT_OUT)
+    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
+    p.add_argument("--format", choices=("json", "csv"), default="json",
+                   help="csv emits one row per sample")
+
+
+def _refactor_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", required=True, help="write the rewritten state file to this path")
+    p.add_argument("state")
+    target = p.add_mutually_exclusive_group(required=True)
+    target.add_argument("--bijection",
+                        help="sumdiff | swap | identity | path to a JSON bijection file")
+    target.add_argument("--spectrum", choices=("product", "maximal"),
+                        help="a reflector TPS in which the state is a product, or maximally "
+                        "entangled over min(d1, d2) terms")
+
+
+def _chsh_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--out", help=_REPORT_OUT)
+    p.add_argument("state")
+
+
+def _leaves() -> dict:
+    """Every leaf subcommand by its argv words: (handler, help, argument declarations).
+    Built per call, so that a handler is looked up in the module when a parser is built."""
+    return {
+        ("schmidt",): (cmd_schmidt, "Schmidt decomposition of a state file", _schmidt_arguments),
+        ("qcf",): (cmd_qcf, "quantum covariance of two observables", _qcf_arguments),
+        ("demo", "coords"): (cmd_coords, "product of two Gaussians under the modular "
+                             "sum/difference relabeling", _coords_arguments),
+        ("demo", "spins"): (cmd_sampling_demo, "random product spin pairs read in the "
+                            "total-spin TPS", _sampling_arguments),
+        ("demo", "bell"): (cmd_sampling_demo, "maximal CHSH values of seeded entangled "
+                           "two-qubit states", _sampling_arguments),
+        ("refactor",): (cmd_refactor, "rewrite a state file with a relabeled TPS, or with one "
+                        "in which the state has a given Schmidt spectrum", _refactor_arguments),
+        ("chsh",): (cmd_chsh, "maximal CHSH value of a two-qubit state file", _chsh_arguments),
+    }
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: every leaf of ``_leaves()`` under its words, the demos under ``demo``.
+    ``main`` parses with it an argv that ``_parse`` does not send to one leaf's parser."""
     parser = argparse.ArgumentParser(
         prog="tpslab",
         description="Tensor-product-structure toolkit: Schmidt decompositions, "
         "quantum covariance, relabelings, and CHSH checks.",
     )
     parser.add_argument("--version", action="version", version=f"tpslab {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=parser_class)
-
-    def command(parent, name: str, func, help: str, required: bool = False,
-                out: str = "write the report to this path instead of stdout"):
-        if (p := parent.add_parser(name, help=help)) is stub:
-            return None
-        p.add_argument("--out", required=required, help=out)
-        p.set_defaults(func=func)
-        return p
-
-    if p := command(sub, "schmidt", cmd_schmidt, "Schmidt decomposition of a state file"):
-        p.add_argument("state")
-        p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-        p.add_argument("--tol", type=_rank_cut, default=DEFAULT_TRUNCATION_TOL,
-                       help="rank cut, 0 <= tol < 1: count the coefficients above tol times "
-                       "the largest")
-
-    if p := command(sub, "qcf", cmd_qcf, "quantum covariance of two observables"):
-        p.add_argument("state")
-        p.add_argument("--obs-a", required=True,
-                       help=f"{'|'.join(OBSERVABLE_NAMES)} or a JSON matrix file")
-        p.add_argument("--obs-b", required=True)
-        p.add_argument("--local", action="store_true",
-                       help="treat observables as acting on the two TPS factors")
-        p.add_argument("--tps", help="JSON file overriding the state's TPS block")
-        p.add_argument("--tol", type=_finite_float, default=None,
-                       help="witness threshold of --local (default: the global dimension times "
-                       "1e-12 times max(1, |A|inf |B|inf), |.|inf the largest absolute row sum)")
-
-    if (demo := sub.add_parser("demo", help="run a built-in demonstration")) is not stub:
-        demos = demo.add_subparsers(dest="which", required=True, parser_class=parser_class)
-        if p := command(demos, "coords", cmd_coords, "product of two Gaussians under the "
-                        "modular sum/difference relabeling"):
-            p.add_argument("--d", type=int, default=129, help="grid points per coordinate")
-            p.add_argument("--sigma1", type=float, default=1.0)
-            p.add_argument("--sigma2", type=float, default=2.0)
-            p.add_argument("--sep", type=_finite_float, default=4.0,
-                           help="double-gaussian lobe separation")
-            p.add_argument("--format", choices=("json", "csv"), default="json",
-                           help="csv emits the rows of a sweep of the second width from "
-                           "sigma1 to sigma2")
-        for which, help in (("spins", "random product spin pairs read in the total-spin TPS"),
-                            ("bell", "maximal CHSH values of seeded entangled two-qubit states")):
-            if p := command(demos, which, cmd_sampling_demo, help):
-                p.add_argument("--samples", type=_positive_int, default=1000)
-                p.add_argument("--seed", type=_non_negative_int, default=42, help="random seed")
-                p.add_argument("--format", choices=("json", "csv"), default="json",
-                               help="csv emits one row per sample")
-
-    if p := command(sub, "refactor", cmd_refactor, "rewrite a state file with a relabeled TPS, "
-                    "or with one in which the state has a given Schmidt spectrum",
-                    required=True, out="write the rewritten state file to this path"):
-        p.add_argument("state")
-        target = p.add_mutually_exclusive_group(required=True)
-        target.add_argument("--bijection",
-                            help="sumdiff | swap | identity | path to a JSON bijection file")
-        target.add_argument("--spectrum", choices=("product", "maximal"),
-                            help="a reflector TPS in which the state is a product, or "
-                            "maximally entangled over min(d1, d2) terms")
-
-    if p := command(sub, "chsh", cmd_chsh, "maximal CHSH value of a two-qubit state file"):
-        p.add_argument("state")
+    sub = parser.add_subparsers(dest="command", required=True)
+    demos = None
+    for (*group, name), (func, help, declare) in _leaves().items():
+        if group and demos is None:
+            demo = sub.add_parser("demo", help="run a built-in demonstration")
+            demos = demo.add_subparsers(dest="which", required=True)
+        leaf = (demos if group else sub).add_parser(name, help=help)
+        declare(leaf)
+        leaf.set_defaults(func=func)
     return parser
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """argv parsed as ``build_parser().parse_args(argv)`` parses it, bytes and exits included.
+    When argv's first word (first two for ``demo``) names a leaf, the rule argparse dispatches
+    by, that leaf's parser alone, built as ``add_parser`` builds it, parses the rest, since a
+    subparser receives the words after its name unchanged.  An argv that leaves words the
+    leaf does not recognize, and every other argv, go to ``build_parser()``."""
+    words = tuple(argv[:2] if argv[:1] == ["demo"] else argv[:1])
+    if words in (leaves := _leaves()):
+        func, _, declare = leaves[words]
+        leaf = argparse.ArgumentParser(prog=" ".join(("tpslab", *words)))
+        declare(leaf)
+        leaf.set_defaults(func=func)
+        # command (and which) first, as the subparsers actions set them
+        args, unrecognized = leaf.parse_known_args(
+            argv[len(words):], argparse.Namespace(**dict(zip(("command", "which"), words))))
+        if not unrecognized:
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     if args.command == "qcf" and not args.local and (args.tol is not None or args.tps is not None):
-        parser.error("qcf --tol sets the witness threshold of --local, and --tps its TPS")
+        build_parser().error("qcf --tol sets the witness threshold of --local, and --tps its TPS")
     try:
         sf = load_state_file(args.state) if "state" in args else None
         if sf is not None and getattr(args, "tps", None) is not None:

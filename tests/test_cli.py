@@ -13,9 +13,10 @@ import pytest
 from demo_oracle import even_blocks_per_sigma
 from samplers import random_product_state, random_unitary
 
+import tpslab.cli
 import tpslab.statefile
 from tpslab import grid as grid_module
-from tpslab.cli import build_parser, main
+from tpslab.cli import _parse, build_parser, main
 from tpslab.errors import SizeLimitError, UnknownObservableError
 from tpslab.grid import Grid, demo_sum_diff, double_gaussian_profile, gaussian_profile
 from tpslab.qcf import qcf_local
@@ -1502,10 +1503,10 @@ def test_the_manifest_records_what_the_run_read(argv, recorded, bell_file, tmp_p
     assert recorded.items() <= manifest["parameters"].items()
 
 
-def parse_outcome(parser, argv, capsys):
+def parse_outcome(parse, argv, capsys):
     """(exit code, vars of the namespace or None, stdout, stderr) of one parse."""
     try:
-        code, parsed = 0, vars(parser.parse_args(argv))
+        code, parsed = 0, vars(parse(argv))
     except SystemExit as exc:
         code, parsed = exc.code, None
     return (code, parsed, *capsys.readouterr())
@@ -1520,50 +1521,54 @@ def _corpus():
     helps += [["demo", which, "-h"] for which in ("coords", "spins", "bell")]
     odd = [["--version"], [], ["demo"], ["sch"], ["demo", "bel"], ["coords"], ["bell"],
            ["schmidt", "chsh"], ["chsh", "demo"], ["schmidt", "demo", "--tol", "0.5"],
-           ["demo", "bell", "--out", "spins"], ["--bogus", "chsh", "s.json"]]
+           ["demo", "bell", "--out", "spins"], ["--bogus", "chsh", "s.json"], ["demo bell"]]
+    # a leaf's own errors, words it leaves over, "--" on either side of the name, abbreviations
+    odd += [argv.split() for argv in (
+        "chsh", "chsh a b", "chsh s.json --out", "chsh s.json --version", "chsh -- s.json",
+        "-- chsh s.json", "demo bell --samples 0", "demo bell --format jsn",
+        "demo bell -h --bogus", "refactor s.json",
+        "refactor s.json --bijection swap --spectrum product --out o", "schmidt s.json --tol 1",
+        "schmidt s.json --to 0.5", "demo coords --d 9 --sigma 1",
+        "qcf s --obs-a x --obs-b y --tol 1")]
     return valid + unread + helps + odd
 
 
 @pytest.mark.parametrize("argv", _corpus(), ids=" ".join)
-def test_the_parser_built_for_argv_parses_it_as_the_full_parser_does(argv, capsys):
+def test_the_route_parses_argv_as_the_full_parser_does(argv, capsys):
     # exit code, namespace, stdout and stderr, -h text and usage errors included
-    assert parse_outcome(build_parser(argv), argv, capsys) == parse_outcome(build_parser(), argv,
-                                                                            capsys)
-
-
-def parsers_by_path(parser, path=""):
-    """{"schmidt": parser, "demo coords": parser, ...}: every choice reached."""
-    out = {}
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for name, sub in action.choices.items():
-                here = f"{path} {name}".lstrip()
-                out[here] = sub
-                out |= parsers_by_path(sub, here)
-    return out
+    assert parse_outcome(_parse, argv, capsys) == parse_outcome(build_parser().parse_args, argv,
+                                                                capsys)
 
 
 @pytest.mark.parametrize("command", VALID_ARGV)
-def test_the_parser_built_for_argv_declares_only_the_named_commands_flags(command):
-    # a request builds the parsers on its own argv path, not the whole tree
-    parser = build_parser([a.format(state="s.json") for a in VALID_ARGV[command]])
-    flags = flags_by_command(parser)
-    assert flags[command] == flags_by_command(build_parser())[command] != set()
-    assert not any(v for k, v in flags.items() if k != command)
-    # every name stays a choice, at both levels, but those off the argv path share one empty
-    # placeholder parser, and build_parser() has a parser of its own for each
-    parsers, full = parsers_by_path(parser), parsers_by_path(build_parser())
-    on_path = {" ".join(command.split()[:n]) for n in (1, 2)}
-    assert set(parsers) == {path for path in full if " " not in path or path.split()[0] in on_path}
-    off_path = [p for path, p in parsers.items() if path not in on_path]
-    assert off_path and all(p is off_path[0] for p in off_path) and off_path[0]._actions == []
-    assert all(parsers[path]._actions for path in on_path)
-    assert len({id(p) for p in full.values()}) == len(full)
-    assert all(p._actions for p in full.values())
+def test_a_valid_leaf_argv_is_parsed_without_the_full_parser(command, monkeypatch):
+    argv = [a.format(state="s.json") for a in VALID_ARGV[command]] + ["--out", "o"]
+    full = vars(build_parser().parse_args(argv))
+    monkeypatch.setattr(tpslab.cli, "build_parser", None)
+    assert vars(_parse(argv)) == full
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["--version"], 0), (["-h"], 0), (["demo", "-h"], 0),
+    (["qcf", "{state}", "--obs-a", "pauli-z", "--obs-b", "pauli-z", "--tol", "1"], 2),
+    (["chsh", "{state}", "--bogus"], 2), (["demo", "bell", "--samples", "0"], 2),
+    (["chsh", "{state}"], 0),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_repeated_calls_in_one_process_give_the_same_exit_and_bytes(argv, code, bell_file,
+                                                                   capsys):
+    argv = [a.format(state=bell_file) for a in argv]
+    outcomes = []
+    for _ in range(3):
+        try:
+            exit_code = main(argv)
+        except SystemExit as exc:
+            exit_code = exc.code
+        outcomes.append((exit_code, *capsys.readouterr()))
+    assert outcomes == [outcomes[0]] * 3 and outcomes[0][0] == code
 
 
 def test_main_reads_argv_from_any_iterable(bell_file, capsys):
-    # build_parser and parse_args both read it, so an iterator is listed once
+    # the route reads it more than once, so an iterator is listed once
     assert main(iter(["chsh", bell_file])) == 0
     printed = capsys.readouterr()
     assert main(["chsh", bell_file]) == 0
@@ -1574,7 +1579,7 @@ def test_main_reads_argv_from_any_iterable(bell_file, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["--version"], ["chsh", "{state}"], ["demo", "bell", "--samples", "2", "--seed", "1"],
-     ["demo", "-h"]],
+     ["demo", "-h"], ["chsh", "{state}", "--bogus"], ["demo", "bell", "--samples", "0"]],
     ids=" ".join,
 )
 def test_python_m_matches_main_in_process(module, argv, bell_file, monkeypatch, capsys):
