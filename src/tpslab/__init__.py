@@ -28,7 +28,6 @@ from .tps import (
     coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
-    identity_bijection,
     random_bijection,
     relabeled,
     sum_diff_bijection,

@@ -31,7 +31,6 @@ _PAULIS = np.array([PAULI_X, PAULI_Y, PAULI_Z])
 _CHSH_SIGNS = np.array([1.0, 1.0, 1.0, -1.0])
 
 SETTING_NORM_TOL = 1e-12
-TSIRELSON_BOUND = 2.0 * np.sqrt(2.0)
 
 
 def _check_direction(n, name: str) -> np.ndarray:

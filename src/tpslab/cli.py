@@ -27,7 +27,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -65,7 +65,6 @@ from .statefile import (
 )
 from .tps import (
     TensorProductStructure,
-    identity_bijection,
     relabeled,
     sum_diff_bijection,
     swap_bijection,
@@ -180,14 +179,14 @@ def cmd_sampling_demo(args: argparse.Namespace, _: None) -> str:
 
 
 def _relabeled_tps(sf: StateFile, spec: str) -> TensorProductStructure:
+    if spec == "identity":
+        return sf.tps
     d1, d2 = sf.d1, sf.d2
     square = {"sumdiff": sum_diff_bijection, "swap": swap_bijection}
     if spec in square:
         if d1 != d2:
             raise BijectionError(f"{spec} needs a square grid, got {d1}x{d2}")
         bij = square[spec](d1)
-    elif spec == "identity":
-        bij = identity_bijection(d1, d2)
     else:
         bij = load_bijection_file(spec, d1, d2)
     return relabeled(sf.tps, bij)
@@ -199,8 +198,7 @@ def cmd_refactor(args: argparse.Namespace, sf: StateFile) -> str:
     else:
         n = 1 if args.spectrum == "product" else min(sf.d1, sf.d2)
         new_tps = tps_with_spectrum(sf.amplitudes, (1.0 / n,) * n, trivial_tps(sf.d1, sf.d2))
-    out = StateFile(d1=sf.d1, d2=sf.d2, amplitudes=sf.amplitudes, tps=new_tps, metadata=sf.metadata)
-    return dump_json(out.to_dict())
+    return dump_json(replace(sf, tps=new_tps).to_dict())
 
 
 def cmd_chsh(args: argparse.Namespace, sf: StateFile) -> str:

@@ -149,10 +149,6 @@ class IndexBijection:
         object.__setattr__(self, "targets", t)
 
 
-def identity_bijection(d1: int, d2: int) -> IndexBijection:
-    return IndexBijection(d1, d2, np.arange(d1 * d2))
-
-
 def swap_bijection(d: int) -> IndexBijection:
     """Exchange the two factors of a d x d grid: (i, j) -> (j, i)."""
     return IndexBijection(d, d, np.arange(d * d).reshape(d, d).T.ravel())

@@ -57,17 +57,31 @@ def named(node: ast.AST) -> set[str]:
             if isinstance(n, (ast.Name, ast.Attribute))}
 
 
+def defined(stmt: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a function's or a class's, or each name
+    that an assignment binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    # the targets alone: a comprehension in the value binds its own names
+    return [n.id for target in targets for n in ast.walk(target)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+
+
 def definitions() -> list[tuple[str, str, bool]]:
-    """(module, name, used) for each module-level function or class of src/tpslab; used
-    if another top-level statement of the package names it (as a Name or an Attribute),
-    an import alone being no use."""
+    """(module, name, used) for each module-level function, class or assigned name of
+    src/tpslab; used if another top-level statement of the package names it (as a Name or
+    an Attribute), an import alone being no use."""
     package = Path(tpslab.__file__).parent
     trees = {path.name: ast.parse(path.read_text()) for path in package.glob("*.py")}
     statements = [(stmt, named(stmt)) for tree in trees.values() for stmt in tree.body]
-    return [(module, stmt.name,
-             any(stmt.name in names for other, names in statements if other is not stmt))
-            for module, tree in trees.items() for stmt in tree.body
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))]
+    return [(module, name, any(name in names for other, names in statements if other is not stmt))
+            for module, tree in trees.items() for stmt in tree.body for name in defined(stmt)]
 
 
 def exported_names() -> set[str]:

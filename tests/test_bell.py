@@ -16,7 +16,7 @@ from demo_oracle import bell_loop, chsh_closed_form
 from samplers import random_product_state
 
 from tpslab import bell
-from tpslab.bell import TSIRELSON_BOUND, ChshSettings, chsh_max, demo_bell
+from tpslab.bell import ChshSettings, chsh_max, demo_bell
 from tpslab.errors import ContractError, ShapeError, SizeLimitError
 from tpslab.linalg import MAX_GLOBAL_DIM
 from tpslab.sampling import haar_state, random_entangled_state
@@ -24,6 +24,7 @@ from tpslab.schmidt import schmidt
 from tpslab.tps import trivial_tps
 
 SQ2 = np.sqrt(2.0)
+TSIRELSON_BOUND = 2.0 * SQ2
 BELL = np.array([1, 0, 0, 1], dtype=complex) / SQ2
 
 Z = np.array([0.0, 0.0, 1.0])

@@ -27,6 +27,7 @@ from tpslab.statefile import (
     dump_json,
     load_state_file,
     tps_from_dict,
+    tps_to_dict,
 )
 from tpslab.tps import (
     TensorProductStructure,
@@ -530,6 +531,32 @@ def test_refactor_identity_tps_block_stable(product_file, tmp_path):
     a = json.loads(first.read_text())["tps"]
     b = json.loads(second.read_text())["tps"]
     assert dump_json(a) == dump_json(b)
+
+
+@pytest.mark.parametrize("part", [None, "relabeling", "reflector", "unitary"])
+def test_refactor_identity_writes_the_input_tps(part, tmp_path, monkeypatch, capsys):
+    # the written block is the input's TPS, the trivial one for a file without a block,
+    # and schmidt reads the output as it reads the input
+    rng = np.random.default_rng(5)
+    psi = haar_state(12, rng)
+    parts = {None: {}, "relabeling": {"relabeling": random_bijection(3, 4, rng)},
+             "reflector": {"reflector": tps_with_spectrum(psi, (0.5, 0.5), trivial_tps(3, 4)
+                                                          ).reflector},
+             "unitary": {"unitary": random_unitary(12, rng)}}[part]
+    tps = TensorProductStructure(3, 4, **parts)
+    (tmp_path / "in").mkdir()
+    (tmp_path / "out").mkdir()
+    write_state(tmp_path / "in" / "state.json", StateFile(3, 4, psi, tps=tps if parts else None))
+    assert main(["refactor", str(tmp_path / "in" / "state.json"), "--bijection", "identity",
+                 "--out", str(tmp_path / "out" / "state.json")]) == 0
+    written = json.loads((tmp_path / "out" / "state.json").read_text())["tps"]
+    assert dump_json(written) == dump_json(tps_to_dict(tps))
+    reports = []
+    for where in ("in", "out"):
+        monkeypatch.chdir(tmp_path / where)
+        assert main(["schmidt", "state.json"]) == 0
+        reports.append(capsys.readouterr())
+    assert reports[0] == reports[1]
 
 
 def test_refactor_keeps_metadata_values(tmp_path):

@@ -17,7 +17,6 @@ from tpslab.tps import (
     coefficient_matrix,
     disentangling_tps,
     factor_local_bijection,
-    identity_bijection,
     random_bijection,
     relabeled,
     sum_diff_bijection,
@@ -107,7 +106,7 @@ def test_index_bijection_inverse_tables():
 
 
 def test_relabel_identity_is_identity_matrix():
-    tps = TensorProductStructure(2, 2, relabeling=identity_bijection(2, 2))
+    tps = TensorProductStructure(2, 2, relabeling=IndexBijection(2, 2, np.arange(2 * 2)))
     assert tps.unitary is None
     np.testing.assert_array_equal(permutation_matrix(tps.relabeling), np.eye(4))
 
@@ -316,7 +315,7 @@ def test_tps_refuses_a_reflector_of_the_wrong_size():
 def test_tps_refuses_a_relabeling_of_another_grid():
     # 3 x 2 and 2 x 3 have the same dimension; only the grids differ
     with pytest.raises(ShapeError, match=r"relabeling grid does not match factors \(2, 3\)"):
-        TensorProductStructure(2, 3, relabeling=identity_bijection(3, 2))
+        TensorProductStructure(2, 3, relabeling=IndexBijection(3, 2, np.arange(3 * 2)))
 
 
 @pytest.mark.parametrize("rotation", ["relabeling", "reflector", "unitary"])
@@ -419,7 +418,7 @@ def test_disentangling_tps_at_d45_stays_linear():
         lambda: _check_unitary(np.eye(4, 2)),
         lambda: coefficient_matrix(BELL, trivial_tps(2, 3)),
         lambda: tps_with_spectrum(BELL, (1.0,), trivial_tps(2, 3)),
-        lambda: relabeled(trivial_tps(2, 3), identity_bijection(3, 2)),
+        lambda: relabeled(trivial_tps(2, 3), IndexBijection(3, 2, np.arange(3 * 2))),
         lambda: trivial_tps(0, 2),
     ],
     ids=["non-square-unitary", "coefficients-dim", "spectrum-dim", "transposed-relabeling",
